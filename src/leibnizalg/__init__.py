@@ -11,10 +11,6 @@ from .cohomology import (
     coboundary1,
     coboundary2,
     cocommutator_cochain,
-    cocycle_residual_matrix,
-    cocycle_residual_tensor,
-    is_1cocycle,
-    is_2cocycle,
 )
 from .core import (
     AdjointMatrices,
@@ -61,6 +57,7 @@ from .solver import (
     Scenario,
     SweepEntry,
     assemble_cocycle_system,
+    cocycle_residual_tensor,
     dual_leibniz_residual,
     family_from_tensors,
     family_is_cocycle,

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .core import Side, first_nonzero, leibniz_residual
+from .core import Side
 from .document import parse_algebra, parse_rmatrix
 from .errors import ChiralityError, LeibnizError, ParseError
 from .report import (
@@ -42,9 +42,19 @@ class _Verification(Exception):
     """Declared property of the input does not hold."""
 
 
-def _load_algebra(path: str):
+def _read(path: str) -> tuple[bytes, str]:
+    """A definition file's bytes and UTF-8 text; other encodings are input errors."""
     raw = Path(path).read_bytes()
-    doc = parse_algebra(raw.decode("utf-8"))
+    try:
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason})", line) from None
+
+
+def _load_algebra(path: str):
+    raw, text = _read(path)
+    doc = parse_algebra(text)
     try:
         alg = doc.algebra()
     except ChiralityError as exc:
@@ -53,7 +63,7 @@ def _load_algebra(path: str):
 
 
 def _load_rmatrix(path: str, dim: int):
-    doc = parse_rmatrix(Path(path).read_text("utf-8"))
+    doc = parse_rmatrix(_read(path)[1])
     if doc.dim != dim:
         raise ParseError(
             f"r-matrix dimension {doc.dim} does not match algebra dimension {dim}"
@@ -143,7 +153,7 @@ def _cmd_duals(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     _, alg, _ = _load_algebra(args.file)
-    dual_doc = parse_algebra(Path(args.dual).read_text("utf-8"))
+    dual_doc = parse_algebra(_read(args.dual)[1])
     if dual_doc.dim != alg.dim:
         raise ParseError("dual tensor dimension does not match the algebra")
     case = coboundary_case(args.case)

@@ -1,6 +1,8 @@
-"""Coboundary operators on tensor-square-valued cochains, plus the four
-first-order compatibility residuals linking a bracket table to a candidate
-dual table.
+"""Coboundary operators on tensor-square-valued cochains.
+
+The first-order compatibility residuals linking a bracket table to a
+candidate dual table are encoded once, as the rows of
+``solver.cocycle_system``.
 
 Only arities 0, 1 and 2 are instantiated; those are the ones the bialgebra
 constructions use.  The degree-2 composite ``coboundary2(coboundary1(w))``
@@ -11,12 +13,11 @@ the observed outcomes are recorded in COMPLEX_NOTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .actions import ActionCase, act
-from .core import LeibnizAlgebra, Side, StructureTensor, adjoint_matrices
+from .core import LeibnizAlgebra, Side, StructureTensor
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, mat_add, mat_mul, mat_scale, mat_sub, transpose, zeros
+from .linalg import Matrix, mat_add, mat_scale, mat_sub, zeros
 
 # Observed mechanically on the bundled corpus with random cochains
 # (see tests/test_cohomology.py).  Recorded as measurement, not as theorem:
@@ -189,109 +190,6 @@ def coboundary2(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap
         for x in range(n)
     )
     return CochainMap(n, 3, vals)
-
-
-def is_1cocycle(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> bool:
-    return coboundary1(alg, case, side, w).is_zero()
-
-
-def is_2cocycle(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> bool:
-    return coboundary2(alg, case, side, w).is_zero()
-
-
-Rank4 = tuple  # [i][j][m][n], 0-based
-
-
-def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int) -> Rank4:
-    """Defect of the first-order compatibility condition, form 1..4.
-
-    Component (i, j, m, n) is the coefficient mismatch between the image of
-    [X_i, X_j] under the candidate cocommutator and the action-case-``form``
-    combination of the images of X_i and X_j.  Linear in ``ftilde``.
-    """
-    if ftilde.dim != f.dim:
-        raise DimensionError("tensor dimensions differ")
-    if form not in (1, 2, 3, 4):
-        raise DimensionError(f"unknown form {form}")
-    n = f.dim
-    F = f.data
-    G = ftilde.data
-
-    def component(i, j, m, ncol):
-        lead = sum((F[i][j][k] * G[m][ncol][k] for k in range(n)), Fraction(0))
-        s = Fraction(0)
-        if form == 1:
-            for a in range(n):
-                s += G[a][ncol][j] * F[i][a][m] + G[a][ncol][i] * F[a][j][m]
-        elif form == 2:
-            for a in range(n):
-                s += G[m][a][i] * F[a][j][ncol] + G[a][ncol][i] * F[a][j][m]
-        elif form == 3:
-            for a in range(n):
-                s += G[m][a][j] * F[i][a][ncol] + G[a][ncol][j] * F[i][a][m]
-        else:
-            for a in range(n):
-                s += G[m][a][j] * F[i][a][ncol] + G[m][a][i] * F[a][j][ncol]
-        return lead - s
-
-    return tuple(
-        tuple(
-            tuple(
-                tuple(component(i, j, m, ncol) for ncol in range(n))
-                for m in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def cocycle_residual_matrix(f: StructureTensor, ftilde: StructureTensor, form: int):
-    """Matrix route for the same residual: an n x n grid of matrices indexed
-    (m, n), built from adjoint slices of both tensors.
-
-    Relation to the tensor route (tested, not assumed by callers):
-    ``matrix[m][n][i][j] == -tensor[i][j][m][n]``.
-    """
-    if ftilde.dim != f.dim:
-        raise DimensionError("tensor dimensions differ")
-    if form not in (1, 2, 3, 4):
-        raise DimensionError(f"unknown form {form}")
-    n = f.dim
-    Y = adjoint_matrices(f).output_slot
-    dual = adjoint_matrices(ftilde)
-    chi_t = dual.first_slot      # chi_t[m][n][k] == -ftilde(m, n, k)
-    chi_tp = dual.second_slot    # chi_tp[n][m][k] == -ftilde(m, n, k)
-
-    def weighted_y(m, ncol):
-        out = zeros(n, n)
-        for k in range(n):
-            c = chi_t[m][ncol][k]
-            if c != 0:
-                out = mat_add(out, mat_scale(c, Y[k]))
-        return out
-
-    def cell(m, ncol):
-        if form == 1:
-            t = mat_add(
-                mat_mul(Y[m], chi_tp[ncol]),
-                mat_mul(transpose(chi_tp[ncol]), Y[m]),
-            )
-        elif form == 2:
-            t = mat_add(
-                mat_mul(transpose(chi_t[m]), Y[ncol]),
-                mat_mul(transpose(chi_tp[ncol]), Y[m]),
-            )
-        elif form == 3:
-            t = mat_add(mat_mul(Y[ncol], chi_t[m]), mat_mul(Y[m], chi_tp[ncol]))
-        else:
-            t = mat_add(
-                mat_mul(Y[ncol], chi_t[m]),
-                mat_mul(transpose(chi_t[m]), Y[ncol]),
-            )
-        return mat_sub(t, weighted_y(m, ncol))
-
-    return tuple(tuple(cell(m, ncol) for ncol in range(n)) for m in range(n))
 
 
 def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:

@@ -140,44 +140,49 @@ class StructureTensor:
         )
 
 
-def leibniz_residual(t: StructureTensor, side: Side) -> Rank4:
-    """Defect of the derivation identity, indexed (i, j, k, m), 0-based.
+def leibniz_components(f, n: int, side: Side, zero):
+    """Defect of the derivation identity, one component at a time in
+    (i, j, k, m) order, 0-based, over any ring with ``+ - *``.
 
-    The right-handed identity compares [[Y,Z],X] against [[Y,X],Z] + [Y,[Z,X]]
-    with (X, Y, Z) = (X_i, X_j, X_k); the left-handed one compares [X,[Y,Z]]
-    against [[X,Y],Z] + [Y,[X,Z]].  The tensor vanishes identically exactly
-    when the identity holds.
+    ``f`` is an n x n x n grid of ring elements and ``zero`` the ring's
+    additive identity.  The right-handed identity compares [[Y,Z],X] against
+    [[Y,X],Z] + [Y,[Z,X]] with (X, Y, Z) = (X_i, X_j, X_k); the left-handed
+    one compares [X,[Y,Z]] against [[X,Y],Z] + [Y,[X,Z]].  Every component
+    vanishes exactly when the identity holds.
     """
-    n = t.dim
-    f = t.data
-    out = []
-    for i in range(n):
-        plane_i = []
-        for j in range(n):
-            plane_j = []
-            for k in range(n):
-                row = []
-                for m in range(n):
-                    s = Fraction(0)
-                    if side is Side.RIGHT:
-                        for p in range(n):
-                            s += (
-                                f[j][k][p] * f[p][i][m]
-                                - f[j][i][p] * f[p][k][m]
-                                - f[k][i][p] * f[j][p][m]
-                            )
-                    else:
-                        for p in range(n):
-                            s += (
-                                f[j][k][p] * f[i][p][m]
-                                - f[i][j][p] * f[p][k][m]
-                                - f[i][k][p] * f[j][p][m]
-                            )
-                    row.append(s)
-                plane_j.append(tuple(row))
-            plane_i.append(tuple(plane_j))
-        out.append(tuple(plane_i))
-    return tuple(out)
+    for i, j, k, m in itertools.product(range(n), repeat=4):
+        s = zero
+        for p in range(n):
+            if side is Side.RIGHT:
+                s = (
+                    s + f[j][k][p] * f[p][i][m]
+                    - f[j][i][p] * f[p][k][m]
+                    - f[k][i][p] * f[j][p][m]
+                )
+            else:
+                s = (
+                    s + f[j][k][p] * f[i][p][m]
+                    - f[i][j][p] * f[p][k][m]
+                    - f[i][k][p] * f[j][p][m]
+                )
+        yield s
+
+
+def leibniz_residual(t: StructureTensor, side: Side) -> Rank4:
+    """``leibniz_components`` of the bracket table as a tensor [i][j][k][m]."""
+    return rank4(leibniz_components(t.data, t.dim, side, Fraction(0)), t.dim)
+
+
+def rank4(values, n: int) -> Rank4:
+    """Nest a flat stream given in lexicographic index order as [a][b][c][d]."""
+    it = iter(values)
+    return tuple(
+        tuple(
+            tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
 
 
 def residual_is_zero(res: Rank4) -> bool:
@@ -205,8 +210,10 @@ def is_antisymmetric(t: StructureTensor) -> bool:
 
 def classify(t: StructureTensor) -> Chirality:
     """Strongest applicable label for the bracket table."""
-    left = residual_is_zero(leibniz_residual(t, Side.LEFT))
-    right = residual_is_zero(leibniz_residual(t, Side.RIGHT))
+    left, right = (
+        not any(leibniz_components(t.data, t.dim, side, Fraction(0)))
+        for side in (Side.LEFT, Side.RIGHT)
+    )
     if left and right:
         return Chirality.LIE if is_antisymmetric(t) else Chirality.BOTH
     if left:
@@ -285,39 +292,6 @@ def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
         for k in range(n)
     )
     return AdjointMatrices(first, second, output)
-
-
-def tensor_from_first_slot(mats: tuple[Matrix, ...]) -> StructureTensor:
-    n = len(mats)
-    return StructureTensor(
-        n,
-        tuple(
-            tuple(tuple(-mats[i][j][k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ),
-    )
-
-
-def tensor_from_second_slot(mats: tuple[Matrix, ...]) -> StructureTensor:
-    n = len(mats)
-    return StructureTensor(
-        n,
-        tuple(
-            tuple(tuple(-mats[m][i][k] for k in range(n)) for m in range(n))
-            for i in range(n)
-        ),
-    )
-
-
-def tensor_from_output_slot(mats: tuple[Matrix, ...]) -> StructureTensor:
-    n = len(mats)
-    return StructureTensor(
-        n,
-        tuple(
-            tuple(tuple(-mats[k][i][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ),
-    )
 
 
 @dataclass(frozen=True)

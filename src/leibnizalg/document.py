@@ -26,20 +26,19 @@ from .linalg import Matrix
 
 SIDES = ("left", "right", "both", "auto")
 
-_RAT = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: str.isdigit and a str-pattern \d also accept other
+# Unicode digits, some of which int() rejects.
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NATURAL = re.compile(r"[0-9]+")
 
 
-def _parse_rational(text: str, line: int) -> Fraction:
-    text = text.strip()
-    if not _RAT.match(text):
-        raise ParseError(f"bad rational {text!r} (want p or p/q)", line)
-    return Fraction(text)
-
-
-def _parse_index(text: str, line: int) -> int:
-    if not text.isdigit():
-        raise ParseError(f"bad index {text!r}", line)
-    return int(text)
+def _parse_number(text: str, pattern, convert, what: str, line: int, hint=""):
+    try:
+        if pattern.fullmatch(text):
+            return convert(text)
+    except (ValueError, ZeroDivisionError):  # q == 0, or too many digits for int()
+        pass
+    raise ParseError(f"bad {what} {text!r}{hint}", line)
 
 
 @dataclass
@@ -106,9 +105,7 @@ def _scan(text: str, kind: str):
             elif key == "dim":
                 if doc_dim is not None:
                     raise ParseError("duplicate dim directive", ln)
-                if not value.isdigit():
-                    raise ParseError(f"bad dimension {value!r}", ln)
-                doc_dim = int(value)
+                doc_dim = _parse_number(value, _NATURAL, int, "dimension", ln)
                 if not 1 <= doc_dim <= MAX_DIM:
                     raise ParseError(
                         f"dimension {doc_dim} outside 1..{MAX_DIM}", ln
@@ -128,8 +125,12 @@ def _scan(text: str, kind: str):
         want = 3 if kind == "f" else 2
         if len(tokens) != want + 3 or tokens[want + 1] != "=":
             raise ParseError(f"malformed {kind!r} entry", ln)
-        idx = tuple(_parse_index(tok, ln) for tok in tokens[1 : want + 1])
-        value = _parse_rational(tokens[want + 2], ln)
+        idx = tuple(
+            _parse_number(tok, _NATURAL, int, "index", ln) for tok in tokens[1 : want + 1]
+        )
+        value = _parse_number(
+            tokens[want + 2], _RAT, Fraction, "rational", ln, " (want p or p/q, q nonzero)"
+        )
         if idx in entries:
             raise ParseError(f"duplicate entry for {idx}", ln)
         entries[idx] = (ln, value)

@@ -30,12 +30,6 @@ def zeros(nrows: int, ncols: int) -> Matrix:
     return tuple((Fraction(0),) * ncols for _ in range(nrows))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
@@ -66,10 +60,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -107,14 +97,20 @@ def kernel_basis(a: Matrix, ncols: int | None = None) -> list[Vector]:
         if not a:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(a[0])
-    if not a:
-        rows, pivots = [], []
-    else:
-        rows, pivots = rref([list(row) for row in a])
+    return _kernel_from_rref(*rref([list(row) for row in a]), ncols)
+
+
+def _kernel_from_rref(rows, pivots: list[int], ncols: int) -> list[Vector]:
+    """Kernel basis of the first ``ncols`` columns of a reduced echelon form.
+
+    Extra columns to the right (an augmented right-hand side that is not a
+    pivot column) do not change the result.
+    """
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -127,10 +123,11 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     """Solve a x = b exactly.
 
     Returns (particular solution, kernel basis), or None when inconsistent.
-    The particular solution sets every free variable to zero.
+    The particular solution sets every free variable to zero.  One
+    elimination of [a | b] yields both: the leftmost-pivot reduced form of a
+    is its left part.
     """
     if not a:
-        ncols = 0
         if any(x != 0 for x in b):
             return None
         return (), []
@@ -142,4 +139,4 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     particular = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][ncols]
-    return tuple(particular), kernel_basis(a, ncols)
+    return tuple(particular), _kernel_from_rref(rows, pivots, ncols)

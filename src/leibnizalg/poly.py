@@ -69,13 +69,6 @@ class Poly:
         p.terms = out
         return p
 
-    def scale(self, c) -> "Poly":
-        c = frac(c)
-        p = Poly()
-        if c != 0:
-            p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
-
     def evaluate(self, values) -> Fraction:
         vals = [frac(v) for v in values]
         total = Fraction(0)
@@ -115,4 +108,5 @@ class Poly:
         return out
 
     def __repr__(self):
-        return f"Poly({self.render([f't{i + 1}' for i in range(40)])})"
+        top = max((max(m) for m in self.terms if m), default=-1)
+        return f"Poly({self.render([f't{i + 1}' for i in range(top + 1)])})"

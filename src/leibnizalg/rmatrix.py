@@ -131,6 +131,27 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
     return all(r[i][j] == -r[j][i] for i in range(n) for j in range(n))
 
 
+def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
+    """Term table of the linear map r -> delta(r) of a nontrivial case.
+
+    Yields ((a, b, m), (i, j), c), 0-based, for every nonzero coefficient c
+    of delta(r)[a][b][m] = sum c * r[i][j].
+    """
+    n = alg.dim
+    f = alg.tensor.data
+    for a, b, m, x in itertools.product(range(n), repeat=4):
+        if case is CoboundaryCase.RIGHT_1:
+            c, ij = f[m][x][a], (x, b)
+        elif case is CoboundaryCase.LEFT_1:
+            c, ij = -f[x][m][a], (x, b)
+        elif case is CoboundaryCase.RIGHT_4:
+            c, ij = f[m][x][b], (a, x)
+        else:  # LEFT_4
+            c, ij = -f[x][m][b], (a, x)
+        if c != 0:
+            yield (a, b, m), ij, c
+
+
 def coboundary_cocommutator(
     alg: LeibnizAlgebra, r: Matrix, case: CoboundaryCase
 ) -> StructureTensor:
@@ -138,25 +159,11 @@ def coboundary_cocommutator(
     _require(alg, case)
     r = _check_r(alg, r)
     n = alg.dim
-    f = alg.tensor.data
-    cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     if case.trivial:
         return StructureTensor.zero(n)
-    for a, b, m in itertools.product(range(n), repeat=3):
-        s = Fraction(0)
-        if case is CoboundaryCase.RIGHT_1:
-            for i in range(n):
-                s += r[i][b] * f[m][i][a]
-        elif case is CoboundaryCase.LEFT_1:
-            for i in range(n):
-                s -= r[i][b] * f[i][m][a]
-        elif case is CoboundaryCase.RIGHT_4:
-            for j in range(n):
-                s += r[a][j] * f[m][j][b]
-        else:  # LEFT_4
-            for j in range(n):
-                s -= r[a][j] * f[j][m][b]
-        cube[a][b][m] = s
+    cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
+        cube[a][b][m] += c * r[i][j]
     return StructureTensor(
         n, tuple(tuple(tuple(row) for row in plane) for plane in cube)
     )
@@ -236,34 +243,15 @@ def solve_rmatrix(
         return RMatrixFamily(
             n, zeros(n, n), tuple(basis), tuple(f"t{a + 1}" for a in range(n * n))
         )
-    adj = adjoint_matrices(alg.tensor)
-    # Unknowns r[i][j] flattened as i*n + j.  One equation per (m, row, col).
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for m in range(n):
-        target = tuple(
-            tuple(-ftilde.data[i][j][m] for j in range(n)) for i in range(n)
-        )
-        for a in range(n):
-            for b in range(n):
-                row = [Fraction(0)] * (n * n)
-                if case is CoboundaryCase.RIGHT_1:
-                    # sum_i first_slot[m][i][a] * r[i][b]
-                    for i in range(n):
-                        row[i * n + b] += adj.first_slot[m][i][a]
-                elif case is CoboundaryCase.LEFT_1:
-                    for i in range(n):
-                        row[i * n + b] -= adj.second_slot[m][i][a]
-                elif case is CoboundaryCase.RIGHT_4:
-                    # sum_j r[a][j] * first_slot[m][j][b]
-                    for j in range(n):
-                        row[a * n + j] += adj.first_slot[m][j][b]
-                else:  # LEFT_4
-                    for j in range(n):
-                        row[a * n + j] -= adj.second_slot[m][j][b]
-                rows.append(tuple(row))
-                rhs.append(target[a][b])
-    solved = solve_affine(tuple(rows), tuple(rhs))
+    # Unknowns r[i][j] flattened as i*n + j; one equation per (m, a, b).
+    rows = [[Fraction(0)] * (n * n) for _ in range(n ** 3)]
+    for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
+        rows[(m * n + a) * n + b][i * n + j] += c
+    rhs = tuple(
+        ftilde.data[a][b][m]
+        for m, a, b in itertools.product(range(n), repeat=3)
+    )
+    solved = solve_affine(tuple(tuple(row) for row in rows), rhs)
     if solved is None:
         return None
     particular, kernel = solved

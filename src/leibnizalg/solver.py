@@ -1,6 +1,10 @@
 """Scenario table, linear cocycle systems, exact nullspaces and the
 quadratic residuals that sit on top of them.
 
+The rows built by ``cocycle_system`` are the package's one encoding of the
+four first-order compatibility forms linking a bracket table to a candidate
+dual table; ``cocycle_residual_tensor`` is those rows applied to a tensor.
+
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
 below in the order their defining systems are conventionally listed.  The
@@ -19,14 +23,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import cocycle_residual_tensor
 from .core import (
     Chirality,
     LeibnizAlgebra,
+    Rank4,
     Side,
     StructureTensor,
     first_nonzero,
+    leibniz_components,
     leibniz_residual,
+    rank4,
 )
 from .errors import ChiralityError, DimensionError
 from .linalg import Matrix, kernel_basis
@@ -77,16 +83,6 @@ def scenario(key: str) -> Scenario:
         ) from None
 
 
-def column_order(dim: int):
-    """Flattened unknown order: (m, n, k) lexicographic, 1-based."""
-    return [
-        (m, n, k)
-        for m in range(1, dim + 1)
-        for n in range(1, dim + 1)
-        for k in range(1, dim + 1)
-    ]
-
-
 def column_index(dim: int, m: int, n: int, k: int) -> int:
     return ((m - 1) * dim + (n - 1)) * dim + (k - 1)
 
@@ -104,7 +100,7 @@ class LinearSystem:
             raise DimensionError("tensor dimension does not match system")
         flat = flatten_tensor(ftilde)
         return tuple(
-            sum((c * v for c, v in zip(row, flat)), Fraction(0))
+            sum((c * v for c, v in zip(row, flat) if c), Fraction(0))
             for row in self.matrix
         )
 
@@ -131,16 +127,18 @@ def unflatten_tensor(dim: int, vec) -> StructureTensor:
     return StructureTensor(dim, data)
 
 
-def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
-    """Linear constraints on the dual table imposed by the scenario's form.
+def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
+    """Linear constraints on a dual table imposed by compatibility form 1..4.
 
-    One row per residual component (i, j, m, n), lexicographic and 1-based;
-    substituting any tensor into the rows reproduces the residual exactly.
+    One row per residual component (i, j, m, n), lexicographic and 1-based.
+    Component (i, j, m, n) is the coefficient mismatch between the image of
+    [X_i, X_j] under the candidate cocommutator and the action-case-``form``
+    combination of the images of X_i and X_j.
     """
-    sc.require(alg)
-    n = alg.dim
-    f = alg.tensor.data
-    form = sc.form
+    if form not in (1, 2, 3, 4):
+        raise DimensionError(f"unknown form {form}")
+    n = t.dim
+    f = t.data
     rows = []
     provenance = []
     for i, j, m, ncol in itertools.product(range(n), repeat=4):
@@ -171,6 +169,18 @@ def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
         rows.append(tuple(row))
         provenance.append((i + 1, j + 1, m + 1, ncol + 1))
     return LinearSystem(n, form, tuple(rows), tuple(provenance))
+
+
+def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
+    """The cocycle system of the scenario's form, for a compatible algebra."""
+    sc.require(alg)
+    return cocycle_system(alg.tensor, sc.form)
+
+
+def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int) -> Rank4:
+    """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
+    the rows of ``cocycle_system(f, form)`` applied to ``ftilde``."""
+    return rank4(cocycle_system(f, form).apply(ftilde), f.dim)
 
 
 @dataclass(frozen=True)
@@ -252,12 +262,6 @@ class QuadraticResidual:
         vals = list(assignment)
         return tuple(p.evaluate(vals) for p in self.polynomials)
 
-    def first_nonconstant(self):
-        for prov, p in zip(self.provenance, self.polynomials):
-            if not p.is_zero():
-                return prov, p
-        return None
-
 
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     """Quadratic polynomials whose simultaneous vanishing marks the members
@@ -269,24 +273,12 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     if not family.basis:
         return QuadraticResidual(side, (), (), ())
     n = family.dim
-    g = family.poly_tensor()
-    polys = []
-    provenance = []
-    for i, j, k, m in itertools.product(range(n), repeat=4):
-        acc = Poly()
-        if side is Side.RIGHT:
-            for p in range(n):
-                acc = acc + g[j][k][p] * g[p][i][m]
-                acc = acc - g[j][i][p] * g[p][k][m]
-                acc = acc - g[k][i][p] * g[j][p][m]
-        else:
-            for p in range(n):
-                acc = acc + g[j][k][p] * g[i][p][m]
-                acc = acc - g[i][j][p] * g[p][k][m]
-                acc = acc - g[i][k][p] * g[j][p][m]
-        polys.append(acc)
-        provenance.append((i + 1, j + 1, k + 1, m + 1))
-    return QuadraticResidual(side, family.parameters, tuple(polys), tuple(provenance))
+    polys = tuple(leibniz_components(family.poly_tensor(), n, side, Poly()))
+    provenance = tuple(
+        (i + 1, j + 1, k + 1, m + 1)
+        for i, j, k, m in itertools.product(range(n), repeat=4)
+    )
+    return QuadraticResidual(side, family.parameters, polys, provenance)
 
 
 @dataclass(frozen=True)

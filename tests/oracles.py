@@ -1,0 +1,121 @@
+"""Independent routes the tests check the library against.
+
+``cocycle_residual_matrix`` computes the four compatibility residuals from
+products of adjoint slice matrices, with no reference to the rows of
+``solver.cocycle_system``; ``leibniz_residual_by_brackets`` evaluates the
+Leibniz identity on basis vectors through ``bracket``, with no reference to
+``core.leibniz_components``; the ``tensor_from_*_slot`` functions invert
+each adjoint slice family on its own.
+"""
+
+import itertools
+
+from leibnizalg import Side, StructureTensor, adjoint_matrices, bracket
+from leibnizalg.errors import DimensionError
+from leibnizalg.linalg import mat_add, mat_mul, mat_scale, mat_sub, transpose, zeros
+
+
+def cocycle_residual_matrix(f: StructureTensor, ftilde: StructureTensor, form: int):
+    """Compatibility residual as an n x n grid of matrices indexed (m, n),
+    built from adjoint slices of both tensors.
+
+    Relation to the row route (tested, not assumed by callers):
+    ``matrix[m][n][i][j] == -cocycle_residual_tensor(f, ftilde, form)[i][j][m][n]``.
+    """
+    if ftilde.dim != f.dim:
+        raise DimensionError("tensor dimensions differ")
+    if form not in (1, 2, 3, 4):
+        raise DimensionError(f"unknown form {form}")
+    n = f.dim
+    Y = adjoint_matrices(f).output_slot
+    dual = adjoint_matrices(ftilde)
+    chi_t = dual.first_slot      # chi_t[m][n][k] == -ftilde(m, n, k)
+    chi_tp = dual.second_slot    # chi_tp[n][m][k] == -ftilde(m, n, k)
+
+    def weighted_y(m, ncol):
+        out = zeros(n, n)
+        for k in range(n):
+            c = chi_t[m][ncol][k]
+            if c != 0:
+                out = mat_add(out, mat_scale(c, Y[k]))
+        return out
+
+    def cell(m, ncol):
+        if form == 1:
+            t = mat_add(
+                mat_mul(Y[m], chi_tp[ncol]),
+                mat_mul(transpose(chi_tp[ncol]), Y[m]),
+            )
+        elif form == 2:
+            t = mat_add(
+                mat_mul(transpose(chi_t[m]), Y[ncol]),
+                mat_mul(transpose(chi_tp[ncol]), Y[m]),
+            )
+        elif form == 3:
+            t = mat_add(mat_mul(Y[ncol], chi_t[m]), mat_mul(Y[m], chi_tp[ncol]))
+        else:
+            t = mat_add(
+                mat_mul(Y[ncol], chi_t[m]),
+                mat_mul(transpose(chi_t[m]), Y[ncol]),
+            )
+        return mat_sub(t, weighted_y(m, ncol))
+
+    return tuple(tuple(cell(m, ncol) for ncol in range(n)) for m in range(n))
+
+
+def leibniz_residual_by_brackets(t: StructureTensor, side: Side):
+    """Defect of the Leibniz identity on (X_i, X_j, X_k), as [i][j][k][m]."""
+    n = t.dim
+    e = [tuple(int(a == b) for a in range(n)) for b in range(n)]
+
+    def br(x, y):
+        return bracket(t, x, y)
+
+    def defect(x, y, z):
+        if side is Side.RIGHT:  # [[Y,Z],X] - [[Y,X],Z] - [Y,[Z,X]]
+            terms = br(br(y, z), x), br(br(y, x), z), br(y, br(z, x))
+        else:  # [X,[Y,Z]] - [[X,Y],Z] - [Y,[X,Z]]
+            terms = br(x, br(y, z)), br(br(x, y), z), br(y, br(x, z))
+        return tuple(a - b - c for a, b, c in zip(*terms))
+
+    cube = {
+        (i, j, k): defect(e[i], e[j], e[k])
+        for i, j, k in itertools.product(range(n), repeat=3)
+    }
+    return tuple(
+        tuple(tuple(cube[i, j, k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def tensor_from_first_slot(mats) -> StructureTensor:
+    n = len(mats)
+    return StructureTensor(
+        n,
+        tuple(
+            tuple(tuple(-mats[i][j][k] for k in range(n)) for j in range(n))
+            for i in range(n)
+        ),
+    )
+
+
+def tensor_from_second_slot(mats) -> StructureTensor:
+    n = len(mats)
+    return StructureTensor(
+        n,
+        tuple(
+            tuple(tuple(-mats[m][i][k] for k in range(n)) for m in range(n))
+            for i in range(n)
+        ),
+    )
+
+
+def tensor_from_output_slot(mats) -> StructureTensor:
+    n = len(mats)
+    return StructureTensor(
+        n,
+        tuple(
+            tuple(tuple(-mats[k][i][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        ),
+    )

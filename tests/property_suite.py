@@ -17,7 +17,6 @@ from leibnizalg import (
     coboundary1,
     coboundary_cocommutator,
     cocommutator_matrix_route,
-    cocycle_residual_matrix,
     cocycle_residual_tensor,
     crosscheck_dual_defect,
     dual_bracket_from_r,
@@ -29,6 +28,8 @@ from leibnizalg import (
 )
 from leibnizalg.actions import complex_compatible
 from leibnizalg.solver import SCENARIOS
+
+from oracles import cocycle_residual_matrix
 
 F = Fraction
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from leibnizalg.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -41,6 +47,41 @@ class TestCheck:
     def test_missing_file_is_exit_two(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.leib")
         assert code == 2
+
+
+# Bad definition files and the line their error names; "{e}" stands for the
+# entry head ("f 1 1" in an algebra file, "r 1" in an r-matrix file).
+BAD_FILES = {
+    "zero-denominator": ("dim: 2\n{e} 2 = 1/0\n", 2),
+    "superscript-dim": ("dim: \u00b2\n", 1),
+    "superscript-index": ("dim: 2\n{e} \u00b2 = 1\n", 2),
+    "over-long-integer": ("dim: 2\n{e} 2 = 1/" + "9" * 5000 + "\n", 2),
+    "latin-1-byte": ("dim: 2\n# caf\udce9\n{e} 2 = 1\n", 2),
+}
+
+
+@pytest.mark.parametrize("slot", ["algebra", "r", "dual"])
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+def test_bad_file_is_one_line_exit_two(corpus_files, tmp_path, slot, bad):
+    template, line = BAD_FILES[bad]
+    head = "r 1" if slot == "r" else "f 1 1"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(template.format(e=head).encode("utf-8", "surrogateescape"))
+    good = str(corpus_files["example2"])
+    argv = {
+        "algebra": ["check", str(path)],
+        "r": ["ybe", good, "--side", "r", "--r", str(path)],
+        "dual": ["rmatrix", good, "--case", "right1", "--dual", str(path)],
+    }[slot]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leibnizalg.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: line {line}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 class TestDuals:

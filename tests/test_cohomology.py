@@ -13,7 +13,6 @@ from leibnizalg import (
     coboundary1,
     coboundary2,
     cocommutator_cochain,
-    cocycle_residual_matrix,
     cocycle_residual_tensor,
 )
 from leibnizalg.actions import complex_compatible
@@ -21,6 +20,7 @@ from leibnizalg.cohomology import COMPLEX_NOTES
 from leibnizalg.linalg import mat, zeros
 
 from families import EX1_FAMILIES
+from oracles import cocycle_residual_matrix
 
 F = Fraction
 

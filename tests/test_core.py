@@ -17,12 +17,14 @@ from leibnizalg import (
     leibniz_residual,
     residual_is_zero,
 )
-from leibnizalg.core import (
+from leibnizalg.linalg import mat, mat_neg, transpose
+
+from oracles import (
+    leibniz_residual_by_brackets,
     tensor_from_first_slot,
     tensor_from_output_slot,
     tensor_from_second_slot,
 )
-from leibnizalg.linalg import mat, mat_neg, transpose
 
 F = Fraction
 
@@ -63,6 +65,16 @@ class TestLeibnizResidual:
                 right_op = leibniz_residual(t.opposite(), Side.RIGHT)
                 for i, j, k in itertools.product(range(dim), repeat=3):
                     assert right_op[i][j][k] == left[i][k][j]
+
+    def test_matches_bracket_evaluation(self, corpus_algebras):
+        rng = random.Random(17)
+        tensors = [a.tensor for a in corpus_algebras.values()]
+        tensors += [rand_tensor(rng, d) for d in (1, 2, 3) for _ in range(8)]
+        for t in tensors:
+            for side in Side:
+                expected = leibniz_residual_by_brackets(t, side)
+                assert leibniz_residual(t, side) == expected
+                assert classify(t).admits(side) == residual_is_zero(expected)
 
 
 class TestClassify:

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+from leibnizalg import linalg
 from leibnizalg.linalg import (
     kernel_basis,
     mat,
@@ -45,6 +47,26 @@ def test_solve_affine_consistent_and_inconsistent():
     particular, kernel = solve_affine(a, (F(3), F(6)))
     assert particular == (F(3), F(0))
     assert kernel == [(F(-1), F(1))]
+
+
+def test_solve_affine_kernel_matches_kernel_basis(monkeypatch):
+    rng = random.Random(11)
+    calls = []
+    counted = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or counted(rows))
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        a = mat(
+            [[rng.choice((0, 0, 0, 1, -1, 2, "1/3")) for _ in range(ncols)]
+             for _ in range(nrows)]
+        )
+        x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        b = mat_vec(a, x)
+        calls.clear()
+        particular, kernel = solve_affine(a, b)
+        assert len(calls) == 1  # one elimination of [a | b]
+        assert mat_vec(a, particular) == b
+        assert kernel == kernel_basis(a)
 
 
 def test_matrix_helpers_are_exact():

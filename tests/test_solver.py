@@ -18,9 +18,11 @@ from leibnizalg import (
     scenario_sweep,
     verify_bialgebra,
 )
+from leibnizalg.poly import Poly
 from leibnizalg.solver import SCENARIOS, column_index, flatten_tensor
 
 from families import EX1_FAMILIES, EX3_FAMILIES, FAMILIES, KERNEL_DIMENSIONS
+from oracles import cocycle_residual_matrix
 
 F = Fraction
 
@@ -82,12 +84,13 @@ class TestAssemble:
                 assert len(system.matrix) == alg.dim ** 4
                 g = rand_tensor(rng, alg.dim)
                 applied = system.apply(g)
-                res = cocycle_residual_tensor(alg.tensor, g, sc.form)
-                flat_res = [
-                    res[i - 1][j - 1][m - 1][n - 1]
+                # the adjoint-matrix route shares no code with the rows
+                grid = cocycle_residual_matrix(alg.tensor, g, sc.form)
+                oracle = [
+                    -grid[m - 1][n - 1][i - 1][j - 1]
                     for (i, j, m, n) in system.row_provenance
                 ]
-                assert list(applied) == flat_res
+                assert list(applied) == oracle
 
     def test_zero_algebra_gives_zero_matrix(self, zero2):
         for sc in SCENARIOS:
@@ -166,6 +169,11 @@ class TestNullspace:
 
 
 class TestQuadraticResidual:
+    def test_repr_names_every_parameter(self):
+        assert repr(Poly.var(63)) == "Poly(t64)"
+        assert repr(Poly.var(0) * Poly.var(63) - Poly.const(2)) == "Poly(-2 + t1*t64)"
+        assert repr(Poly()) == "Poly(0)"
+
     def test_family1_identically_left(self):
         quad = dual_leibniz_residual(EX1_FAMILIES[0].family(2), Side.LEFT)
         assert quad.is_identically_zero()
