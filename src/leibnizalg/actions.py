@@ -13,6 +13,11 @@ left bracket slot and ``R`` the right one:
 * case 4:  [X, u]_L acts on the second factor from the left,
            [u, X]_R acts on the second factor from the right.
 
+The table ``REACH`` is the one encoding of this list.  ``action_operators``
+turns it into one sparse operator per basis element; the module axioms
+here, the coboundaries of ``cohomology``, the compatibility rows of
+``solver`` and delta(r) in ``rmatrix`` are all built from those operators.
+
 Each case makes the tensor square a module over a compatible algebra, for
 the module-axiom set matching the case's handedness.  The residuals of all
 three axioms are exposed so that claim is checkable rather than assumed.
@@ -27,12 +32,16 @@ fail; probe them via the ``sides`` override.
 from __future__ import annotations
 
 import enum
-
+import itertools
 from fractions import Fraction
 
-from .core import LeibnizAlgebra, Side
+from .core import LeibnizAlgebra, Side, StructureTensor
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, zeros
+from .linalg import Matrix
+
+# A sparse operator on the tensor square: one column dict per basis element
+# X_a (x) X_b, at index a*n + b, mapping an output index to its coefficient.
+Operator = list
 
 
 class ActionCase(enum.Enum):
@@ -49,121 +58,133 @@ class ActionCase(enum.Enum):
             return Side.LEFT
         return None
 
-
-def _require_case(case: ActionCase, alg: LeibnizAlgebra) -> None:
-    need = case.required_side
-    if need is not None and not alg.admits(need):
-        raise ChiralityError(
-            f"action case {case.value} needs a {need.value}-handed algebra; "
-            f"got {alg.chirality.value}"
-        )
-
-
-def _act_first_left(alg, x, u):
-    # first factor -> [X_x, .]
-    n = alg.dim
-    f = alg.tensor.data
-    return tuple(
-        tuple(
-            sum((u[a][b] * f[x][a][m] for a in range(n)), Fraction(0))
-            for b in range(n)
-        )
-        for m in range(n)
-    )
+    def require(self, alg: LeibnizAlgebra) -> None:
+        need = self.required_side
+        if need is not None and not alg.admits(need):
+            raise ChiralityError(
+                f"action case {self.value} needs a {need.value}-handed algebra; "
+                f"got {alg.chirality.value}"
+            )
 
 
-def _act_first_right(alg, x, u):
-    # first factor -> [., X_x]
-    n = alg.dim
-    f = alg.tensor.data
-    return tuple(
-        tuple(
-            sum((u[a][b] * f[a][x][m] for a in range(n)), Fraction(0))
-            for b in range(n)
-        )
-        for m in range(n)
-    )
+# The one table of the four actions: the tensor factors (0 = first,
+# 1 = second) that the bracket with X reaches, per case and side.  Side LEFT
+# is [X, u]_L, the bracket [X, .] on each reached factor; side RIGHT is
+# [u, X]_R, the bracket [., X].
+REACH = {
+    (ActionCase.CASE1, Side.LEFT): (0,),
+    (ActionCase.CASE1, Side.RIGHT): (0,),
+    (ActionCase.CASE2, Side.LEFT): (),
+    (ActionCase.CASE2, Side.RIGHT): (0, 1),
+    (ActionCase.CASE3, Side.LEFT): (0, 1),
+    (ActionCase.CASE3, Side.RIGHT): (),
+    (ActionCase.CASE4, Side.LEFT): (1,),
+    (ActionCase.CASE4, Side.RIGHT): (1,),
+}
 
 
-def _act_second_left(alg, x, u):
-    n = alg.dim
-    f = alg.tensor.data
-    return tuple(
-        tuple(
-            sum((u[a][b] * f[x][b][m] for b in range(n)), Fraction(0))
-            for m in range(n)
-        )
-        for a in range(n)
-    )
+def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[Operator, ...]:
+    """The action of each basis element X_x (0-based x) as a sparse operator."""
+    n = t.dim
+    f = t.data
+    reach = REACH[case, side]
+    ops = []
+    for x in range(n):
+        # bracket of X_x with X_a: coefficients over the output basis
+        br = [f[x][a] if side is Side.LEFT else f[a][x] for a in range(n)]
+        op = []
+        for a, b in itertools.product(range(n), repeat=2):
+            col = {}
+            for factor in reach:
+                for m, c in enumerate(br[b if factor else a]):
+                    if c:
+                        q = a * n + m if factor else m * n + b
+                        col[q] = col.get(q, 0) + c
+            op.append({q: c for q, c in col.items() if c})
+        ops.append(op)
+    return tuple(ops)
 
 
-def _act_second_right(alg, x, u):
-    n = alg.dim
-    f = alg.tensor.data
-    return tuple(
-        tuple(
-            sum((u[a][b] * f[b][x][m] for b in range(n)), Fraction(0))
-            for m in range(n)
-        )
-        for a in range(n)
-    )
+def to_matrix(col: dict, n: int) -> Matrix:
+    """An operator column (or any sparse vector on the tensor square) as an
+    n x n coefficient matrix."""
+    return tuple(tuple(col.get(m * n + k, Fraction(0)) for k in range(n)) for m in range(n))
 
 
-def _mat_sum(n, *mats):
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for m in mats:
-        for a in range(n):
-            for b in range(n):
-                out[a][b] += m[a][b]
-    return tuple(tuple(row) for row in out)
+def compose(p: Operator, q: Operator) -> Operator:
+    """p after q."""
+    out = []
+    for col in q:
+        acc = {}
+        for k, c in col.items():
+            for r, d in p[k].items():
+                acc[r] = acc.get(r, 0) + c * d
+        out.append({r: c for r, c in acc.items() if c})
+    return out
+
+
+def lin(terms) -> Operator:
+    """The linear combination of (scalar, operator) pairs; at least one pair."""
+    terms = list(terms)
+    out = [{} for _ in terms[0][1]]
+    for s, op in terms:
+        if s:
+            for acc, col in zip(out, op):
+                for r, c in col.items():
+                    acc[r] = acc.get(r, 0) + s * c
+    return [{r: c for r, c in acc.items() if c} for acc in out]
 
 
 def act(case: ActionCase, side: Side, alg: LeibnizAlgebra, x: int, u: Matrix) -> Matrix:
     """Apply [X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT); x is 1-based."""
-    _require_case(case, alg)
+    case.require(alg)
     n = alg.dim
     if not 1 <= x <= n:
         raise DimensionError(f"basis index {x} outside 1..{n}")
     if len(u) != n or any(len(row) != n for row in u):
         raise DimensionError("tensor-square element has wrong shape")
-    x0 = x - 1
-    if side is Side.LEFT:
-        if case is ActionCase.CASE1:
-            return _act_first_left(alg, x0, u)
-        if case is ActionCase.CASE2:
-            return zeros(n, n)
-        if case is ActionCase.CASE3:
-            return _mat_sum(n, _act_first_left(alg, x0, u), _act_second_left(alg, x0, u))
-        return _act_second_left(alg, x0, u)
-    if case is ActionCase.CASE1:
-        return _act_first_right(alg, x0, u)
-    if case is ActionCase.CASE2:
-        return _mat_sum(n, _act_first_right(alg, x0, u), _act_second_right(alg, x0, u))
-    if case is ActionCase.CASE3:
-        return zeros(n, n)
-    return _act_second_right(alg, x0, u)
+    u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
+    return to_matrix(compose(action_operators(alg.tensor, case, side)[x - 1], [u_col])[0], n)
 
 
-def _act_vec(case, side, alg, coeffs, u):
-    """Action of the element sum_k coeffs[k] X_{k+1}; coeffs are 0-based."""
+def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra, sides):
+    """Yields (label, defects): defects[x][y] is the axiom's defect on the
+    basis pair (X_x, X_y), 0-based, as a sparse operator."""
+    case.require(alg)
+    if sides is None:
+        need = case.required_side
+        sides = (need,) if need else tuple(s for s in Side if alg.admits(s))
     n = alg.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        m = act(case, side, alg, k + 1, u)
-        for a in range(n):
-            for b in range(n):
-                out[a][b] += c * m[a][b]
-    return tuple(tuple(row) for row in out)
+    f = alg.tensor.data
+    L = action_operators(alg.tensor, case, Side.LEFT)
+    R = action_operators(alg.tensor, case, Side.RIGHT)
+    o = compose
+
+    def on(ops, x, y):  # the action of [X_x, X_y]
+        return lin(zip(f[x][y], ops))
+
+    # each axiom reads  A - B - C = 0  for the (A, B, C) listed
+    axioms = []
+    if Side.RIGHT in sides:
+        axioms += [
+            ("right-1", lambda x, y: (on(L, x, y), o(R[y], L[x]), o(L[x], L[y]))),
+            ("right-2", lambda x, y: (o(R[x], R[y]), o(R[y], R[x]), on(R, y, x))),
+            ("right-3", lambda x, y: (o(R[x], L[y]), on(L, y, x), o(L[y], R[x]))),
+        ]
+    if Side.LEFT in sides:
+        axioms += [
+            ("left-1", lambda x, y: (on(R, x, y), o(R[y], R[x]), o(L[x], R[y]))),
+            ("left-2", lambda x, y: (o(L[x], R[y]), o(R[y], L[x]), on(R, x, y))),
+            ("left-3", lambda x, y: (o(L[x], L[y]), on(L, x, y), o(L[y], L[x]))),
+        ]
+    for label, parts in axioms:
+        yield label, [
+            [lin(zip((1, -1, -1), parts(x, y))) for y in range(n)] for x in range(n)
+        ]
 
 
-def _basis_element(n, a, b):
-    return tuple(
-        tuple(Fraction(1 if (i, j) == (a, b) else 0) for j in range(n))
-        for i in range(n)
-    )
+def _vanish(defects) -> bool:
+    return not any(col for row in defects for op in row for col in op)
 
 
 def module_axiom_residuals(case: ActionCase, alg: LeibnizAlgebra, sides=None):
@@ -176,90 +197,29 @@ def module_axiom_residuals(case: ActionCase, alg: LeibnizAlgebra, sides=None):
     every handedness the algebra admits for cases 1 and 4.  Pass ``sides``
     explicitly to probe other combinations.
     """
-    _require_case(case, alg)
-    if sides is None:
-        need = case.required_side
-        if need is not None:
-            sides = (need,)
-        else:
-            sides = tuple(s for s in (Side.RIGHT, Side.LEFT) if alg.admits(s))
     n = alg.dim
-    f = alg.tensor.data
-
-    def L(x, u):
-        return act(case, Side.LEFT, alg, x + 1, u)
-
-    def R(x, u):
-        return act(case, Side.RIGHT, alg, x + 1, u)
-
-    def Lv(coeffs, u):
-        return _act_vec(case, Side.LEFT, alg, coeffs, u)
-
-    def Rv(coeffs, u):
-        return _act_vec(case, Side.RIGHT, alg, coeffs, u)
-
-    def diff(p, q, s):
-        return tuple(
-            tuple(p[a][b] - q[a][b] - s[a][b] for b in range(n)) for a in range(n)
-        )
-
-    def build(residual_fn):
-        return tuple(
+    return [
+        (
+            label,
             tuple(
                 tuple(
-                    tuple(residual_fn(x, y, _basis_element(n, a, b)) for b in range(n))
-                    for a in range(n)
+                    tuple(tuple(to_matrix(op[a * n + b], n) for b in range(n)) for a in range(n))
+                    for op in row
                 )
-                for y in range(n)
-            )
-            for x in range(n)
+                for row in defects
+            ),
         )
-
-    out = []
-    if Side.RIGHT in sides:
-        out.append(
-            ("right-1", build(lambda x, y, m: diff(Lv(f[x][y], m), R(y, L(x, m)), L(x, L(y, m)))))
-        )
-        out.append(
-            ("right-2", build(lambda x, y, m: diff(R(x, R(y, m)), R(y, R(x, m)), Rv(f[y][x], m))))
-        )
-        out.append(
-            ("right-3", build(lambda x, y, m: diff(R(x, L(y, m)), Lv(f[y][x], m), L(y, R(x, m)))))
-        )
-    if Side.LEFT in sides:
-        out.append(
-            ("left-1", build(lambda x, y, m: diff(Rv(f[x][y], m), R(y, R(x, m)), L(x, R(y, m)))))
-        )
-        out.append(
-            ("left-2", build(lambda x, y, m: diff(L(x, R(y, m)), R(y, L(x, m)), Rv(f[x][y], m))))
-        )
-        out.append(
-            ("left-3", build(lambda x, y, m: diff(L(x, L(y, m)), Lv(f[x][y], m), L(y, L(x, m)))))
-        )
-    return out
-
-
-def _all_zero(arr) -> bool:
-    return all(
-        v == 0
-        for p1 in arr
-        for p2 in p1
-        for p3 in p2
-        for p4 in p3
-        for row in p4
-        for v in row
-    )
+        for label, defects in _sparse_residuals(case, alg, sides)
+    ]
 
 
 def axioms_hold(case: ActionCase, alg: LeibnizAlgebra, sides=None) -> bool:
-    return all(_all_zero(arr) for _, arr in module_axiom_residuals(case, alg, sides))
+    return all(_vanish(d) for _, d in _sparse_residuals(case, alg, sides))
 
 
 def axiom_report(case: ActionCase, alg: LeibnizAlgebra) -> dict[str, bool]:
     """Per-axiom verdicts for the case's claimed axiom sets."""
-    return {
-        label: _all_zero(arr) for label, arr in module_axiom_residuals(case, alg)
-    }
+    return {label: _vanish(d) for label, d in _sparse_residuals(case, alg, None)}
 
 
 def complex_compatible(case: ActionCase, side: Side) -> bool:
@@ -269,8 +229,4 @@ def complex_compatible(case: ActionCase, side: Side) -> bool:
     right-handed one and case 3 only with the left-handed one (the crossed
     pairings fail the matching module axioms, see module notes).
     """
-    if case is ActionCase.CASE2:
-        return side is Side.RIGHT
-    if case is ActionCase.CASE3:
-        return side is Side.LEFT
-    return True
+    return case.required_side in (None, side)

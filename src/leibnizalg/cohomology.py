@@ -1,42 +1,34 @@
 """Coboundary operators on tensor-square-valued cochains.
 
-The first-order compatibility residuals linking a bracket table to a
-candidate dual table are encoded once, as the rows of
-``solver.cocycle_system``.
+``coboundary_entries`` is the one encoding of the degree-0, 1 and 2
+coboundaries, written over the action operators of ``actions``: it gives
+``coboundary0/1/2`` on cochains, the rows of ``solver.cocycle_system``
+(minus the degree-1 coboundary of the cocommutator cochain) and the term
+table of ``rmatrix._cocommutator_terms`` (the degree-0 coboundary of r).
 
 Only arities 0, 1 and 2 are instantiated; those are the ones the bialgebra
 constructions use.  The degree-2 composite ``coboundary2(coboundary1(w))``
-is not assumed to vanish anywhere; ``tests`` probe it per action case and
-the observed outcomes are recorded in COMPLEX_NOTES.
+is not assumed to vanish anywhere; ``tests`` probe it per action case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .actions import ActionCase, act
+from .actions import ActionCase, action_operators, to_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, mat_add, mat_scale, mat_sub, zeros
+from .linalg import Matrix, zeros
 
 # Observed mechanically on the bundled corpus with random cochains
 # (see tests/test_cohomology.py).  Recorded as measurement, not as theorem:
 # both composites coboundary1 . coboundary0 and coboundary2 . coboundary1
 # vanish identically for cases 1 and 4 on either complex, for case 2 on the
-# right-handed complex and for case 3 on the left-handed complex.  The
-# crossed pairings (case 2 + left complex, case 3 + right complex) violate
-# the matching module axioms on a two-sided algebra and neither composite
-# vanishes there.
-COMPLEX_NOTES = {
-    ("case1", "right"): True,
-    ("case1", "left"): True,
-    ("case2", "right"): True,
-    ("case2", "left"): False,
-    ("case3", "right"): False,
-    ("case3", "left"): True,
-    ("case4", "right"): True,
-    ("case4", "left"): True,
-}
+# right-handed complex and for case 3 on the left-handed complex
+# (``actions.complex_compatible``).  The crossed pairings (case 2 + left
+# complex, case 3 + right complex) violate the matching module axioms on a
+# two-sided algebra and neither composite vanishes there.
 
 
 @dataclass(frozen=True)
@@ -92,104 +84,100 @@ def _check(alg: LeibnizAlgebra, side: Side) -> None:
         )
 
 
+def _at_bracket(f, s, i, j, place):
+    """Terms of s * w(..., [X_i, X_j], ...); ``place(k)`` puts X_k in the slot."""
+    return [(s * c, None, place(k)) for k, c in enumerate(f[i][j]) if c]
+
+
+def _terms(f, L, R, side: Side, point):
+    """The coboundary at the basis arguments ``point`` (0-based; its length
+    is the degree plus one) as terms (scalar, operator, arguments): the sum
+    of scalar * operator(w(arguments)), None standing for the identity."""
+    if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
+        (x,) = point
+        return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
+    if len(point) == 2:  # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
+        x, y = point
+        return [(1, L[x], (y,)), (1, R[y], (x,))] + _at_bracket(f, -1, x, y, lambda k: (k,))
+    x, y, z = point
+    out = (
+        [(1, L[x], (y, z)), (-1, R[z], (x, y))]
+        + _at_bracket(f, -1, x, y, lambda k: (k, z))
+        + _at_bracket(f, 1, y, z, lambda k: (x, k))
+    )
+    if side is Side.RIGHT:
+        return out + [(1, R[y], (x, z))] + _at_bracket(f, 1, x, z, lambda k: (k, y))
+    return out + [(-1, L[y], (x, z))] + _at_bracket(f, -1, x, z, lambda k: (y, k))
+
+
+def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
+    """The coboundary of degree 0, 1 or 2 as a sparse linear map.
+
+    Yields (point, q, arguments, p, c), 0-based: component q = m*n + n' of
+    the value at the basis arguments ``point`` gains c times component p of
+    the cochain's value at ``arguments``.  No chirality check.
+    """
+    n = t.dim
+    L = action_operators(t, case, Side.LEFT)
+    R = action_operators(t, case, Side.RIGHT)
+    for point in itertools.product(range(n), repeat=degree + 1):
+        for s, op, args in _terms(t.data, L, R, side, point):
+            if op is None:
+                for q in range(n * n):
+                    yield point, q, args, q, s
+            else:
+                for p, col in enumerate(op):
+                    for q, c in col.items():
+                        yield point, q, args, p, s * c
+
+
+def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
+    _check(alg, side)
+    n = alg.dim
+    if degree:
+        if w.arity != degree:
+            raise DimensionError(f"coboundary{degree} expects an arity-{degree} cochain")
+        values, shape_ok = w.values, w.dim == n
+    else:
+        values, shape_ok = w, len(w) == n and all(len(row) == n for row in w)
+    case.require(alg)
+    if not shape_ok:
+        raise DimensionError("tensor-square element has wrong shape")
+    out = {}
+    for point, q, args, p, c in coboundary_entries(alg.tensor, case, side, degree):
+        v = values
+        for a in args:
+            v = v[a]
+        v = v[p // n][p % n]
+        if v:
+            acc = out.setdefault(point, {})
+            acc[q] = acc.get(q, 0) + c * v
+
+    def nest(point):
+        if len(point) > degree:
+            return to_matrix(out.get(point, {}), n)
+        return tuple(nest(point + (k,)) for k in range(n))
+
+    return CochainMap(n, degree + 1, nest(()))
+
+
 def coboundary0(alg: LeibnizAlgebra, case: ActionCase, side: Side, m: Matrix) -> CochainMap:
     """Degree-0 coboundary of a tensor-square element.
 
     Right complex: X maps to [X, m]_L.  Left complex: X maps to -[m, X]_R.
     """
-    _check(alg, side)
-    n = alg.dim
-    if side is Side.RIGHT:
-        vals = tuple(act(case, Side.LEFT, alg, x, m) for x in range(1, n + 1))
-    else:
-        vals = tuple(
-            mat_scale(-1, act(case, Side.RIGHT, alg, x, m)) for x in range(1, n + 1)
-        )
-    return CochainMap(n, 1, vals)
-
-
-def _w_bracket_1(alg, w: CochainMap, i: int, j: int) -> Matrix:
-    # w([X_i, X_j]) for arity-1 w, 0-based i, j
-    n = alg.dim
-    f = alg.tensor.data
-    out = zeros(n, n)
-    for k in range(n):
-        c = f[i][j][k]
-        if c != 0:
-            out = mat_add(out, mat_scale(c, w.values[k]))
-    return out
+    return _coboundary(alg, case, side, 0, m)
 
 
 def coboundary1(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> CochainMap:
     """(X, Y) maps to [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]); same formula on
     both complexes."""
-    _check(alg, side)
-    if w.arity != 1:
-        raise DimensionError("coboundary1 expects an arity-1 cochain")
-    n = alg.dim
-    vals = tuple(
-        tuple(
-            mat_sub(
-                mat_add(
-                    act(case, Side.LEFT, alg, x + 1, w.values[y]),
-                    act(case, Side.RIGHT, alg, y + 1, w.values[x]),
-                ),
-                _w_bracket_1(alg, w, x, y),
-            )
-            for y in range(n)
-        )
-        for x in range(n)
-    )
-    return CochainMap(n, 2, vals)
+    return _coboundary(alg, case, side, 1, w)
 
 
 def coboundary2(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> CochainMap:
     """Degree-2 coboundary; a cochain is a 2-cocycle iff this vanishes."""
-    _check(alg, side)
-    if w.arity != 2:
-        raise DimensionError("coboundary2 expects an arity-2 cochain")
-    n = alg.dim
-    f = alg.tensor.data
-
-    def wb_first(i, j, z):
-        # w([X_i, X_j], X_z)
-        out = zeros(n, n)
-        for k in range(n):
-            c = f[i][j][k]
-            if c != 0:
-                out = mat_add(out, mat_scale(c, w.values[k][z]))
-        return out
-
-    def wb_second(x, i, j):
-        # w(X_x, [X_i, X_j])
-        out = zeros(n, n)
-        for k in range(n):
-            c = f[i][j][k]
-            if c != 0:
-                out = mat_add(out, mat_scale(c, w.values[x][k]))
-        return out
-
-    def value(x, y, z):
-        lead = act(case, Side.LEFT, alg, x + 1, w.values[y][z])
-        if side is Side.RIGHT:
-            t = mat_add(lead, act(case, Side.RIGHT, alg, y + 1, w.values[x][z]))
-            t = mat_sub(t, act(case, Side.RIGHT, alg, z + 1, w.values[x][y]))
-            t = mat_sub(t, wb_first(x, y, z))
-            t = mat_add(t, wb_second(x, y, z))
-            t = mat_add(t, wb_first(x, z, y))
-        else:
-            t = mat_sub(lead, act(case, Side.LEFT, alg, y + 1, w.values[x][z]))
-            t = mat_sub(t, act(case, Side.RIGHT, alg, z + 1, w.values[x][y]))
-            t = mat_sub(t, wb_first(x, y, z))
-            t = mat_add(t, wb_second(x, y, z))
-            t = mat_sub(t, wb_second(y, x, z))
-        return t
-
-    vals = tuple(
-        tuple(tuple(value(x, y, z) for z in range(n)) for y in range(n))
-        for x in range(n)
-    )
-    return CochainMap(n, 3, vals)
+    return _coboundary(alg, case, side, 2, w)
 
 
 def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:

@@ -6,6 +6,11 @@ element sum r[i][j] X_{i+1} (x) X_{j+1}; it is not required to be
 antisymmetric (``is_antisymmetric_matrix`` reports that property when a
 caller cares).
 
+The coboundary cocommutator delta(r) is the degree-0 coboundary of r
+(``cohomology.coboundary_entries``) under action case 1 or 4 on the right-
+or left-handed complex; ``cocommutator_matrix_route`` and
+``dual_bracket_from_r`` compute it by independent routes.
+
 Handedness conventions.  The right-handed component formulas follow the
 standard slot-by-slot contractions.  The left-handed Schouten bracket and
 triple products are the mirror family obtained by swapping the roles of the
@@ -29,6 +34,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .actions import ActionCase
+from .cohomology import coboundary_entries
 from .core import (
     LeibnizAlgebra,
     Side,
@@ -132,24 +139,17 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
 
 
 def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
-    """Term table of the linear map r -> delta(r) of a nontrivial case.
+    """Term table of the linear map r -> delta(r) of a nontrivial case: the
+    degree-0 coboundary under action case ``case.form`` on the complex of
+    ``case.required_side``, read as the cochain of ``cocommutator_cochain``.
 
     Yields ((a, b, m), (i, j), c), 0-based, for every nonzero coefficient c
     of delta(r)[a][b][m] = sum c * r[i][j].
     """
     n = alg.dim
-    f = alg.tensor.data
-    for a, b, m, x in itertools.product(range(n), repeat=4):
-        if case is CoboundaryCase.RIGHT_1:
-            c, ij = f[m][x][a], (x, b)
-        elif case is CoboundaryCase.LEFT_1:
-            c, ij = -f[x][m][a], (x, b)
-        elif case is CoboundaryCase.RIGHT_4:
-            c, ij = f[m][x][b], (a, x)
-        else:  # LEFT_4
-            c, ij = -f[x][m][b], (a, x)
-        if c != 0:
-            yield (a, b, m), ij, c
+    entries = coboundary_entries(alg.tensor, ActionCase(case.form), case.required_side, 0)
+    for (m,), q, _, p, c in entries:
+        yield (q // n, q % n, m), divmod(p, n), c
 
 
 def coboundary_cocommutator(

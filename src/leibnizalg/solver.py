@@ -1,9 +1,11 @@
 """Scenario table, linear cocycle systems, exact nullspaces and the
 quadratic residuals that sit on top of them.
 
-The rows built by ``cocycle_system`` are the package's one encoding of the
-four first-order compatibility forms linking a bracket table to a candidate
-dual table; ``cocycle_residual_tensor`` is those rows applied to a tensor.
+Compatibility form k linking a bracket table to a candidate dual table is
+the degree-1 cocycle condition under action case k: the rows built by
+``cocycle_system`` are minus ``cohomology.coboundary_entries`` of degree 1,
+read on the cocommutator cochain, and ``cocycle_residual_tensor`` is those
+rows applied to a tensor.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
@@ -23,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .actions import ActionCase
+from .cohomology import coboundary_entries
 from .core import (
     Chirality,
     LeibnizAlgebra,
@@ -130,45 +134,23 @@ def unflatten_tensor(dim: int, vec) -> StructureTensor:
 def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     """Linear constraints on a dual table imposed by compatibility form 1..4.
 
-    One row per residual component (i, j, m, n), lexicographic and 1-based.
-    Component (i, j, m, n) is the coefficient mismatch between the image of
-    [X_i, X_j] under the candidate cocommutator and the action-case-``form``
-    combination of the images of X_i and X_j.
+    One row per residual component (i, j, m, n), lexicographic and 1-based:
+    component (m, n) of minus the degree-1 coboundary, under action case
+    ``form``, of the cochain X_k -> sum ftilde(a, b, k) X_a (x) X_b at
+    (X_i, X_j).
     """
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
     n = t.dim
-    f = t.data
-    rows = []
-    provenance = []
-    for i, j, m, ncol in itertools.product(range(n), repeat=4):
-        row = [Fraction(0)] * (n ** 3)
-
-        def add(a, b, c, value):
-            if value != 0:
-                row[(a * n + b) * n + c] += value
-
-        for k in range(n):
-            add(m, ncol, k, f[i][j][k])
-        if form == 1:
-            for a in range(n):
-                add(a, ncol, j, -f[i][a][m])
-                add(a, ncol, i, -f[a][j][m])
-        elif form == 2:
-            for a in range(n):
-                add(m, a, i, -f[a][j][ncol])
-                add(a, ncol, i, -f[a][j][m])
-        elif form == 3:
-            for a in range(n):
-                add(m, a, j, -f[i][a][ncol])
-                add(a, ncol, j, -f[i][a][m])
-        else:
-            for a in range(n):
-                add(m, a, j, -f[i][a][ncol])
-                add(m, a, i, -f[a][j][ncol])
-        rows.append(tuple(row))
-        provenance.append((i + 1, j + 1, m + 1, ncol + 1))
-    return LinearSystem(n, form, tuple(rows), tuple(provenance))
+    rows = [[Fraction(0)] * (n ** 3) for _ in range(n ** 4)]
+    # the degree-1 coboundary has one formula on both complexes
+    for (i, j), q, (k,), p, c in coboundary_entries(t, ActionCase(form), Side.RIGHT, 1):
+        rows[(i * n + j) * n * n + q][p * n + k] -= c
+    provenance = tuple(
+        (i + 1, j + 1, m + 1, ncol + 1)
+        for i, j, m, ncol in itertools.product(range(n), repeat=4)
+    )
+    return LinearSystem(n, form, tuple(tuple(row) for row in rows), provenance)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
@@ -322,13 +304,18 @@ class SweepEntry:
 
 
 def scenario_sweep(alg: LeibnizAlgebra) -> dict[str, SweepEntry]:
-    """Solve the linear stage of every compatible scenario, in table order."""
+    """Solve the linear stage of every compatible scenario, in table order.
+
+    Scenarios of one form share one system, solved once.
+    """
     out: dict[str, SweepEntry] = {}
+    families: dict[int, DualFamily] = {}
     for sc in SCENARIOS:
         if not sc.compatible(alg):
             continue
-        system = assemble_cocycle_system(alg, sc)
-        family = nullspace(system)
+        if sc.form not in families:
+            families[sc.form] = nullspace(assemble_cocycle_system(alg, sc))
+        family = families[sc.form]
         quadratic = dual_leibniz_residual(family, sc.dual_side)
         out[sc.key] = SweepEntry(sc, family, quadratic)
     return out

@@ -4,8 +4,10 @@
 products of adjoint slice matrices, with no reference to the rows of
 ``solver.cocycle_system``; ``leibniz_residual_by_brackets`` evaluates the
 Leibniz identity on basis vectors through ``bracket``, with no reference to
-``core.leibniz_components``; the ``tensor_from_*_slot`` functions invert
-each adjoint slice family on its own.
+``core.leibniz_components``; ``act_by_brackets`` evaluates the four
+tensor-square actions through ``bracket``, with no reference to the action
+table of ``actions``; the ``tensor_from_*_slot`` functions invert each
+adjoint slice family on its own.
 """
 
 import itertools
@@ -86,6 +88,34 @@ def leibniz_residual_by_brackets(t: StructureTensor, side: Side):
         tuple(tuple(cube[i, j, k] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def act_by_brackets(case: int, side: Side, t: StructureTensor, x: int, u):
+    """[X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT) for action case 1..4,
+    x 1-based, from brackets of basis vectors on X_a (x) X_b:
+
+    * case 1: [X, X_a] (x) X_b and [X_a, X] (x) X_b;
+    * case 2: zero on the left; [X_a, X] (x) X_b + X_a (x) [X_b, X];
+    * case 3: [X, X_a] (x) X_b + X_a (x) [X, X_b]; zero on the right;
+    * case 4: X_a (x) [X, X_b] and X_a (x) [X_b, X].
+    """
+    n = t.dim
+    e = [tuple(int(a == b) for a in range(n)) for b in range(n)]
+    X = e[x - 1]
+    left = side is Side.LEFT
+    # with_x[a]: [X, X_a] on the left, [X_a, X] on the right
+    with_x = [bracket(t, X, v) if left else bracket(t, v, X) for v in e]
+    on_first = case == 1 or (case == 2 and not left) or (case == 3 and left)
+    on_second = case == 4 or (case == 2 and not left) or (case == 3 and left)
+    out = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        if on_first:
+            for m, c in enumerate(with_x[a]):
+                out[m][b] += u[a][b] * c
+        if on_second:
+            for m, c in enumerate(with_x[b]):
+                out[a][m] += u[a][b] * c
+    return tuple(tuple(row) for row in out)
 
 
 def tensor_from_first_slot(mats) -> StructureTensor:

@@ -2,9 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import ActionCase, ChiralityError, Side, act, axioms_hold
+from leibnizalg import (
+    ActionCase,
+    ChiralityError,
+    LeibnizAlgebra,
+    Side,
+    StructureTensor,
+    act,
+    axioms_hold,
+)
 from leibnizalg.actions import axiom_report, complex_compatible, module_axiom_residuals
 from leibnizalg.linalg import mat, zeros
+
+from oracles import act_by_brackets
 
 F = Fraction
 
@@ -38,6 +48,24 @@ class TestAct:
         # e1 (x) [e1, e1] = e1 (x) e2
         out = act(ActionCase.CASE4, Side.RIGHT, ex2, 1, E11)
         assert out == mat([[0, 1], [0, 0]])
+
+    def test_matches_bracket_evaluation(self, corpus_algebras, zero2):
+        nf4 = StructureTensor.from_entries(4, {(1, i, i + 1): 1 for i in (1, 2, 3)})
+        algebras = [*corpus_algebras.values(), zero2]
+        algebras += [LeibnizAlgebra.analyze(t) for t in (nf4, nf4.opposite())]
+        for alg in algebras:
+            n = alg.dim
+            units = [
+                tuple(tuple(F(int((i, j) == (a, b))) for j in range(n)) for i in range(n))
+                for a in range(n)
+                for b in range(n)
+            ]
+            for case in compatible_cases(alg):
+                for side in Side:
+                    for x in range(1, n + 1):
+                        for u in units:
+                            want = act_by_brackets(case.value, side, alg.tensor, x, u)
+                            assert act(case, side, alg, x, u) == want, (alg.name, case, side, x)
 
     def test_chirality_requirements(self, ex1, ex2):
         with pytest.raises(ChiralityError):

@@ -57,6 +57,11 @@ BAD_FILES = {
     "superscript-index": ("dim: 2\n{e} \u00b2 = 1\n", 2),
     "over-long-integer": ("dim: 2\n{e} 2 = 1/" + "9" * 5000 + "\n", 2),
     "latin-1-byte": ("dim: 2\n# caf\udce9\n{e} 2 = 1\n", 2),
+    # one long rejected text per place that quotes it in its error
+    "long-index": ("dim: 2\n{e} " + "x" * 5000 + " = 1\n", 2),
+    "long-side": ("dim: 2\nside: " + "q" * 5000 + "\n", 2),
+    "long-directive": ("dim: 2\n" + "k" * 5000 + ": 1\n", 2),
+    "long-line": ("dim: 2\n" + "z" * 5000 + "\n", 2),
 }
 
 
@@ -82,6 +87,7 @@ def test_bad_file_is_one_line_exit_two(corpus_files, tmp_path, slot, bad):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: line {line}: ")
     assert proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 300
 
 
 class TestDuals:

@@ -16,7 +16,6 @@ from leibnizalg import (
     cocycle_residual_tensor,
 )
 from leibnizalg.actions import complex_compatible
-from leibnizalg.cohomology import COMPLEX_NOTES
 from leibnizalg.linalg import mat, zeros
 
 from families import EX1_FAMILIES
@@ -106,7 +105,7 @@ class TestComplexProperty:
             (ActionCase.CASE2, Side.LEFT, False),
             (ActionCase.CASE3, Side.RIGHT, False),
         ):
-            assert COMPLEX_NOTES[(f"case{case.value}", side.value)] is expect
+            assert complex_compatible(case, side) is expect
             broken = False
             for _ in range(20):
                 m = rand_matrix(rng, ex3.dim)
@@ -115,12 +114,6 @@ class TestComplexProperty:
                     broken = True
                     break
             assert broken
-
-    def test_notes_table_matches_compatibility_helper(self):
-        for (case_key, side_key), ok in COMPLEX_NOTES.items():
-            case = ActionCase(int(case_key[-1]))
-            side = Side(side_key)
-            assert complex_compatible(case, side) is ok
 
 
 class TestCoboundary2:
