@@ -12,7 +12,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .core import Side
 from .document import parse_algebra, parse_rmatrix
-from .errors import ChiralityError, LeibnizError, ParseError
+from .errors import ChiralityError, LeibnizError, ParseError, quote
 from .report import (
     actions_section,
     adjoint_section,
@@ -77,7 +77,7 @@ def _side(arg: str) -> Side:
         return Side.LEFT
     if key in ("r", "right"):
         return Side.RIGHT
-    raise ParseError(f"bad side {arg!r}; want l|r|left|right")
+    raise ParseError(f"bad side {quote(arg)}; want l|r|left|right")
 
 
 def _emit(payload, fmt: str, text_lines):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import MAX_DIM, Chirality, LeibnizAlgebra, StructureTensor, classify
-from .errors import ChiralityError, ParseError
+from .errors import ChiralityError, ParseError, quote
 from .linalg import Matrix
 
 SIDES = ("left", "right", "both", "auto")
@@ -32,18 +32,13 @@ _RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _NATURAL = re.compile(r"[0-9]+")
 
 
-def _quote(text: str) -> str:
-    """The rejected text for a one-line error message, cut to 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
-
-
 def _parse_number(text: str, pattern, convert, what: str, line: int, hint=""):
     try:
         if pattern.fullmatch(text):
             return convert(text)
     except (ValueError, ZeroDivisionError):  # q == 0, or too many digits for int()
         pass
-    raise ParseError(f"bad {what} {_quote(text)}{hint}", line)
+    raise ParseError(f"bad {what} {quote(text)}{hint}", line)
 
 
 @dataclass
@@ -119,14 +114,14 @@ def _scan(text: str, kind: str):
                 if kind != "f":
                     raise ParseError("side directive not allowed here", ln)
                 if value.lower() not in SIDES:
-                    raise ParseError(f"bad side {_quote(value)}", ln)
+                    raise ParseError(f"bad side {quote(value)}", ln)
                 side = value.lower()
             else:
-                raise ParseError(f"unknown directive {_quote(key)}", ln)
+                raise ParseError(f"unknown directive {quote(key)}", ln)
             continue
         tokens = line.split()
         if tokens[0] != kind:
-            raise ParseError(f"unrecognized line {_quote(raw.strip())}", ln)
+            raise ParseError(f"unrecognized line {quote(raw.strip())}", ln)
         want = 3 if kind == "f" else 2
         if len(tokens) != want + 3 or tokens[want + 1] != "=":
             raise ParseError(f"malformed {kind!r} entry", ln)

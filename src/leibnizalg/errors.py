@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def quote(text: str) -> str:
+    """Rejected input text for a one-line error message, cut to 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 class LeibnizError(Exception):
     """Base class for all package errors."""
 

@@ -1,9 +1,11 @@
-"""Exact rational matrices and Gaussian elimination.
+"""Exact rational matrices and sparse Gauss-Jordan elimination.
 
 Matrices are immutable nested tuples of ``fractions.Fraction``; no floats
-anywhere.  Elimination picks the leftmost pivot column and the topmost
-nonzero row, scales pivots to 1 and does nothing else, so the reduced form
-(and every kernel basis derived from it) is deterministic.
+anywhere.  A linear system is a tuple of sparse rows: each row is a tuple of
+(column, value) pairs in ascending column order holding only nonzero
+values.  ``rref`` is the one eliminator; it returns the reduced row echelon
+form, which is unique, so every kernel basis derived from it is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+Row = tuple[tuple[int, Fraction], ...]
 
 
 def frac(x) -> Fraction:
@@ -34,21 +37,8 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = frac(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -62,81 +52,90 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
+def sparse_rows(entries, nrows: int) -> tuple[Row, ...]:
+    """Sparse rows from (row, column, coefficient) triples; coefficients at
+    one position add up, and positions that sum to zero are dropped."""
+    acc: list[dict] = [{} for _ in range(nrows)]
+    for r, c, v in entries:
+        acc[r][c] = acc[r].get(c, 0) + v
+    return tuple(
+        tuple((c, Fraction(v)) for c, v in sorted(d.items()) if v) for d in acc
+    )
+
+
+def _axpy(v: dict, f: Fraction, row: dict) -> None:
+    """v += f * row, dropping entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, 0) + f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+
+
+def rref(rows) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows: the nonzero reduced rows in
+    pivot order, and their pivot columns in ascending order.
+
+    Each row is reduced on its leading entry against the pivot rows found so
+    far, and a leading entry left over starts a new pivot row scaled to 1;
+    back-substitution then clears every pivot column outside its own row.
+    """
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        v = dict(row)
+        while v:
+            lead = min(v)
+            p = pivot_rows.get(lead)
+            if p is None:
+                inv = Fraction(1) / v[lead]
+                pivot_rows[lead] = {c: x * inv for c, x in v.items()}
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+            _axpy(v, -v[lead], p)
+    pivots = sorted(pivot_rows)
+    for pc in reversed(pivots):
+        row = pivot_rows[pc]
+        for c in [c for c in row if c > pc and c in pivot_rows]:
+            _axpy(row, -row[c], pivot_rows[c])
+    return [tuple(sorted(pivot_rows[pc].items())) for pc in pivots], pivots
 
 
-def kernel_basis(a: Matrix, ncols: int | None = None) -> list[Vector]:
+def kernel_basis(rows, ncols: int) -> list[Vector]:
     """Basis of the right kernel, one vector per free column in ascending order."""
-    if ncols is None:
-        if not a:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(a[0])
-    return _kernel_from_rref(*rref([list(row) for row in a]), ncols)
+    return _kernel_from_rref(*rref(rows), ncols)
 
 
-def _kernel_from_rref(rows, pivots: list[int], ncols: int) -> list[Vector]:
+def _kernel_from_rref(reduced, pivots: list[int], ncols: int) -> list[Vector]:
     """Kernel basis of the first ``ncols`` columns of a reduced echelon form.
 
-    Extra columns to the right (an augmented right-hand side that is not a
-    pivot column) do not change the result.
+    A column further right (an augmented right-hand side that is not a pivot
+    column) does not change the result.
     """
     pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
+    basis = {fc: [Fraction(0)] * ncols for fc in range(ncols) if fc not in pivot_set}
+    for fc, v in basis.items():
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    for row, pc in zip(reduced, pivots):
+        for c, x in row:
+            if c in basis:
+                basis[c][pc] = -x
+    return [tuple(v) for v in basis.values()]
 
 
-def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """Solve a x = b exactly.
+def solve_affine(rows, b: Vector, ncols: int) -> tuple[Vector, list[Vector]] | None:
+    """Solve a x = b exactly, a given as sparse rows over ``ncols`` columns.
 
     Returns (particular solution, kernel basis), or None when inconsistent.
     The particular solution sets every free variable to zero.  One
-    elimination of [a | b] yields both: the leftmost-pivot reduced form of a
-    is its left part.
+    elimination of [a | b] yields both: the reduced form of a is its left
+    part.
     """
-    if not a:
-        if any(x != 0 for x in b):
-            return None
-        return (), []
-    ncols = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots = rref(aug)
+    aug = [row + ((ncols, rhs),) if rhs else row for row, rhs in zip(rows, b)]
+    reduced, pivots = rref(aug)
     if ncols in pivots:
         return None
     particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rows[r][ncols]
-    return tuple(particular), _kernel_from_rref(rows, pivots, ncols)
+    for row, pc in zip(reduced, pivots):
+        if row[-1][0] == ncols:
+            particular[pc] = row[-1][1]
+    return tuple(particular), _kernel_from_rref(reduced, pivots, ncols)

@@ -44,7 +44,7 @@ from .core import (
     coadjoint_matrices,
     leibniz_residual,
 )
-from .errors import ChiralityError, DimensionError
+from .errors import ChiralityError, DimensionError, quote
 from .linalg import (
     Matrix,
     mat,
@@ -52,6 +52,7 @@ from .linalg import (
     mat_neg,
     mat_vec,
     solve_affine,
+    sparse_rows,
     transpose,
     zeros,
 )
@@ -112,7 +113,7 @@ def coboundary_case(name: str) -> CoboundaryCase:
         return CoboundaryCase(name.lower())
     except ValueError:
         raise DimensionError(
-            f"unknown coboundary case {name!r}; choose from "
+            f"unknown coboundary case {quote(name)}; choose from "
             + ", ".join(c.value for c in CoboundaryCase)
         ) from None
 
@@ -139,13 +140,16 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
 
 
 def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
-    """Term table of the linear map r -> delta(r) of a nontrivial case: the
-    degree-0 coboundary under action case ``case.form`` on the complex of
-    ``case.required_side``, read as the cochain of ``cocommutator_cochain``.
+    """Term table of the linear map r -> delta(r): the degree-0 coboundary
+    under action case ``case.form`` on the complex of ``case.required_side``,
+    read as the cochain of ``cocommutator_cochain``; a trivial case has no
+    terms, since only the zero cocommutator is a coboundary there.
 
     Yields ((a, b, m), (i, j), c), 0-based, for every nonzero coefficient c
     of delta(r)[a][b][m] = sum c * r[i][j].
     """
+    if case.trivial:
+        return
     n = alg.dim
     entries = coboundary_entries(alg.tensor, ActionCase(case.form), case.required_side, 0)
     for (m,), q, _, p, c in entries:
@@ -159,8 +163,6 @@ def coboundary_cocommutator(
     _require(alg, case)
     r = _check_r(alg, r)
     n = alg.dim
-    if case.trivial:
-        return StructureTensor.zero(n)
     cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
         cube[a][b][m] += c * r[i][j]
@@ -231,27 +233,17 @@ def solve_rmatrix(
     if ftilde.dim != alg.dim:
         raise DimensionError("dual tensor dimension does not match the algebra")
     n = alg.dim
-    if case.trivial:
-        if not ftilde.is_zero():
-            return None
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                g = [[Fraction(0)] * n for _ in range(n)]
-                g[i][j] = Fraction(1)
-                basis.append(tuple(tuple(row) for row in g))
-        return RMatrixFamily(
-            n, zeros(n, n), tuple(basis), tuple(f"t{a + 1}" for a in range(n * n))
-        )
     # Unknowns r[i][j] flattened as i*n + j; one equation per (m, a, b).
-    rows = [[Fraction(0)] * (n * n) for _ in range(n ** 3)]
-    for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
-        rows[(m * n + a) * n + b][i * n + j] += c
+    rows = sparse_rows(
+        (((m * n + a) * n + b, i * n + j, c)
+         for (a, b, m), (i, j), c in _cocommutator_terms(alg, case)),
+        n ** 3,
+    )
     rhs = tuple(
         ftilde.data[a][b][m]
         for m, a, b in itertools.product(range(n), repeat=3)
     )
-    solved = solve_affine(tuple(tuple(row) for row in rows), rhs)
+    solved = solve_affine(rows, rhs, n * n)
     if solved is None:
         return None
     particular, kernel = solved

@@ -38,8 +38,8 @@ from .core import (
     leibniz_residual,
     rank4,
 )
-from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, kernel_basis
+from .errors import ChiralityError, DimensionError, quote
+from .linalg import Row, kernel_basis, sparse_rows
 from .poly import Poly
 
 
@@ -82,7 +82,7 @@ def scenario(key: str) -> Scenario:
         return SCENARIO_BY_KEY[key.lower()]
     except KeyError:
         raise DimensionError(
-            f"unknown scenario {key!r}; choose from "
+            f"unknown scenario {quote(key)}; choose from "
             + ", ".join(sc.key for sc in SCENARIOS)
         ) from None
 
@@ -95,7 +95,7 @@ def column_index(dim: int, m: int, n: int, k: int) -> int:
 class LinearSystem:
     dim: int
     form: int
-    matrix: Matrix  # n^4 rows by n^3 columns
+    matrix: tuple[Row, ...]  # n^4 sparse rows over n^3 columns
     row_provenance: tuple[tuple[int, int, int, int], ...]  # (i, j, m, n), 1-based
 
     def apply(self, ftilde: StructureTensor):
@@ -104,8 +104,7 @@ class LinearSystem:
             raise DimensionError("tensor dimension does not match system")
         flat = flatten_tensor(ftilde)
         return tuple(
-            sum((c * v for c, v in zip(row, flat) if c), Fraction(0))
-            for row in self.matrix
+            sum((c * flat[col] for col, c in row), Fraction(0)) for row in self.matrix
         )
 
     def annihilates(self, ftilde: StructureTensor) -> bool:
@@ -142,15 +141,17 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
     n = t.dim
-    rows = [[Fraction(0)] * (n ** 3) for _ in range(n ** 4)]
     # the degree-1 coboundary has one formula on both complexes
-    for (i, j), q, (k,), p, c in coboundary_entries(t, ActionCase(form), Side.RIGHT, 1):
-        rows[(i * n + j) * n * n + q][p * n + k] -= c
+    entries = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
+    rows = sparse_rows(
+        (((i * n + j) * n * n + q, p * n + k, -c) for (i, j), q, (k,), p, c in entries),
+        n ** 4,
+    )
     provenance = tuple(
         (i + 1, j + 1, m + 1, ncol + 1)
         for i, j, m, ncol in itertools.product(range(n), repeat=4)
     )
-    return LinearSystem(n, form, tuple(tuple(row) for row in rows), provenance)
+    return LinearSystem(n, form, rows, provenance)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:

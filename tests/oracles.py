@@ -7,14 +7,87 @@ Leibniz identity on basis vectors through ``bracket``, with no reference to
 ``core.leibniz_components``; ``act_by_brackets`` evaluates the four
 tensor-square actions through ``bracket``, with no reference to the action
 table of ``actions``; the ``tensor_from_*_slot`` functions invert each
-adjoint slice family on its own.
+adjoint slice family on its own; ``dense_kernel_basis`` and
+``dense_solve_affine`` eliminate dense rows column by column, with no
+reference to the sparse eliminator of ``linalg``.
 """
 
 import itertools
+from fractions import Fraction
 
 from leibnizalg import Side, StructureTensor, adjoint_matrices, bracket
 from leibnizalg.errors import DimensionError
-from leibnizalg.linalg import mat_add, mat_mul, mat_scale, mat_sub, transpose, zeros
+from leibnizalg.linalg import mat_mul, transpose, zeros
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def dense_rref(rows):
+    """Reduced row echelon form of dense rows in place: leftmost pivot
+    column, topmost nonzero row; returns (rows, pivot columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _dense_kernel(rows, pivots, ncols):
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_kernel_basis(a, ncols):
+    """Right kernel of a dense matrix, one vector per free column."""
+    rows, pivots = dense_rref([[Fraction(x) for x in row] for row in a])
+    return _dense_kernel(rows, pivots, ncols)
+
+
+def dense_solve_affine(a, b, ncols):
+    """(particular solution with free variables 0, kernel basis) of a x = b,
+    or None when inconsistent."""
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    rows, pivots = dense_rref(aug)
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        particular[pc] = rows[r][ncols]
+    return tuple(particular), _dense_kernel(rows, pivots, ncols)
 
 
 def cocycle_residual_matrix(f: StructureTensor, ftilde: StructureTensor, form: int):

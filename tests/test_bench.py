@@ -1,19 +1,32 @@
 """The benchmark harness times layers by wrapping library functions by
-name; a rename in the library must not silently drop a layer."""
+name and reads its work counts from the results; a rename or a change of
+result shape in the library must not silently drop a layer or skew a count."""
 
 import importlib
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
+
+import pytest
+
+from leibnizalg import LeibnizAlgebra, StructureTensor, assemble_cocycle_system, scenario
+
+from oracles import cocycle_residual_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_wrap_point_resolves(monkeypatch):
+@pytest.fixture()
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrap_point_resolves(tracing):
     assert tracing.WRAPS
     missing = [
         (mod, attr)
@@ -21,3 +34,31 @@ def test_every_wrap_point_resolves(monkeypatch):
         if not hasattr(importlib.import_module(mod), attr)
     ]
     assert missing == []
+
+
+def nonzero_components(f: StructureTensor, form: int) -> int:
+    """Residual components (i, j, m, n) that some basis dual tensor moves,
+    from the adjoint-matrix route."""
+    n = f.dim
+    hit = set()
+    for a, b, k in itertools.product(range(1, n + 1), repeat=3):
+        grid = cocycle_residual_matrix(f, StructureTensor.from_entries(n, {(a, b, k): 1}), form)
+        for i, j, m, q in itertools.product(range(n), repeat=4):
+            if grid[m][q][i][j] != 0:
+                hit.add((i, j, m, q))
+    return len(hit)
+
+
+def test_assemble_counts(tracing, corpus_algebras):
+    # [e1, e2] = e2: under lr-1-r the row (1, 2, 2, 1) has one nonzero, in column 0
+    col0 = LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {(1, 2, 2): 1}), "col0")
+    rows = assemble_cocycle_system(col0, scenario("lr-1-r")).matrix
+    assert any(len(row) == 1 and row[0][0] == 0 for row in rows)
+    cases = [(col0, "lr-1-r")] + [
+        (alg, key) for alg in corpus_algebras.values() for key in ("lr-1-r", "lr-4-l")
+    ]
+    for alg, key in cases:
+        system = assemble_cocycle_system(alg, scenario(key))
+        counts = tracing.counts([tracing.Span("solver.assemble", 0.0, result=system)])
+        assert counts["solver.rows"] == alg.dim ** 4
+        assert counts["solver.nonzero_rows"] == nonzero_components(alg.tensor, system.form)

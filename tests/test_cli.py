@@ -90,6 +90,27 @@ def test_bad_file_is_one_line_exit_two(corpus_files, tmp_path, slot, bad):
     assert len(proc.stderr) < 300
 
 
+# One long value per command-line flag whose rejected value an error quotes.
+LONG_FLAGS = {
+    "side": ["ybe", "{alg}", "--side", "{long}", "--r", "{r}"],
+    "case": ["rmatrix", "{alg}", "--case", "{long}", "--dual", "{alg}"],
+    "scenario": ["duals", "{alg}", "--scenario", "{long}"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(LONG_FLAGS))
+def test_long_flag_value_is_one_short_line_exit_two(corpus_files, tmp_path, capsys, flag):
+    rfile = tmp_path / "r.rmat"
+    rfile.write_text("dim: 2\nr 1 2 = 1\n")
+    alg = str(corpus_files["example2"])
+    argv = [a.format(alg=alg, long="q" * 5000, r=rfile) for a in LONG_FLAGS[flag]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert len(err) < 300
+
+
 class TestDuals:
     def test_all_scenarios(self, corpus_files, capsys):
         code, out, _ = run(

@@ -156,9 +156,7 @@ class TestNullspace:
         from leibnizalg.solver import LinearSystem
 
         n = 8  # identity over the 2**3 unknowns of a dim-2 tensor
-        rows = tuple(
-            tuple(F(1 if c == r else 0) for c in range(n)) for r in range(n)
-        )
+        rows = tuple(((r, F(1)),) for r in range(n))
         system = LinearSystem(2, 1, rows, tuple((1, 1, 1, 1) for _ in range(n)))
         family = nullspace(system)
         assert len(family) == 0
