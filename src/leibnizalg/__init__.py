@@ -20,13 +20,11 @@ from .core import (
     Side,
     StructureTensor,
     adjoint_matrices,
-    bracket,
     classify,
     coadjoint_matrices,
     first_nonzero,
     is_antisymmetric,
     leibniz_residual,
-    residual_is_zero,
 )
 from .errors import ChiralityError, DimensionError, LeibnizError, ParseError
 from .poly import Poly

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,9 +103,6 @@ class StructureTensor:
             if v != 0:
                 yield (i + 1, j + 1, k + 1), v
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for plane in self.data for row in plane for v in row)
-
     def opposite(self) -> "StructureTensor":
         """Swap the two argument slots of the bracket."""
         n = self.dim
@@ -140,37 +139,56 @@ class StructureTensor:
         )
 
 
-def leibniz_components(f, n: int, side: Side, zero):
-    """Defect of the derivation identity, one component at a time in
-    (i, j, k, m) order, 0-based, over any ring with ``+ - *``.
+# The Leibniz identity as a term table, per side.  Component (i, j, k, m) of
+# the defect sums sign * f(a) * f(b) over pairs of entries a = (a0, a1, a2)
+# and b = (b0, b1, b2) that meet where a2 == b[slot]; ``pick`` reads
+# (i, j, k, m) off the six indices of a + b.  With (X, Y, Z) = (X_i, X_j, X_k)
+# the right-handed defect is [[Y,Z],X] - [[Y,X],Z] - [Y,[Z,X]] and the
+# left-handed one [X,[Y,Z]] - [[X,Y],Z] - [Y,[X,Z]]; every component
+# vanishes exactly when the identity holds.
+LEIBNIZ = {
+    Side.RIGHT: ((1, 0, (4, 0, 1, 5)), (-1, 0, (1, 0, 4, 5)), (-1, 1, (1, 3, 0, 5))),
+    Side.LEFT: ((1, 1, (3, 0, 1, 5)), (-1, 0, (0, 1, 4, 5)), (-1, 1, (0, 3, 1, 5))),
+}
 
-    ``f`` is an n x n x n grid of ring elements and ``zero`` the ring's
-    additive identity.  The right-handed identity compares [[Y,Z],X] against
-    [[Y,X],Z] + [Y,[Z,X]] with (X, Y, Z) = (X_i, X_j, X_k); the left-handed
-    one compares [X,[Y,Z]] against [[X,Y],Z] + [Y,[X,Z]].  Every component
-    vanishes exactly when the identity holds.
-    """
-    for i, j, k, m in itertools.product(range(n), repeat=4):
-        s = zero
-        for p in range(n):
-            if side is Side.RIGHT:
-                s = (
-                    s + f[j][k][p] * f[p][i][m]
-                    - f[j][i][p] * f[p][k][m]
-                    - f[k][i][p] * f[j][p][m]
-                )
-            else:
-                s = (
-                    s + f[j][k][p] * f[i][p][m]
-                    - f[i][j][p] * f[p][k][m]
-                    - f[i][k][p] * f[j][p][m]
-                )
-        yield s
+
+def leibniz_terms(support, side: Side):
+    """Yield (component, sign, a, b), 0-based: component (i, j, k, m) of the
+    defect gains sign * f(a) * f(b), for a, b among the index triples
+    ``support`` where f may be nonzero."""
+    support = tuple(support)
+    meet = ({}, {})  # meet[slot][x]: the entries b with b[slot] == x
+    for b in support:
+        meet[0].setdefault(b[0], []).append(b)
+        meet[1].setdefault(b[1], []).append(b)
+    for sign, slot, pick in LEIBNIZ[side]:
+        component = operator.itemgetter(*pick)
+        for a in support:
+            for b in meet[slot].get(a[2], ()):
+                yield component(a + b), sign, a, b
+
+
+def _defect(t: StructureTensor, side: Side):
+    """The defect's components that have terms, in integers over a common
+    denominator: ({(i, j, k, m): numerator}, denominator), 0-based."""
+    f = {(i - 1, j - 1, k - 1): v for (i, j, k), v in t.items()}
+    scale = math.lcm(*(v.denominator for v in f.values()))
+    f = {e: v.numerator * (scale // v.denominator) for e, v in f.items()}
+    out = {}
+    for c, s, a, b in leibniz_terms(f, side):
+        out[c] = out.get(c, 0) + s * f[a] * f[b]
+    return out, scale * scale
 
 
 def leibniz_residual(t: StructureTensor, side: Side) -> Rank4:
-    """``leibniz_components`` of the bracket table as a tensor [i][j][k][m]."""
-    return rank4(leibniz_components(t.data, t.dim, side, Fraction(0)), t.dim)
+    """The defect of the Leibniz identity as a tensor [i][j][k][m]."""
+    d, den = _defect(t, side)
+    zero = Fraction(0)
+    return rank4(
+        (Fraction(d[c], den) if c in d else zero
+         for c in itertools.product(range(t.dim), repeat=4)),
+        t.dim,
+    )
 
 
 def rank4(values, n: int) -> Rank4:
@@ -183,10 +201,6 @@ def rank4(values, n: int) -> Rank4:
         )
         for _ in range(n)
     )
-
-
-def residual_is_zero(res: Rank4) -> bool:
-    return all(v == 0 for a in res for b in a for c in b for v in c)
 
 
 def first_nonzero(res: Rank4):
@@ -210,10 +224,7 @@ def is_antisymmetric(t: StructureTensor) -> bool:
 
 def classify(t: StructureTensor) -> Chirality:
     """Strongest applicable label for the bracket table."""
-    left, right = (
-        not any(leibniz_components(t.data, t.dim, side, Fraction(0)))
-        for side in (Side.LEFT, Side.RIGHT)
-    )
+    left, right = (not any(_defect(t, side)[0].values()) for side in (Side.LEFT, Side.RIGHT))
     if left and right:
         return Chirality.LIE if is_antisymmetric(t) else Chirality.BOTH
     if left:
@@ -246,25 +257,6 @@ class LeibnizAlgebra:
                 f"algebra {self.name or '<anonymous>'} is {self.chirality.value}; "
                 f"operation needs the {side.value}-handed identity"
             )
-
-
-def bracket(t: StructureTensor, x, y):
-    """Coordinates of [x, y] for coefficient vectors x, y."""
-    n = t.dim
-    x = tuple(frac(v) for v in x)
-    y = tuple(frac(v) for v in y)
-    if len(x) != n or len(y) != n:
-        raise DimensionError("coordinate vectors must have length dim")
-    out = []
-    for k in range(n):
-        s = Fraction(0)
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                s += x[i] * y[j] * t.data[i][j][k]
-        out.append(s)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,8 @@ def _scan(text: str, kind: str):
     name = ""
     side = None
     entries = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    # lines end in "\n" only, as the CLI counts them; strip() drops a "\r"
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

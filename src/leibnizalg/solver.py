@@ -22,6 +22,7 @@ the free columns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .core import (
     Side,
     StructureTensor,
     first_nonzero,
-    leibniz_components,
+    leibniz_terms,
     leibniz_residual,
     rank4,
 )
@@ -184,19 +185,6 @@ class DualFamily:
             out = out.plus(b.scaled(value))
         return out
 
-    def poly_tensor(self):
-        """Entries of the generic member as polynomials in t1..td."""
-        n = self.dim
-        grid = [[[Poly() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for a, b in enumerate(self.basis):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = b.data[i][j][k]
-                        if v != 0:
-                            grid[i][j][k] = grid[i][j][k] + Poly({(a,): v})
-        return grid
-
     def __len__(self):
         return len(self.basis)
 
@@ -256,11 +244,30 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     if not family.basis:
         return QuadraticResidual(side, (), (), ())
     n = family.dim
-    polys = tuple(leibniz_components(family.poly_tensor(), n, side, Poly()))
-    provenance = tuple(
-        (i + 1, j + 1, k + 1, m + 1)
-        for i, j, k, m in itertools.product(range(n), repeat=4)
+    # integer coefficients over a common denominator, so the products below
+    # need no Fraction arithmetic
+    entries = [
+        ((i - 1, j - 1, k - 1), p, v)
+        for p, b in enumerate(family.basis)
+        for (i, j, k), v in b.items()
+    ]
+    scale = math.lcm(*(v.denominator for _, _, v in entries))
+    forms = {}  # entry (i, j, k), 0-based -> linear form {parameter: coefficient}
+    for e, p, v in entries:
+        forms.setdefault(e, {})[p] = v.numerator * (scale // v.denominator)
+    quad = {}
+    for c, s, a, b in leibniz_terms(forms, side):
+        terms = quad.setdefault(c, {})
+        for u, x in forms[a].items():
+            for v, y in forms[b].items():
+                mono = (u, v) if u <= v else (v, u)
+                terms[mono] = terms.get(mono, 0) + s * x * y
+    components = tuple(itertools.product(range(n), repeat=4))
+    den = scale * scale
+    polys = tuple(
+        Poly({m: Fraction(x, den) for m, x in quad.get(c, {}).items() if x}) for c in components
     )
+    provenance = tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
     return QuadraticResidual(side, family.parameters, polys, provenance)
 
 

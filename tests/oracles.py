@@ -2,9 +2,11 @@
 
 ``cocycle_residual_matrix`` computes the four compatibility residuals from
 products of adjoint slice matrices, with no reference to the rows of
-``solver.cocycle_system``; ``leibniz_residual_by_brackets`` evaluates the
-Leibniz identity on basis vectors through ``bracket``, with no reference to
-``core.leibniz_components``; ``act_by_brackets`` evaluates the four
+``solver.cocycle_system``; ``bracket`` evaluates a bracket table on
+coordinate vectors; ``leibniz_residual_by_brackets`` evaluates the Leibniz
+identity on basis vectors through ``bracket``, with no reference to the term
+table ``core.LEIBNIZ``, and ``quadratic_by_polarization`` expands a family's
+dual defect from it; ``act_by_brackets`` evaluates the four
 tensor-square actions through ``bracket``, with no reference to the action
 table of ``actions``; the ``tensor_from_*_slot`` functions invert each
 adjoint slice family on its own; ``dense_kernel_basis`` and
@@ -15,9 +17,26 @@ reference to the sparse eliminator of ``linalg``.
 import itertools
 from fractions import Fraction
 
-from leibnizalg import Side, StructureTensor, adjoint_matrices, bracket
+from leibnizalg import Side, StructureTensor, adjoint_matrices
 from leibnizalg.errors import DimensionError
-from leibnizalg.linalg import mat_mul, transpose, zeros
+from leibnizalg.linalg import frac, mat_mul, transpose, zeros
+
+
+def bracket(t: StructureTensor, x, y):
+    """Coordinates of [x, y] for coefficient vectors x, y."""
+    n = t.dim
+    x = tuple(frac(v) for v in x)
+    y = tuple(frac(v) for v in y)
+    if len(x) != n or len(y) != n:
+        raise DimensionError("coordinate vectors must have length dim")
+    out = [Fraction(0)] * n
+    for i, j in itertools.product(range(n), repeat=2):
+        if x[i] and y[j]:
+            c = x[i] * y[j]
+            for k, v in enumerate(t.data[i][j]):
+                if v:
+                    out[k] += c * v
+    return tuple(out)
 
 
 def mat_add(a, b):
@@ -141,7 +160,7 @@ def cocycle_residual_matrix(f: StructureTensor, ftilde: StructureTensor, form: i
 def leibniz_residual_by_brackets(t: StructureTensor, side: Side):
     """Defect of the Leibniz identity on (X_i, X_j, X_k), as [i][j][k][m]."""
     n = t.dim
-    e = [tuple(int(a == b) for a in range(n)) for b in range(n)]
+    e = [tuple(Fraction(a == b) for a in range(n)) for b in range(n)]
 
     def br(x, y):
         return bracket(t, x, y)
@@ -161,6 +180,34 @@ def leibniz_residual_by_brackets(t: StructureTensor, side: Side):
         tuple(tuple(cube[i, j, k] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def quadratic_by_polarization(family, side: Side):
+    """The dual defect of ``family`` as one term dict {(a, b): coefficient}
+    per component [i][j][k][m] (flattened), a <= b, by polarization of the
+    bracket-evaluation defect D: t_a^2 gains D(B_a) and t_a*t_b gains
+    D(B_a + B_b) - D(B_a) - D(B_b)."""
+    n = family.dim
+    basis = family.basis
+
+    def flat(t):
+        res = leibniz_residual_by_brackets(t, side)
+        return [
+            res[i][j][k][m] for i, j, k, m in itertools.product(range(n), repeat=4)
+        ]
+
+    single = [flat(b) for b in basis]
+    out = [{} for _ in range(n ** 4)]
+    for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
+        if a == b:
+            coeffs = single[a]
+        else:
+            both = flat(basis[a].plus(basis[b]))
+            coeffs = [x - y - z for x, y, z in zip(both, single[a], single[b])]
+        for terms, c in zip(out, coeffs):
+            if c:
+                terms[a, b] = c
+    return out
 
 
 def act_by_brackets(case: int, side: Side, t: StructureTensor, x: int, u):

@@ -10,9 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from leibnizalg import LeibnizAlgebra, StructureTensor, assemble_cocycle_system, scenario
+from leibnizalg import (
+    LeibnizAlgebra,
+    StructureTensor,
+    assemble_cocycle_system,
+    scenario,
+    scenario_sweep,
+)
 
-from oracles import cocycle_residual_matrix
+from oracles import cocycle_residual_matrix, quadratic_by_polarization
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -62,3 +68,15 @@ def test_assemble_counts(tracing, corpus_algebras):
         counts = tracing.counts([tracing.Span("solver.assemble", 0.0, result=system)])
         assert counts["solver.rows"] == alg.dim ** 4
         assert counts["solver.nonzero_rows"] == nonzero_components(alg.tensor, system.form)
+
+
+def test_quadratic_counts(tracing, corpus_algebras):
+    total = 0
+    for alg in corpus_algebras.values():
+        for entry in scenario_sweep(alg).values():
+            quad = entry.quadratic
+            counts = tracing.counts([tracing.Span("poly.quadratic", 0.0, result=quad)])
+            want = quadratic_by_polarization(entry.family, quad.side)
+            assert counts["poly.terms"] == sum(len(terms) for terms in want)
+            total += counts["poly.terms"]
+    assert total > 0

@@ -57,6 +57,10 @@ BAD_FILES = {
     "superscript-index": ("dim: 2\n{e} \u00b2 = 1\n", 2),
     "over-long-integer": ("dim: 2\n{e} 2 = 1/" + "9" * 5000 + "\n", 2),
     "latin-1-byte": ("dim: 2\n# caf\udce9\n{e} 2 = 1\n", 2),
+    # characters that str.splitlines() also breaks at; lines end in "\n" only
+    "form-feed": ("dim: 2\x0c\n{e} 9 = 1\n", 2),
+    "next-line": ("dim: 2\x85\n{e} 9 = 1\n", 2),
+    "line-separator": ("dim: 2\u2028\n{e} 9 = 1\n", 2),
     # one long rejected text per place that quotes it in its error
     "long-index": ("dim: 2\n{e} " + "x" * 5000 + " = 1\n", 2),
     "long-side": ("dim: 2\nside: " + "q" * 5000 + "\n", 2),
