@@ -39,7 +39,6 @@ from .rmatrix import (
     crosscheck_dual_defect,
     cybe_check,
     dual_bracket_from_r,
-    gybe_check,
     gybe_residual,
     is_antisymmetric_matrix,
     schouten,

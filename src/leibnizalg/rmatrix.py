@@ -11,6 +11,10 @@ The coboundary cocommutator delta(r) is the degree-0 coboundary of r
 or left-handed complex; ``cocommutator_matrix_route`` and
 ``dual_bracket_from_r`` compute it by independent routes.
 
+The Schouten bracket, the three triple products and the generalized
+Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
+nonzero entries of the bracket only.
+
 Handedness conventions.  The right-handed component formulas follow the
 standard slot-by-slot contractions.  The left-handed Schouten bracket and
 triple products are the mirror family obtained by swapping the roles of the
@@ -19,7 +23,9 @@ requirements that the right-handed family satisfies and that golden tests
 enforce here as well:
 
 * the decomposition identity: the Schouten bracket equals the sum of the
-  first two triple products, exactly and for every r;
+  first two triple products, exactly and for every r.  Both are read from
+  ``TRIPLE``, so this holds by construction; the dense sums over every index
+  pair in ``tests/oracles.py`` are where it is still checked;
 * the defect identity: the handedness defect of the bracket induced on the
   dual by r equals the degree-0 coboundary of the Schouten bracket,
   component for component (``crosscheck_dual_defect``);
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +50,7 @@ from .core import (
     adjoint_matrices,
     coadjoint_matrices,
     leibniz_residual,
+    rank4,
 )
 from .errors import ChiralityError, DimensionError, quote
 from .linalg import (
@@ -50,7 +58,6 @@ from .linalg import (
     mat,
     mat_mul,
     mat_neg,
-    mat_vec,
     solve_affine,
     sparse_rows,
     transpose,
@@ -260,6 +267,13 @@ def solve_rmatrix(
     )
 
 
+def _nonzero_entries(m: Matrix):
+    for a, row in enumerate(m):
+        for b, v in enumerate(row):
+            if v:
+                yield a, b, v
+
+
 def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> StructureTensor:
     """Dual bracket built through the coadjoint matrices.
 
@@ -272,33 +286,21 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
     r = _check_r(alg, r)
     n = alg.dim
     coad = coadjoint_matrices(adjoint_matrices(alg.tensor))
-    # Column-vector operators on covector coordinates: the left coadjoint of
-    # X_i is the negated transpose of coad.left[i], likewise on the right.
-    ad_star_left = tuple(mat_neg(transpose(m)) for m in coad.left)
-    ad_star_right = tuple(mat_neg(transpose(m)) for m in coad.right)
     cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        unit_k = tuple(Fraction(1 if t == k else 0) for t in range(n))
-        for j in range(n):
-            unit_j = tuple(Fraction(1 if t == j else 0) for t in range(n))
-            if side is Side.RIGHT:
-                # carrier = image of the j-th dual basis covector under the
-                # transposed contraction map: component i is r[i][j]
-                out = [Fraction(0)] * n
-                for i in range(n):
-                    c = r[i][j]
-                    if c != 0:
-                        img = mat_vec(ad_star_right[i], unit_k)
-                        out = [o - c * v for o, v in zip(out, img)]
-            else:
-                out = [Fraction(0)] * n
-                for i in range(n):
-                    c = r[k][i]
-                    if c != 0:
-                        img = mat_vec(ad_star_left[i], unit_j)
-                        out = [o + c * v for o, v in zip(out, img)]
-            for m in range(n):
-                cube[k][j][m] = out[m]
+    # cube[k][j][m] is sum_i r[i][j] * coad.right[i][k][m] right-handed and
+    # -sum_i r[k][i] * coad.left[i][j][m] left-handed, over the nonzero
+    # coadjoint entries only.
+    for i in range(n):
+        if side is Side.RIGHT:
+            for a, b, v in _nonzero_entries(coad.right[i]):
+                for j, c in enumerate(r[i]):
+                    if c:
+                        cube[a][j][b] += c * v
+        else:
+            for a, b, v in _nonzero_entries(coad.left[i]):
+                for k in range(n):
+                    if r[k][i]:
+                        cube[k][a][b] -= r[k][i] * v
     return StructureTensor(
         n, tuple(tuple(tuple(row) for row in plane) for plane in cube)
     )
@@ -318,37 +320,53 @@ class TripleProduct:
     entries: Rank3
 
 
-def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:
-    """Quadratic obstruction tensor of r; its vanishing is the classical
-    Yang-Baxter condition for the chosen handedness."""
+# The three triple products as a term table, per side.  Product (m, n, p)
+# sums sign * f(i, j, k) * r(A) * r(B) over the nonzero entries of f: r(A)
+# holds i in slot ``sa`` (0: r[i][x], 1: r[x][i]), r(B) holds j in slot
+# ``sb`` the same way with y, and ``pick`` reads (m, n, p) off (k, x, y).
+# The Schouten bracket is the sum of the first two products.
+TRIPLE = {
+    Side.RIGHT: ((1, 0, 0, (0, 1, 2)), (1, 1, 0, (1, 0, 2)), (1, 1, 1, (1, 2, 0))),
+    Side.LEFT: ((-1, 1, 1, (2, 1, 0)), (1, 1, 0, (1, 0, 2)), (1, 0, 0, (0, 1, 2))),
+}
+
+_WHICH = {
+    Side.RIGHT: ("r12r13", "r12r23", "r13r23"),
+    Side.LEFT: ("r21r31", "r21r32", "r31r32"),
+}
+
+
+def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> Rank3:
+    """The sum of the ``terms`` of TRIPLE as a tensor [m][n][p]."""
     alg.require(side)
     r = _check_r(alg, r)
     n = alg.dim
-    f = alg.tensor.data
-    out = []
-    for m in range(n):
-        plane = []
-        for ncol in range(n):
-            row = []
-            for p in range(n):
-                s = Fraction(0)
-                for i in range(n):
-                    for j in range(n):
-                        c = f[i][j]
-                        if side is Side.RIGHT:
-                            s += r[i][ncol] * r[j][p] * c[m]
-                            s += r[m][i] * r[j][p] * c[ncol]
-                        else:
-                            s += r[m][i] * r[j][p] * c[ncol]
-                            s -= r[ncol][i] * r[m][j] * c[p]
-                row.append(s)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return SchoutenTensor(tuple(out))
+    # lines[0][i] holds the nonzero r[i][x] as (x, value), lines[1][i] the r[x][i]
+    lines = tuple(
+        tuple(tuple((x, v) for x, v in enumerate(row) if v) for row in grid)
+        for grid in (r, transpose(r))
+    )
+    f = tuple(alg.tensor.items())
+    out = {}
+    for sign, sa, sb, pick in terms:
+        component = operator.itemgetter(*pick)
+        for (i, j, k), v in f:
+            for x, ra in lines[sa][i - 1]:
+                c = sign * v * ra
+                for y, rb in lines[sb][j - 1]:
+                    key = component((k - 1, x, y))
+                    out[key] = out.get(key, 0) + c * rb
+    zero = Fraction(0)
+    return tuple(
+        tuple(tuple(out.get((m, a, b), zero) for b in range(n)) for a in range(n))
+        for m in range(n)
+    )
 
 
-_RIGHT_WHICH = ("r12r13", "r12r23", "r13r23")
-_LEFT_WHICH = ("r21r31", "r21r32", "r31r32")
+def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:
+    """Quadratic obstruction tensor of r; its vanishing is the classical
+    Yang-Baxter condition for the chosen handedness."""
+    return SchoutenTensor(_triple_sums(alg, r, side, TRIPLE[side][:2]))
 
 
 def triple_products(
@@ -358,45 +376,21 @@ def triple_products(
 
     The Schouten tensor equals the sum of the first two, exactly.
     """
-    alg.require(side)
-    r = _check_r(alg, r)
-    n = alg.dim
-    f = alg.tensor.data
-
-    def build(component):
-        return tuple(
-            tuple(
-                tuple(component(m, ncol, p) for p in range(n)) for ncol in range(n)
-            )
-            for m in range(n)
-        )
-
-    def sum_ij(term):
-        def component(m, ncol, p):
-            s = Fraction(0)
-            for i in range(n):
-                for j in range(n):
-                    s += term(m, ncol, p, i, j)
-            return s
-
-        return component
-
-    if side is Side.RIGHT:
-        p1 = build(sum_ij(lambda m, nc, p, i, j: r[i][nc] * r[j][p] * f[i][j][m]))
-        p2 = build(sum_ij(lambda m, nc, p, i, j: r[m][i] * r[j][p] * f[i][j][nc]))
-        p3 = build(sum_ij(lambda m, nc, p, i, j: r[m][i] * r[nc][j] * f[i][j][p]))
-        names = _RIGHT_WHICH
-    else:
-        p1 = build(sum_ij(lambda m, nc, p, i, j: -r[nc][i] * r[m][j] * f[i][j][p]))
-        p2 = build(sum_ij(lambda m, nc, p, i, j: r[m][i] * r[j][p] * f[i][j][nc]))
-        p3 = build(sum_ij(lambda m, nc, p, i, j: r[i][nc] * r[j][p] * f[i][j][m]))
-        names = _LEFT_WHICH
-    return tuple(TripleProduct(w, e) for w, e in zip(names, (p1, p2, p3)))
+    return tuple(
+        TripleProduct(w, _triple_sums(alg, r, side, (term,)))
+        for w, term in zip(_WHICH[side], TRIPLE[side])
+    )
 
 
 def cybe_check(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
     """True iff the Schouten tensor vanishes identically."""
     return schouten(alg, r, side).is_zero()
+
+
+# Where the Schouten tensor S meets f in ``gybe_residual``, per side: S at
+# index ``s_slot`` equals f at index ``f_slot``, and ``pick`` reads
+# (x, m, n, p) off the six indices of f's entry followed by S's.
+_GYBE = {Side.RIGHT: (0, 1, (0, 2, 4, 5)), Side.LEFT: (2, 0, (1, 3, 4, 2))}
 
 
 def gybe_residual(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Rank4:
@@ -408,36 +402,24 @@ def gybe_residual(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Rank4:
     condition holds; the orientation makes ``crosscheck_dual_defect`` an
     exact componentwise identity.
     """
-    alg.require(side)
-    r = _check_r(alg, r)
-    n = alg.dim
-    f = alg.tensor.data
     s = schouten(alg, r, side).entries
-    out = []
-    for x in range(n):
-        cube = []
-        for m in range(n):
-            plane = []
-            for ncol in range(n):
-                row = []
-                for p in range(n):
-                    acc = Fraction(0)
-                    if side is Side.RIGHT:
-                        for q in range(n):
-                            acc -= f[x][q][m] * s[q][ncol][p]
-                    else:
-                        for q in range(n):
-                            acc -= s[m][ncol][q] * f[q][x][p]
-                    row.append(acc)
-                plane.append(tuple(row))
-            cube.append(tuple(plane))
-        out.append(tuple(cube))
-    return tuple(out)
-
-
-def gybe_check(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
-    return all(
-        v == 0 for a in gybe_residual(alg, r, side) for b in a for c in b for v in c
+    s_slot, f_slot, pick = _GYBE[side]
+    component = operator.itemgetter(*pick)
+    meet = {}  # meet[q]: the nonzero S entries whose index s_slot is q
+    for e in itertools.product(range(alg.dim), repeat=3):
+        w = s[e[0]][e[1]][e[2]]
+        if w:
+            meet.setdefault(e[s_slot], []).append((e, w))
+    out = {}
+    for (i, j, k), v in alg.tensor.items():
+        a = (i - 1, j - 1, k - 1)
+        for e, w in meet.get(a[f_slot], ()):
+            key = component(a + e)
+            out[key] = out.get(key, 0) - v * w
+    zero = Fraction(0)
+    return rank4(
+        (out.get(c, zero) for c in itertools.product(range(alg.dim), repeat=4)),
+        alg.dim,
     )
 
 

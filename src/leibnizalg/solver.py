@@ -125,7 +125,7 @@ def flatten_tensor(t: StructureTensor):
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
     it = iter(vec)
     data = tuple(
-        tuple(tuple(Fraction(next(it)) for _ in range(dim)) for _ in range(dim))
+        tuple(tuple(next(it) for _ in range(dim)) for _ in range(dim))
         for _ in range(dim)
     )
     return StructureTensor(dim, data)

@@ -11,15 +11,19 @@ tensor-square actions through ``bracket``, with no reference to the action
 table of ``actions``; the ``tensor_from_*_slot`` functions invert each
 adjoint slice family on its own; ``dense_kernel_basis`` and
 ``dense_solve_affine`` eliminate dense rows column by column, with no
-reference to the sparse eliminator of ``linalg``.
+reference to the sparse eliminator of ``linalg``; ``schouten_dense``,
+``triple_products_dense`` and ``gybe_residual_dense`` sum the r-matrix
+triple products over every index pair, with no reference to the term table
+``rmatrix.TRIPLE``, and ``dual_bracket_by_units`` applies the coadjoint
+operators to unit covectors.
 """
 
 import itertools
 from fractions import Fraction
 
-from leibnizalg import Side, StructureTensor, adjoint_matrices
+from leibnizalg import Side, StructureTensor, adjoint_matrices, coadjoint_matrices
 from leibnizalg.errors import DimensionError
-from leibnizalg.linalg import frac, mat_mul, transpose, zeros
+from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, mat_vec, transpose, zeros
 
 
 def bracket(t: StructureTensor, x, y):
@@ -269,3 +273,101 @@ def tensor_from_output_slot(mats) -> StructureTensor:
             for i in range(n)
         ),
     )
+
+
+def _triple_grid(n, component):
+    return tuple(
+        tuple(tuple(component(m, nc, p) for p in range(n)) for nc in range(n))
+        for m in range(n)
+    )
+
+
+def schouten_dense(alg, r, side: Side):
+    """Schouten tensor [m][n][p] of r, summed over every (i, j)."""
+    n = alg.dim
+    f = alg.tensor.data
+    r = mat(r)
+
+    def component(m, nc, p):
+        s = Fraction(0)
+        for i, j in itertools.product(range(n), repeat=2):
+            c = f[i][j]
+            if side is Side.RIGHT:
+                s += r[i][nc] * r[j][p] * c[m]
+                s += r[m][i] * r[j][p] * c[nc]
+            else:
+                s += r[m][i] * r[j][p] * c[nc]
+                s -= r[nc][i] * r[m][j] * c[p]
+        return s
+
+    return _triple_grid(n, component)
+
+
+def triple_products_dense(alg, r, side: Side):
+    """The three triple products [m][n][p] of r, summed over every (i, j)."""
+    n = alg.dim
+    f = alg.tensor.data
+    r = mat(r)
+    if side is Side.RIGHT:
+        terms = (
+            lambda m, nc, p, i, j: r[i][nc] * r[j][p] * f[i][j][m],
+            lambda m, nc, p, i, j: r[m][i] * r[j][p] * f[i][j][nc],
+            lambda m, nc, p, i, j: r[m][i] * r[nc][j] * f[i][j][p],
+        )
+    else:
+        terms = (
+            lambda m, nc, p, i, j: -r[nc][i] * r[m][j] * f[i][j][p],
+            lambda m, nc, p, i, j: r[m][i] * r[j][p] * f[i][j][nc],
+            lambda m, nc, p, i, j: r[i][nc] * r[j][p] * f[i][j][m],
+        )
+    return tuple(
+        _triple_grid(n, lambda m, nc, p, term=term: sum(
+            (term(m, nc, p, i, j) for i, j in itertools.product(range(n), repeat=2)),
+            Fraction(0),
+        ))
+        for term in terms
+    )
+
+
+def gybe_residual_dense(alg, r, side: Side):
+    """Degree-0 coboundary [x][m][n][p] of ``schouten_dense``: right-handed
+    -sum_q f(x,q,m) S(q,n,p), left-handed -sum_q S(m,n,q) f(q,x,p)."""
+    n = alg.dim
+    f = alg.tensor.data
+    s = schouten_dense(alg, r, side)
+
+    def component(x, m, nc, p):
+        if side is Side.RIGHT:
+            return -sum((f[x][q][m] * s[q][nc][p] for q in range(n)), Fraction(0))
+        return -sum((s[m][nc][q] * f[q][x][p] for q in range(n)), Fraction(0))
+
+    return tuple(
+        tuple(
+            tuple(tuple(component(x, m, nc, p) for p in range(n)) for nc in range(n))
+            for m in range(n)
+        )
+        for x in range(n)
+    )
+
+
+def dual_bracket_by_units(alg, r, side: Side) -> StructureTensor:
+    """Dual bracket induced by r: the coadjoint operators (negated
+    transposes of ``coadjoint_matrices``) applied to unit covectors."""
+    n = alg.dim
+    r = mat(r)
+    coad = coadjoint_matrices(adjoint_matrices(alg.tensor))
+    ad_star_left = tuple(mat_neg(transpose(m)) for m in coad.left)
+    ad_star_right = tuple(mat_neg(transpose(m)) for m in coad.right)
+    unit = [tuple(Fraction(int(t == k)) for t in range(n)) for k in range(n)]
+    cube = [[None] * n for _ in range(n)]
+    for k, j in itertools.product(range(n), repeat=2):
+        out = [Fraction(0)] * n
+        for i in range(n):
+            if side is Side.RIGHT and r[i][j]:
+                img = mat_vec(ad_star_right[i], unit[k])
+                out = [o - r[i][j] * v for o, v in zip(out, img)]
+            elif side is Side.LEFT and r[k][i]:
+                img = mat_vec(ad_star_left[i], unit[j])
+                out = [o + r[k][i] * v for o, v in zip(out, img)]
+        cube[k][j] = tuple(out)
+    return StructureTensor(n, tuple(tuple(plane) for plane in cube))

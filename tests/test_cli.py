@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -314,3 +315,25 @@ class TestReportAndCorpus:
             "right-2": "pass",
             "right-3": "pass",
         }
+
+
+# SHA-256 of the stdout of `report --seed 0` on the null-filiform algebra NF_6
+# ([X_1, X_i] = X_{i+1}, left-handed) and on its opposite: whole reports of
+# dimension 6, past the dimension-3 inputs of the benchmark's report workload.
+REPORT_DIGESTS = {
+    "NF_6": ("f 1 {i} {j} = 1\n",
+             "6a656d4ed574752ea4dac96b8d88e614d77127de24ffc6f4ecf0fdd1284a8030"),
+    "NF_6^op": ("f {i} 1 {j} = 1\n",
+                "bb0cce9c8219a9de9543e7b575b25b0eb1578c7914c162b1b93687b9dcaffd76"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned_at_dimension_6(tmp_path, capsys, name):
+    entry, digest = REPORT_DIGESTS[name]
+    path = tmp_path / "nf6.leib"
+    entries = "".join(entry.format(i=i, j=i + 1) for i in range(1, 6))
+    path.write_text(f"name: {name}\ndim: 6\n" + entries)
+    code, out, _ = run(capsys, "report", str(path), "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
