@@ -2,69 +2,70 @@
 bracket-identity verification, adjoint/coadjoint matrices, module actions
 and coboundaries, dual-structure (bialgebra) solving, classical r-matrices
 and Yang-Baxter checks.
+
+The package exports what the README's "Library use" and the command line
+use; everything else is reached through its module.
 """
 
-from .actions import ActionCase, act, axioms_hold, module_axiom_residuals
-from .cohomology import (
-    CochainMap,
-    coboundary0,
-    coboundary1,
-    coboundary2,
-    cocommutator_cochain,
+__version__ = "0.1.0"  # before the imports: ``report`` reads it
+
+from .core import LeibnizAlgebra, Side, StructureTensor, classify
+from .document import parse_algebra, parse_rmatrix
+from .errors import ChiralityError, LeibnizError, ParseError, quote
+from .report import (
+    actions_section,
+    adjoint_section,
+    build_report,
+    chirality_section,
+    duals_section,
+    matrix_json,
+    rational_str,
+    render_json,
+    tensor_json,
 )
-from .core import (
-    AdjointMatrices,
-    Chirality,
-    CoadjointMatrices,
-    LeibnizAlgebra,
-    Side,
-    StructureTensor,
-    adjoint_matrices,
-    classify,
-    coadjoint_matrices,
-    first_nonzero,
-    is_antisymmetric,
-    leibniz_residual,
-)
-from .errors import ChiralityError, DimensionError, LeibnizError, ParseError
-from .poly import Poly
 from .rmatrix import (
     CoboundaryCase,
-    RMatrixFamily,
-    SchoutenTensor,
-    TripleProduct,
     coboundary_case,
     coboundary_cocommutator,
-    cocommutator_matrix_route,
-    crosscheck_dual_defect,
     cybe_check,
-    dual_bracket_from_r,
     gybe_residual,
     is_antisymmetric_matrix,
     schouten,
     solve_rmatrix,
-    triple_products,
 )
-from .solver import (
-    BialgebraVerdict,
-    DualFamily,
-    LinearSystem,
-    QuadraticResidual,
-    SCENARIOS,
-    Scenario,
-    SweepEntry,
-    assemble_cocycle_system,
-    cocycle_residual_tensor,
-    dual_leibniz_residual,
-    family_from_tensors,
-    family_is_cocycle,
-    family_verdict,
-    nullspace,
-    scenario,
-    scenario_sweep,
-    verify_bialgebra,
-)
+from .solver import SCENARIOS, scenario, scenario_sweep
 
-__version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # Library use
+    "CoboundaryCase",
+    "LeibnizAlgebra",
+    "Side",
+    "StructureTensor",
+    "cybe_check",
+    "scenario",
+    "scenario_sweep",
+    "solve_rmatrix",
+    # the command line, besides those
+    "ChiralityError",
+    "LeibnizError",
+    "ParseError",
+    "SCENARIOS",
+    "actions_section",
+    "adjoint_section",
+    "build_report",
+    "chirality_section",
+    "classify",
+    "coboundary_case",
+    "coboundary_cocommutator",
+    "duals_section",
+    "gybe_residual",
+    "is_antisymmetric_matrix",
+    "matrix_json",
+    "parse_algebra",
+    "parse_rmatrix",
+    "quote",
+    "rational_str",
+    "render_json",
+    "schouten",
+    "tensor_json",
+]

@@ -19,8 +19,8 @@ here, the coboundaries of ``cohomology``, the compatibility rows of
 ``solver`` and delta(r) in ``rmatrix`` are all built from those operators.
 
 Each case makes the tensor square a module over a compatible algebra, for
-the module-axiom set matching the case's handedness.  The residuals of all
-three axioms are exposed so that claim is checkable rather than assumed.
+the module-axiom set matching the case's handedness.  The verdict of each
+axiom is exposed so that claim is checkable rather than assumed.
 Measured outcome on the bundled corpus (see tests): cases 1 and 4 satisfy
 the right-handed axiom set on right-compatible algebras and the left-handed
 set on left-compatible ones; case 2 satisfies the right-handed set only and
@@ -32,6 +32,7 @@ fail; probe them via the ``sides`` override.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from fractions import Fraction
 
@@ -83,8 +84,13 @@ REACH = {
 }
 
 
+@functools.lru_cache(maxsize=32)
 def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[Operator, ...]:
-    """The action of each basis element X_x (0-based x) as a sparse operator."""
+    """The action of each basis element X_x (0-based x) as a sparse operator.
+
+    Built once per (tensor, case, side) and shared between callers, which
+    must not mutate it; ``compose`` and ``lin`` build new operators.
+    """
     n = t.dim
     f = t.data
     reach = REACH[case, side]
@@ -187,33 +193,11 @@ def _vanish(defects) -> bool:
     return not any(col for row in defects for op in row for col in op)
 
 
-def module_axiom_residuals(case: ActionCase, alg: LeibnizAlgebra, sides=None):
-    """Module-axiom defects of the case's action pair on the tensor square.
-
-    Returns labelled rank-6 arrays, one per axiom, indexed
-    ``[x][y][a][b][m][n]``: basis pair (X_x, X_y), module basis element
-    X_a (x) X_b, coefficient slot (m, n).  By default the axiom sets checked
-    are the ones the case claims: its required handedness for cases 2 and 3,
-    every handedness the algebra admits for cases 1 and 4.  Pass ``sides``
-    explicitly to probe other combinations.
-    """
-    n = alg.dim
-    return [
-        (
-            label,
-            tuple(
-                tuple(
-                    tuple(tuple(to_matrix(op[a * n + b], n) for b in range(n)) for a in range(n))
-                    for op in row
-                )
-                for row in defects
-            ),
-        )
-        for label, defects in _sparse_residuals(case, alg, sides)
-    ]
-
-
 def axioms_hold(case: ActionCase, alg: LeibnizAlgebra, sides=None) -> bool:
+    """Whether every axiom of the checked sets holds.  By default those are
+    the sets the case claims: its required handedness for cases 2 and 3,
+    every handedness the algebra admits for cases 1 and 4.  Pass ``sides``
+    explicitly to probe other combinations."""
     return all(_vanish(d) for _, d in _sparse_residuals(case, alg, sides))
 
 

@@ -33,7 +33,7 @@ from .rmatrix import (
     schouten,
     solve_rmatrix,
 )
-from .solver import SCENARIOS, scenario, scenario_sweep
+from .solver import SCENARIOS, scenario
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 

@@ -1,29 +1,29 @@
 """Coboundary operators on tensor-square-valued cochains.
 
-``coboundary_entries`` is the one encoding of the degree-0, 1 and 2
+``coboundary_entries`` is the one encoding of the degree-0 and degree-1
 coboundaries, written over the action operators of ``actions``: it gives
-``coboundary0/1/2`` on cochains, the rows of ``solver.cocycle_system``
-(minus the degree-1 coboundary of the cocommutator cochain) and the term
-table of ``rmatrix._cocommutator_terms`` (the degree-0 coboundary of r).
+``coboundary0/1`` on cochains, the rows of ``solver.cocycle_system`` (minus
+the degree-1 coboundary of the cocommutator cochain) and the term table of
+``rmatrix._cocommutator_terms`` (the degree-0 coboundary of r).
 
-Only arities 0, 1 and 2 are instantiated; those are the ones the bialgebra
-constructions use.  The degree-2 composite ``coboundary2(coboundary1(w))``
-is not assumed to vanish anywhere; ``tests`` probe it per action case.
+Those are the degrees the bialgebra constructions use.  The degree-2
+coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
+action case, is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .actions import ActionCase, action_operators, to_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor
 from .errors import ChiralityError, DimensionError
 from .linalg import Matrix, zeros
+from .record import Frozen, set_field
 
 # Observed mechanically on the bundled corpus with random cochains
 # (see tests/test_cohomology.py).  Recorded as measurement, not as theorem:
-# both composites coboundary1 . coboundary0 and coboundary2 . coboundary1
+# both composites d1 . d0 and d2 . d1 (d2 from tests/oracles.py)
 # vanish identically for cases 1 and 4 on either complex, for case 2 on the
 # right-handed complex and for case 3 on the left-handed complex
 # (``actions.complex_compatible``).  The crossed pairings (case 2 + left
@@ -31,21 +31,21 @@ from .linalg import Matrix, zeros
 # two-sided algebra and neither composite vanishes there.
 
 
-@dataclass(frozen=True)
-class CochainMap:
+class CochainMap(Frozen):
     """Multilinear map from basis tuples into the tensor square.
 
     ``values`` is a Matrix for arity 0, and nests one tuple layer per
     argument for arities 1..3.
     """
 
-    dim: int
-    arity: int
-    values: object
+    __slots__ = ("dim", "arity", "values")
 
-    def __post_init__(self):
-        if self.arity not in (0, 1, 2, 3):
+    def __init__(self, dim: int, arity: int, values):
+        if arity not in (0, 1, 2, 3):
             raise DimensionError("only arities 0..3 are supported")
+        set_field(self, "dim", dim)
+        set_field(self, "arity", arity)
+        set_field(self, "values", values)
 
     def at(self, *indices: int) -> Matrix:
         """Value on basis arguments, 1-based."""
@@ -84,11 +84,6 @@ def _check(alg: LeibnizAlgebra, side: Side) -> None:
         )
 
 
-def _at_bracket(f, s, i, j, place):
-    """Terms of s * w(..., [X_i, X_j], ...); ``place(k)`` puts X_k in the slot."""
-    return [(s * c, None, place(k)) for k, c in enumerate(f[i][j]) if c]
-
-
 def _terms(f, L, R, side: Side, point):
     """The coboundary at the basis arguments ``point`` (0-based; its length
     is the degree plus one) as terms (scalar, operator, arguments): the sum
@@ -96,22 +91,14 @@ def _terms(f, L, R, side: Side, point):
     if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
         (x,) = point
         return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
-    if len(point) == 2:  # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
-        x, y = point
-        return [(1, L[x], (y,)), (1, R[y], (x,))] + _at_bracket(f, -1, x, y, lambda k: (k,))
-    x, y, z = point
-    out = (
-        [(1, L[x], (y, z)), (-1, R[z], (x, y))]
-        + _at_bracket(f, -1, x, y, lambda k: (k, z))
-        + _at_bracket(f, 1, y, z, lambda k: (x, k))
-    )
-    if side is Side.RIGHT:
-        return out + [(1, R[y], (x, z))] + _at_bracket(f, 1, x, z, lambda k: (k, y))
-    return out + [(-1, L[y], (x, z))] + _at_bracket(f, -1, x, z, lambda k: (y, k))
+    # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
+    x, y = point
+    minus_w_of_bracket = [(-c, None, (k,)) for k, c in enumerate(f[x][y]) if c]
+    return [(1, L[x], (y,)), (1, R[y], (x,))] + minus_w_of_bracket
 
 
 def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
-    """The coboundary of degree 0, 1 or 2 as a sparse linear map.
+    """The coboundary of degree 0 or 1 as a sparse linear map.
 
     Yields (point, q, arguments, p, c), 0-based: component q = m*n + n' of
     the value at the basis arguments ``point`` gains c times component p of
@@ -173,11 +160,6 @@ def coboundary1(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap
     """(X, Y) maps to [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]); same formula on
     both complexes."""
     return _coboundary(alg, case, side, 1, w)
-
-
-def coboundary2(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> CochainMap:
-    """Degree-2 coboundary; a cochain is a 2-cocycle iff this vanishes."""
-    return _coboundary(alg, case, side, 2, w)
 
 
 def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:

@@ -23,11 +23,11 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
 from .linalg import Matrix, frac, mat_neg, transpose
+from .record import Frozen, set_field
 
 MAX_DIM = 8
 
@@ -57,21 +57,20 @@ class Chirality(enum.Enum):
         return True
 
 
-@dataclass(frozen=True)
-class StructureTensor:
+class StructureTensor(Frozen):
     """Dense rank-3 tensor of exact rationals; absent entries are zero."""
 
-    dim: int
-    data: Rank3
+    __slots__ = ("dim", "data")
 
-    def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise DimensionError(f"dimension {self.dim} outside 1..{MAX_DIM}")
-        if len(self.data) != self.dim or any(
-            len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-            for plane in self.data
+    def __init__(self, dim: int, data: Rank3):
+        if not 1 <= dim <= MAX_DIM:
+            raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")
+        if len(data) != dim or any(
+            len(plane) != dim or any(len(row) != dim for row in plane) for plane in data
         ):
             raise DimensionError("tensor storage does not match dimension")
+        set_field(self, "dim", dim)
+        set_field(self, "data", data)
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
@@ -234,11 +233,13 @@ def classify(t: StructureTensor) -> Chirality:
     return Chirality.NEITHER
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
-    tensor: StructureTensor
-    chirality: Chirality
-    name: str = ""
+class LeibnizAlgebra(Frozen):
+    __slots__ = ("tensor", "chirality", "name")
+
+    def __init__(self, tensor: StructureTensor, chirality: Chirality, name: str = ""):
+        set_field(self, "tensor", tensor)
+        set_field(self, "chirality", chirality)
+        set_field(self, "name", name)
 
     @classmethod
     def analyze(cls, tensor: StructureTensor, name: str = "") -> "LeibnizAlgebra":
@@ -259,13 +260,16 @@ class LeibnizAlgebra:
             )
 
 
-@dataclass(frozen=True)
-class AdjointMatrices:
+class AdjointMatrices(Frozen):
     """The three families of slice matrices of one tensor (see module notes)."""
 
-    first_slot: tuple[Matrix, ...]
-    second_slot: tuple[Matrix, ...]
-    output_slot: tuple[Matrix, ...]
+    __slots__ = ("first_slot", "second_slot", "output_slot")
+
+    def __init__(self, first_slot: tuple[Matrix, ...], second_slot: tuple[Matrix, ...],
+                 output_slot: tuple[Matrix, ...]):
+        set_field(self, "first_slot", first_slot)
+        set_field(self, "second_slot", second_slot)
+        set_field(self, "output_slot", output_slot)
 
 
 def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
@@ -286,12 +290,14 @@ def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
     return AdjointMatrices(first, second, output)
 
 
-@dataclass(frozen=True)
-class CoadjointMatrices:
+class CoadjointMatrices(Frozen):
     """Dual-space actions; entrywise the negated transposes of the adjoints."""
 
-    left: tuple[Matrix, ...]
-    right: tuple[Matrix, ...]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[Matrix, ...], right: tuple[Matrix, ...]):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 def coadjoint_matrices(adj: AdjointMatrices) -> CoadjointMatrices:

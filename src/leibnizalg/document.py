@@ -17,12 +17,12 @@ entries are errors; undeclared entries are zero; indices are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import MAX_DIM, Chirality, LeibnizAlgebra, StructureTensor, classify
 from .errors import ChiralityError, ParseError, quote
 from .linalg import Matrix
+from .record import Record
 
 SIDES = ("left", "right", "both", "auto")
 
@@ -41,12 +41,16 @@ def _parse_number(text: str, pattern, convert, what: str, line: int, hint=""):
     raise ParseError(f"bad {what} {quote(text)}{hint}", line)
 
 
-@dataclass
-class AlgebraDocument:
-    name: str = ""
-    dim: int = 0
-    declared_side: str = "auto"
-    entries: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
+class AlgebraDocument(Record):
+    __slots__ = ("name", "dim", "declared_side", "entries")
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str = "", dim: int = 0, declared_side: str = "auto",
+                 entries: dict[tuple[int, int, int], Fraction] | None = None):
+        self.name = name
+        self.dim = dim
+        self.declared_side = declared_side
+        self.entries = {} if entries is None else entries
 
     def tensor(self) -> StructureTensor:
         return StructureTensor.from_entries(self.dim, self.entries)
@@ -72,11 +76,15 @@ class AlgebraDocument:
         return alg
 
 
-@dataclass
-class RMatrixDocument:
-    name: str = ""
-    dim: int = 0
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+class RMatrixDocument(Record):
+    __slots__ = ("name", "dim", "entries")
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str = "", dim: int = 0,
+                 entries: dict[tuple[int, int], Fraction] | None = None):
+        self.name = name
+        self.dim = dim
+        self.entries = {} if entries is None else entries
 
     def matrix(self) -> Matrix:
         n = self.dim

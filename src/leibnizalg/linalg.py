@@ -42,10 +42,18 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a times b, over the nonzero entries of both factors only."""
+    lines = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for x, line in zip(row, lines):
+            if x:
+                for j, y in line:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

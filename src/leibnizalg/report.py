@@ -7,7 +7,6 @@ give byte-identical reports.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from fractions import Fraction
@@ -187,6 +186,8 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
 
 
 def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: int):
+    import hashlib  # loads OpenSSL; imported here so that other commands skip it
+
     return {
         "tool": {"name": "leibnizalg", "version": _version},
         "input": {

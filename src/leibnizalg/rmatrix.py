@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import ActionCase
@@ -63,6 +62,7 @@ from .linalg import (
     transpose,
     zeros,
 )
+from .record import Frozen, set_field
 
 Rank3 = tuple  # [m][n][p], 0-based
 Rank4 = tuple  # [x][m][n][p], 0-based
@@ -206,14 +206,17 @@ def cocommutator_matrix_route(
     return StructureTensor(n, cube)
 
 
-@dataclass(frozen=True)
-class RMatrixFamily:
+class RMatrixFamily(Frozen):
     """Affine solution set particular + span(kernel), parameters t1..td."""
 
-    dim: int
-    particular: Matrix
-    kernel: tuple[Matrix, ...]
-    parameters: tuple[str, ...]
+    __slots__ = ("dim", "particular", "kernel", "parameters")
+
+    def __init__(self, dim: int, particular: Matrix, kernel: tuple[Matrix, ...],
+                 parameters: tuple[str, ...]):
+        set_field(self, "dim", dim)
+        set_field(self, "particular", particular)
+        set_field(self, "kernel", kernel)
+        set_field(self, "parameters", parameters)
 
     def member(self, assignment) -> Matrix:
         if len(assignment) != len(self.parameters):
@@ -306,18 +309,22 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
     )
 
 
-@dataclass(frozen=True)
-class SchoutenTensor:
-    entries: Rank3  # [m][n][p], 0-based
+class SchoutenTensor(Frozen):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Rank3):  # [m][n][p], 0-based
+        set_field(self, "entries", entries)
 
     def is_zero(self) -> bool:
         return all(v == 0 for a in self.entries for b in a for v in b)
 
 
-@dataclass(frozen=True)
-class TripleProduct:
-    which: str
-    entries: Rank3
+class TripleProduct(Frozen):
+    __slots__ = ("which", "entries")
+
+    def __init__(self, which: str, entries: Rank3):
+        set_field(self, "which", which)
+        set_field(self, "entries", entries)
 
 
 # The three triple products as a term table, per side.  Product (m, n, p)

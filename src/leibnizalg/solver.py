@@ -4,8 +4,7 @@ quadratic residuals that sit on top of them.
 Compatibility form k linking a bracket table to a candidate dual table is
 the degree-1 cocycle condition under action case k: the rows built by
 ``cocycle_system`` are minus ``cohomology.coboundary_entries`` of degree 1,
-read on the cocommutator cochain, and ``cocycle_residual_tensor`` is those
-rows applied to a tensor.
+read on the cocommutator cochain.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
@@ -23,33 +22,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import ActionCase
 from .cohomology import coboundary_entries
-from .core import (
-    Chirality,
-    LeibnizAlgebra,
-    Rank4,
-    Side,
-    StructureTensor,
-    first_nonzero,
-    leibniz_terms,
-    leibniz_residual,
-    rank4,
-)
+from .core import Chirality, LeibnizAlgebra, Side, StructureTensor, leibniz_terms
 from .errors import ChiralityError, DimensionError, quote
 from .linalg import Row, kernel_basis, sparse_rows
 from .poly import Poly
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Scenario:
-    key: str
-    form: int
-    primal: str  # "any" | "right" | "left"
-    dual_side: Side
+class Scenario(Frozen):
+    __slots__ = ("key", "form", "primal", "dual_side")
+
+    def __init__(self, key: str, form: int, primal: str, dual_side: Side):
+        set_field(self, "key", key)
+        set_field(self, "form", form)
+        set_field(self, "primal", primal)  # "any" | "right" | "left"
+        set_field(self, "dual_side", dual_side)
 
     def compatible(self, alg: LeibnizAlgebra) -> bool:
         if alg.chirality is Chirality.NEITHER:
@@ -92,12 +83,15 @@ def column_index(dim: int, m: int, n: int, k: int) -> int:
     return ((m - 1) * dim + (n - 1)) * dim + (k - 1)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    dim: int
-    form: int
-    matrix: tuple[Row, ...]  # n^4 sparse rows over n^3 columns
-    row_provenance: tuple[tuple[int, int, int, int], ...]  # (i, j, m, n), 1-based
+class LinearSystem(Frozen):
+    __slots__ = ("dim", "form", "matrix", "row_provenance")
+
+    def __init__(self, dim: int, form: int, matrix: tuple[Row, ...],
+                 row_provenance: tuple[tuple[int, int, int, int], ...]):
+        set_field(self, "dim", dim)
+        set_field(self, "form", form)
+        set_field(self, "matrix", matrix)  # n^4 sparse rows over n^3 columns
+        set_field(self, "row_provenance", row_provenance)  # (i, j, m, n), 1-based
 
     def apply(self, ftilde: StructureTensor):
         """Residual vector of a candidate dual; independent of elimination."""
@@ -161,19 +155,15 @@ def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
     return cocycle_system(alg.tensor, sc.form)
 
 
-def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int) -> Rank4:
-    """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
-    the rows of ``cocycle_system(f, form)`` applied to ``ftilde``."""
-    return rank4(cocycle_system(f, form).apply(ftilde), f.dim)
-
-
-@dataclass(frozen=True)
-class DualFamily:
+class DualFamily(Frozen):
     """Affine-linear family sum_a t_a * basis_a of candidate dual tables."""
 
-    dim: int
-    basis: tuple[StructureTensor, ...]
-    parameters: tuple[str, ...]
+    __slots__ = ("dim", "basis", "parameters")
+
+    def __init__(self, dim: int, basis: tuple[StructureTensor, ...], parameters: tuple[str, ...]):
+        set_field(self, "dim", dim)
+        set_field(self, "basis", basis)
+        set_field(self, "parameters", parameters)
 
     def member(self, assignment) -> StructureTensor:
         if len(assignment) != len(self.parameters):
@@ -189,15 +179,6 @@ class DualFamily:
         return len(self.basis)
 
 
-def family_from_tensors(tensors) -> DualFamily:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise DimensionError("family needs at least one generator")
-    dim = tensors[0].dim
-    params = tuple(f"t{a + 1}" for a in range(len(tensors)))
-    return DualFamily(dim, tensors, params)
-
-
 def nullspace(system: LinearSystem) -> DualFamily:
     """Exact kernel of the linear stage as a parameterized family.
 
@@ -211,8 +192,7 @@ def nullspace(system: LinearSystem) -> DualFamily:
     return DualFamily(system.dim, basis, params)
 
 
-@dataclass(frozen=True)
-class QuadraticResidual:
+class QuadraticResidual(Frozen):
     """Dual-handedness defect of a family, componentwise in the parameters.
 
     ``polynomials[x]`` is the residual component with 1-based provenance
@@ -221,10 +201,14 @@ class QuadraticResidual:
     the corresponding member tensor.
     """
 
-    side: Side
-    parameters: tuple[str, ...]
-    polynomials: tuple[Poly, ...]
-    provenance: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("side", "parameters", "polynomials", "provenance")
+
+    def __init__(self, side: Side, parameters: tuple[str, ...], polynomials: tuple[Poly, ...],
+                 provenance: tuple[tuple[int, int, int, int], ...]):
+        set_field(self, "side", side)
+        set_field(self, "parameters", parameters)
+        set_field(self, "polynomials", polynomials)
+        set_field(self, "provenance", provenance)
 
     def is_identically_zero(self) -> bool:
         return all(p.is_zero() for p in self.polynomials)
@@ -271,44 +255,13 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     return QuadraticResidual(side, family.parameters, polys, provenance)
 
 
-@dataclass(frozen=True)
-class BialgebraVerdict:
-    scenario_key: str
-    cocycle_ok: bool
-    dual_leibniz_ok: bool
-    witness: tuple | None  # (check-name, (indices), value) for the first defect
+class SweepEntry(Frozen):
+    __slots__ = ("scenario", "family", "quadratic")
 
-    @property
-    def ok(self) -> bool:
-        return self.cocycle_ok and self.dual_leibniz_ok
-
-
-def verify_bialgebra(
-    alg: LeibnizAlgebra, sc: Scenario, ftilde: StructureTensor
-) -> BialgebraVerdict:
-    """Check one candidate dual table against one scenario."""
-    sc.require(alg)
-    if ftilde.dim != alg.dim:
-        raise DimensionError("dual tensor dimension does not match the algebra")
-    res = cocycle_residual_tensor(alg.tensor, ftilde, sc.form)
-    hit = first_nonzero(res)
-    cocycle_ok = hit is None
-    witness = None
-    if hit is not None:
-        witness = ("cocycle", hit[0], hit[1])
-    dres = leibniz_residual(ftilde, sc.dual_side)
-    dhit = first_nonzero(dres)
-    dual_ok = dhit is None
-    if witness is None and dhit is not None:
-        witness = ("dual-leibniz", dhit[0], dhit[1])
-    return BialgebraVerdict(sc.key, cocycle_ok, dual_ok, witness)
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    scenario: Scenario
-    family: DualFamily
-    quadratic: QuadraticResidual
+    def __init__(self, scenario: Scenario, family: DualFamily, quadratic: QuadraticResidual):
+        set_field(self, "scenario", scenario)
+        set_field(self, "family", family)
+        set_field(self, "quadratic", quadratic)
 
 
 def scenario_sweep(alg: LeibnizAlgebra) -> dict[str, SweepEntry]:
@@ -327,16 +280,3 @@ def scenario_sweep(alg: LeibnizAlgebra) -> dict[str, SweepEntry]:
         quadratic = dual_leibniz_residual(family, sc.dual_side)
         out[sc.key] = SweepEntry(sc, family, quadratic)
     return out
-
-
-def family_is_cocycle(alg: LeibnizAlgebra, sc: Scenario, family: DualFamily) -> bool:
-    """Every generic member of the family solves the scenario's linear stage."""
-    system = assemble_cocycle_system(alg, sc)
-    return all(system.annihilates(b) for b in family.basis)
-
-
-def family_verdict(alg: LeibnizAlgebra, sc: Scenario, family: DualFamily):
-    """Symbolic verify_bialgebra for a whole parameterized family."""
-    cocycle_ok = family_is_cocycle(alg, sc, family)
-    dual_ok = dual_leibniz_residual(family, sc.dual_side).is_identically_zero()
-    return cocycle_ok, dual_ok

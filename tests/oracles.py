@@ -15,15 +15,34 @@ reference to the sparse eliminator of ``linalg``; ``schouten_dense``,
 ``triple_products_dense`` and ``gybe_residual_dense`` sum the r-matrix
 triple products over every index pair, with no reference to the term table
 ``rmatrix.TRIPLE``, and ``dual_bracket_by_units`` applies the coadjoint
-operators to unit covectors.
+operators to unit covectors.  ``coboundary2`` and
+``module_axiom_residuals`` are the degree-2 coboundary and the module-axiom
+defects through the bracket-evaluation actions of ``act_by_brackets``.
+
+The rest are checks that only tests use, written on the library's own
+routes: ``cocycle_residual_tensor`` applies the rows of
+``solver.cocycle_system`` to a tensor, ``verify_bialgebra`` checks one
+candidate dual table against a scenario and ``family_verdict`` a whole
+family.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from leibnizalg import Side, StructureTensor, adjoint_matrices, coadjoint_matrices
+from leibnizalg.cohomology import CochainMap
+from leibnizalg.core import (
+    Side,
+    StructureTensor,
+    adjoint_matrices,
+    coadjoint_matrices,
+    first_nonzero,
+    leibniz_residual,
+    rank4,
+)
 from leibnizalg.errors import DimensionError
 from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, mat_vec, transpose, zeros
+from leibnizalg.solver import assemble_cocycle_system, cocycle_system, dual_leibniz_residual
 
 
 def bracket(t: StructureTensor, x, y):
@@ -371,3 +390,141 @@ def dual_bracket_by_units(alg, r, side: Side) -> StructureTensor:
                 out = [o + r[k][i] * v for o, v in zip(out, img)]
         cube[k][j] = tuple(out)
     return StructureTensor(n, tuple(tuple(plane) for plane in cube))
+
+
+def _combo(n, terms):
+    """sum c * m over the (scalar, n x n matrix) pairs ``terms``."""
+    out = zeros(n, n)
+    for c, m in terms:
+        if c:
+            out = mat_add(out, mat_scale(c, m))
+    return out
+
+
+def _actions_by_brackets(case, t: StructureTensor):
+    """The pair (L, R): L(x, u) = [X_x, u]_L and R(x, u) = [u, X_x]_R, x
+    0-based, through ``act_by_brackets``."""
+    return (
+        lambda x, u: act_by_brackets(case.value, Side.LEFT, t, x + 1, u),
+        lambda x, u: act_by_brackets(case.value, Side.RIGHT, t, x + 1, u),
+    )
+
+
+def coboundary2(alg, case, side: Side, w) -> CochainMap:
+    """Degree-2 coboundary of an arity-2 cochain, through the
+    bracket-evaluation actions: at (X, Y, Z) it is
+    [X, w(Y, Z)]_L - [w(X, Y), Z]_R - w([X, Y], Z) + w(X, [Y, Z]), plus
+    [w(X, Z), Y]_R + w([X, Z], Y) on the right-handed complex and
+    -[Y, w(X, Z)]_L - w(Y, [X, Z]) on the left-handed one."""
+    if w.arity != 2:
+        raise DimensionError("coboundary2 expects an arity-2 cochain")
+    n = alg.dim
+    f = alg.tensor.data
+    L, R = _actions_by_brackets(case, alg.tensor)
+    v = w.values
+
+    def at(x, y, z):
+        terms = [(1, L(x, v[y][z])), (-1, R(z, v[x][y]))]
+        terms += [(-c, v[k][z]) for k, c in enumerate(f[x][y])]
+        terms += [(c, v[x][k]) for k, c in enumerate(f[y][z])]
+        if side is Side.RIGHT:
+            terms += [(1, R(y, v[x][z]))] + [(c, v[k][y]) for k, c in enumerate(f[x][z])]
+        else:
+            terms += [(-1, L(y, v[x][z]))] + [(-c, v[y][k]) for k, c in enumerate(f[x][z])]
+        return _combo(n, terms)
+
+    return CochainMap(n, 3, tuple(
+        tuple(tuple(at(x, y, z) for z in range(n)) for y in range(n)) for x in range(n)
+    ))
+
+
+def module_axiom_residuals(case, alg, sides):
+    """Module-axiom defects of the case's action pair on the tensor square,
+    through the bracket-evaluation actions, for the axiom sets of ``sides``.
+
+    Returns labelled rank-6 arrays, one per axiom, indexed
+    ``[x][y][a][b][m][n]``: basis pair (X_x, X_y), module basis element
+    X_a (x) X_b, coefficient slot (m, n).  Each axiom reads A - B - C = 0.
+    """
+    n = alg.dim
+    f = alg.tensor.data
+    L, R = _actions_by_brackets(case, alg.tensor)
+
+    def on(op, x, y, u):  # the action of [X_x, X_y]
+        return _combo(n, [(c, op(k, u)) for k, c in enumerate(f[x][y])])
+
+    axioms = []
+    if Side.RIGHT in sides:
+        axioms += [
+            ("right-1", lambda x, y, u: (on(L, x, y, u), R(y, L(x, u)), L(x, L(y, u)))),
+            ("right-2", lambda x, y, u: (R(x, R(y, u)), R(y, R(x, u)), on(R, y, x, u))),
+            ("right-3", lambda x, y, u: (R(x, L(y, u)), on(L, y, x, u), L(y, R(x, u)))),
+        ]
+    if Side.LEFT in sides:
+        axioms += [
+            ("left-1", lambda x, y, u: (on(R, x, y, u), R(y, R(x, u)), L(x, R(y, u)))),
+            ("left-2", lambda x, y, u: (L(x, R(y, u)), R(y, L(x, u)), on(R, x, y, u))),
+            ("left-3", lambda x, y, u: (L(x, L(y, u)), on(L, x, y, u), L(y, L(x, u)))),
+        ]
+    units = [[tuple(tuple(int((a, b) == (p, q)) for q in range(n)) for p in range(n))
+              for b in range(n)] for a in range(n)]
+
+    def defect(parts):
+        a, b, c = parts
+        return mat_sub(mat_sub(a, b), c)
+
+    return [
+        (label, tuple(
+            tuple(
+                tuple(tuple(defect(parts(x, y, units[a][b])) for b in range(n))
+                      for a in range(n))
+                for y in range(n)
+            )
+            for x in range(n)
+        ))
+        for label, parts in axioms
+    ]
+
+
+def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int):
+    """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
+    the rows of ``solver.cocycle_system(f, form)`` applied to ``ftilde``."""
+    return rank4(cocycle_system(f, form).apply(ftilde), f.dim)
+
+
+@dataclass(frozen=True)
+class BialgebraVerdict:
+    scenario_key: str
+    cocycle_ok: bool
+    dual_leibniz_ok: bool
+    witness: tuple | None  # (check-name, (indices), value) for the first defect
+
+    @property
+    def ok(self) -> bool:
+        return self.cocycle_ok and self.dual_leibniz_ok
+
+
+def verify_bialgebra(alg, sc, ftilde: StructureTensor) -> BialgebraVerdict:
+    """Check one candidate dual table against one scenario."""
+    sc.require(alg)
+    if ftilde.dim != alg.dim:
+        raise DimensionError("dual tensor dimension does not match the algebra")
+    hit = first_nonzero(cocycle_residual_tensor(alg.tensor, ftilde, sc.form))
+    witness = None if hit is None else ("cocycle", hit[0], hit[1])
+    dhit = first_nonzero(leibniz_residual(ftilde, sc.dual_side))
+    if witness is None and dhit is not None:
+        witness = ("dual-leibniz", dhit[0], dhit[1])
+    return BialgebraVerdict(sc.key, hit is None, dhit is None, witness)
+
+
+def family_is_cocycle(alg, sc, family) -> bool:
+    """Every generic member of the family solves the scenario's linear stage."""
+    system = assemble_cocycle_system(alg, sc)
+    return all(system.annihilates(b) for b in family.basis)
+
+
+def family_verdict(alg, sc, family):
+    """Symbolic ``verify_bialgebra`` for a whole parameterized family."""
+    cocycle_ok = family_is_cocycle(alg, sc, family)
+    dual_ok = dual_leibniz_residual(family, sc.dual_side).is_identically_zero()
+    return cocycle_ok, dual_ok

@@ -8,27 +8,24 @@ import random
 from fractions import Fraction
 
 from leibnizalg import (
-    ActionCase,
     CoboundaryCase,
     Side,
     StructureTensor,
-    assemble_cocycle_system,
-    coboundary0,
-    coboundary1,
     coboundary_cocommutator,
+    solve_rmatrix,
+)
+from leibnizalg.actions import ActionCase, complex_compatible
+from leibnizalg.cohomology import coboundary0, coboundary1
+from leibnizalg.core import first_nonzero
+from leibnizalg.rmatrix import (
     cocommutator_matrix_route,
-    cocycle_residual_tensor,
     crosscheck_dual_defect,
     dual_bracket_from_r,
-    first_nonzero,
-    nullspace,
-    solve_rmatrix,
     triple_products,
 )
-from leibnizalg.actions import complex_compatible
-from leibnizalg.solver import SCENARIOS
+from leibnizalg.solver import SCENARIOS, assemble_cocycle_system, nullspace
 
-from oracles import cocycle_residual_matrix, schouten_dense
+from oracles import cocycle_residual_matrix, cocycle_residual_tensor, schouten_dense
 
 F = Fraction
 

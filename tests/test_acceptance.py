@@ -13,19 +13,19 @@ from leibnizalg import (
     LeibnizAlgebra,
     Side,
     StructureTensor,
-    adjoint_matrices,
     coboundary_cocommutator,
     cybe_check,
-    family_verdict,
     solve_rmatrix,
 )
 from leibnizalg.cli import main
+from leibnizalg.core import adjoint_matrices
 from leibnizalg.corpus import document, names
 from leibnizalg.linalg import mat
 from leibnizalg.solver import SCENARIOS
 
 import property_suite as ps
 from families import EX1_FAMILIES, EX2_FAMILIES, EX3_FAMILIES, EX4_FAMILIES
+from oracles import family_verdict
 from test_core import GOLDEN_ADJOINT
 
 F = Fraction

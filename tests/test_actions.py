@@ -2,19 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import (
-    ActionCase,
-    ChiralityError,
-    LeibnizAlgebra,
-    Side,
-    StructureTensor,
-    act,
-    axioms_hold,
-)
-from leibnizalg.actions import axiom_report, complex_compatible, module_axiom_residuals
+from leibnizalg import ChiralityError, LeibnizAlgebra, Side, StructureTensor
+from leibnizalg.actions import ActionCase, act, axiom_report, axioms_hold, complex_compatible
 from leibnizalg.linalg import mat, zeros
 
-from oracles import act_by_brackets
+from oracles import act_by_brackets, module_axiom_residuals
 
 F = Fraction
 
@@ -96,20 +88,30 @@ class TestModuleAxioms:
         report = axiom_report(ActionCase.CASE2, ex2)
         assert report == {"right-1": True, "right-2": True, "right-3": True}
 
-    def test_residual_arrays_are_localizable(self, ex3):
+    def test_residual_arrays_are_localizable(self, ex3, corpus_algebras):
+        def nonzero(labelled):
+            return [
+                (label, x, y, a, b)
+                for label, arr in labelled
+                for x, plane_x in enumerate(arr)
+                for y, plane_y in enumerate(plane_x)
+                for a, plane_a in enumerate(plane_y)
+                for b, cell in enumerate(plane_a)
+                if any(v != 0 for row in cell for v in row)
+            ]
+
         labelled = module_axiom_residuals(ActionCase.CASE2, ex3, sides=(Side.LEFT,))
         labels = [label for label, _ in labelled]
         assert labels == ["left-1", "left-2", "left-3"]
-        nonzero = [
-            (label, x, y, a, b)
-            for label, arr in labelled
-            for x, plane_x in enumerate(arr)
-            for y, plane_y in enumerate(plane_x)
-            for a, plane_a in enumerate(plane_y)
-            for b, cell in enumerate(plane_a)
-            if any(v != 0 for row in cell for v in row)
-        ]
-        assert nonzero  # the defect is visible, not just a boolean
+        assert nonzero(labelled)  # the defect is visible, not just a boolean
+        # the oracle's arrays vanish exactly where the library's verdict holds
+        for alg in corpus_algebras.values():
+            for case in compatible_cases(alg):
+                for side in Side:
+                    if alg.admits(side):
+                        labelled = module_axiom_residuals(case, alg, sides=(side,))
+                        verdict = axioms_hold(case, alg, sides=(side,))
+                        assert (not nonzero(labelled)) == verdict, (alg.name, case, side)
 
 
 class TestComplexCompatibility:

@@ -10,13 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from leibnizalg import (
-    LeibnizAlgebra,
-    StructureTensor,
-    assemble_cocycle_system,
-    scenario,
-    scenario_sweep,
-)
+from leibnizalg import LeibnizAlgebra, StructureTensor, scenario, scenario_sweep
+from leibnizalg.solver import assemble_cocycle_system
 
 from oracles import cocycle_residual_matrix, quadratic_by_polarization
 

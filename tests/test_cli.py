@@ -103,6 +103,18 @@ LONG_FLAGS = {
 }
 
 
+def test_import_skips_start_up_heavy_modules():
+    # every CLI call imports the package; these cost milliseconds to load
+    # (inspect and its parsers, OpenSSL) and no command needs them at import
+    heavy = ("dataclasses", "inspect", "hashlib")
+    probe = f"import sys, leibnizalg.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("flag", sorted(LONG_FLAGS))
 def test_long_flag_value_is_one_short_line_exit_two(corpus_files, tmp_path, capsys, flag):
     rfile = tmp_path / "r.rmat"

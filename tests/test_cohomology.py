@@ -4,22 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import (
-    ActionCase,
+from leibnizalg import Side, StructureTensor
+from leibnizalg.actions import ActionCase, complex_compatible
+from leibnizalg.cohomology import (
     CochainMap,
-    Side,
-    StructureTensor,
     coboundary0,
     coboundary1,
-    coboundary2,
     cocommutator_cochain,
-    cocycle_residual_tensor,
 )
-from leibnizalg.actions import complex_compatible
 from leibnizalg.linalg import mat, zeros
 
 from families import EX1_FAMILIES
-from oracles import cocycle_residual_matrix
+from oracles import coboundary2, cocycle_residual_matrix, cocycle_residual_tensor
 
 F = Fraction
 

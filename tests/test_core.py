@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import (
+from leibnizalg import Side, StructureTensor, classify
+from leibnizalg.core import (
     Chirality,
-    DimensionError,
-    Side,
-    StructureTensor,
     adjoint_matrices,
-    classify,
     coadjoint_matrices,
     first_nonzero,
     leibniz_residual,
 )
+from leibnizalg.errors import DimensionError
 from leibnizalg.linalg import mat, mat_neg, transpose
 
 from oracles import (
@@ -172,6 +170,7 @@ class TestAdjoint:
         for t in tensors:
             adj = adjoint_matrices(t)
             assert tensor_from_first_slot(adj.first_slot) == t
+            assert hash(tensor_from_first_slot(adj.first_slot)) == hash(t)
             assert tensor_from_second_slot(adj.second_slot) == t
             assert tensor_from_output_slot(adj.output_slot) == t
 
@@ -204,10 +203,22 @@ class TestStructureTensor:
             StructureTensor.zero(9)
         with pytest.raises(DimensionError):
             StructureTensor.zero(0)
+        with pytest.raises(DimensionError):
+            StructureTensor(2, StructureTensor.zero(3).data)
+        with pytest.raises(DimensionError):
+            StructureTensor(9, StructureTensor.zero(1).data)
 
     def test_entry_index_validation(self):
         with pytest.raises(DimensionError):
             StructureTensor.from_entries(2, {(1, 1, 3): 1})
+
+    def test_immutable_with_slot_repr(self, ex1):
+        t = StructureTensor.zero(1)
+        with pytest.raises(AttributeError):
+            t.dim = 2
+        with pytest.raises(AttributeError):
+            ex1.tensor = t
+        assert repr(t) == "StructureTensor(dim=1, data=(((Fraction(0, 1),),),))"
 
     def test_items_sorted_and_one_based(self, ex4):
         assert list(ex4.tensor.items()) == [((1, 1, 2), F(1)), ((2, 1, 3), F(1))]

@@ -11,22 +11,24 @@ from leibnizalg import (
     Side,
     StructureTensor,
     coboundary_cocommutator,
-    cocommutator_matrix_route,
-    cocycle_residual_tensor,
-    crosscheck_dual_defect,
     cybe_check,
-    dual_bracket_from_r,
-    first_nonzero,
     gybe_residual,
     is_antisymmetric_matrix,
     schouten,
     solve_rmatrix,
+)
+from leibnizalg.core import first_nonzero
+from leibnizalg.linalg import mat, zeros
+from leibnizalg.rmatrix import (
+    cocommutator_matrix_route,
+    crosscheck_dual_defect,
+    dual_bracket_from_r,
     triple_products,
 )
-from leibnizalg.linalg import mat, zeros
 
 from families import EX1_FAMILIES, EX2_FAMILIES, EX3_FAMILIES, EX4_FAMILIES
 from oracles import (
+    cocycle_residual_tensor,
     dual_bracket_by_units,
     gybe_residual_dense,
     schouten_dense,

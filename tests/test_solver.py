@@ -8,24 +8,26 @@ from leibnizalg import (
     LeibnizAlgebra,
     Side,
     StructureTensor,
-    assemble_cocycle_system,
-    cocycle_residual_tensor,
-    dual_leibniz_residual,
-    family_from_tensors,
-    family_verdict,
-    nullspace,
     scenario,
     scenario_sweep,
-    verify_bialgebra,
 )
 from leibnizalg.poly import Poly
-from leibnizalg.solver import SCENARIOS, column_index, flatten_tensor
+from leibnizalg.solver import (
+    SCENARIOS,
+    assemble_cocycle_system,
+    column_index,
+    dual_leibniz_residual,
+    flatten_tensor,
+    nullspace,
+)
 
 from families import EX1_FAMILIES, EX3_FAMILIES, FAMILIES, KERNEL_DIMENSIONS
 from oracles import (
     cocycle_residual_matrix,
+    family_verdict,
     leibniz_residual_by_brackets,
     quadratic_by_polarization,
+    verify_bialgebra,
 )
 
 F = Fraction
