@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
 from .linalg import Matrix, frac, mat_neg, transpose
-from .record import Frozen, set_field
+from .record import CachedHash, Frozen, set_field
 
 MAX_DIM = 8
 
@@ -57,7 +57,7 @@ class Chirality(enum.Enum):
         return True
 
 
-class StructureTensor(Frozen):
+class StructureTensor(CachedHash):
     """Dense rank-3 tensor of exact rationals; absent entries are zero."""
 
     __slots__ = ("dim", "data")

@@ -6,11 +6,20 @@ anywhere.  A linear system is a tuple of sparse rows: each row is a tuple of
 values.  ``rref`` is the one eliminator; it returns the reduced row echelon
 form, which is unique, so every kernel basis derived from it is
 deterministic.
+
+Elimination is fraction-free.  ``rref`` scales each input row to integers by
+the lcm of its denominators and works on integer rows (dicts {column: int})
+from then on: a reduction step cross-multiplies two rows, a*v - b*p, and
+divides the result by its content (the gcd of its entries), which keeps the
+integers small.  ``Fraction``s appear only on output, one per entry of a
+reduced row.  ``sparse_rows`` likewise sums integer numerators over one
+common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -56,56 +65,87 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def sparse_rows(entries, nrows: int) -> tuple[Row, ...]:
     """Sparse rows from (row, column, coefficient) triples; coefficients at
-    one position add up, and positions that sum to zero are dropped."""
+    one position add up, and positions that sum to zero are dropped.
+
+    The sums run on integer numerators over the lcm of all denominators, so
+    one ``Fraction`` is built per nonzero entry, not one per term.
+    """
+    entries = list(entries)
+    den = lcm(*(v.denominator for _, _, v in entries))
     acc: list[dict] = [{} for _ in range(nrows)]
     for r, c, v in entries:
-        acc[r][c] = acc[r].get(c, 0) + v
+        row = acc[r]
+        row[c] = row.get(c, 0) + v.numerator * (den // v.denominator)
     return tuple(
-        tuple((c, Fraction(v)) for c, v in sorted(d.items()) if v) for d in acc
+        tuple((c, Fraction(x, den)) for c, x in sorted(d.items()) if x) for d in acc
     )
 
 
-def _axpy(v: dict, f: Fraction, row: dict) -> None:
-    """v += f * row, dropping entries that cancel."""
-    for c, x in row.items():
-        y = v.get(c, 0) + f * x
-        if y:
-            v[c] = y
+def _integer_row(row) -> dict:
+    """A nonzero rational row scaled to coprime integers: {column: int}."""
+    den = lcm(*(x.denominator for _, x in row))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in row if x})
+
+
+def _primitive(v: dict) -> dict:
+    """v divided by the gcd of its entries (its content)."""
+    g = gcd(*v.values())
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
+def _cancel(v: dict, p: dict, col: int) -> dict:
+    """The primitive integer row a*v - b*p (a > 0) with column ``col``
+    cancelled; ``v`` is updated in place when a is 1."""
+    a, b = p[col], v[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        v = {c: a * x for c, x in v.items()}
+    for c, y in p.items():
+        z = v.get(c, 0) - b * y
+        if z:
+            v[c] = z
         else:
             del v[c]
+    return _primitive(v) if v else v
 
 
 def rref(rows) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of sparse rows: the nonzero reduced rows in
     pivot order, and their pivot columns in ascending order.
 
-    Each row is reduced on its leading entry against the pivot rows found so
-    far, and a leading entry left over starts a new pivot row scaled to 1;
-    back-substitution then clears every pivot column outside its own row.
+    Fraction-free: each row is scaled to coprime integers, reduced on its
+    leading entry against the pivot rows found so far by cross-multiplying,
+    and a leading entry left over starts a new pivot row; back-substitution
+    then clears every pivot column outside its own row.  Only the output
+    divides by the pivot entry, one ``Fraction`` per entry.
     """
     pivot_rows: dict[int, dict] = {}
     for row in rows:
-        v = dict(row)
+        v = _integer_row(row) if row else {}
         while v:
             lead = min(v)
             p = pivot_rows.get(lead)
             if p is None:
-                inv = Fraction(1) / v[lead]
-                pivot_rows[lead] = {c: x * inv for c, x in v.items()}
+                pivot_rows[lead] = v
                 break
-            _axpy(v, -v[lead], p)
+            v = _cancel(v, p, lead)
     pivots = sorted(pivot_rows)
     for pc in reversed(pivots):
         row = pivot_rows[pc]
         for c in [c for c in row if c > pc and c in pivot_rows]:
-            _axpy(row, -row[c], pivot_rows[c])
-    return [tuple(sorted(pivot_rows[pc].items())) for pc in pivots], pivots
+            row = _cancel(row, pivot_rows[c], c)
+        pivot_rows[pc] = row
+    reduced = []
+    for pc in pivots:
+        row = pivot_rows[pc]
+        lead = row[pc]
+        reduced.append(tuple((c, Fraction(x, lead)) for c, x in sorted(row.items())))
+    return reduced, pivots
 
 
 def kernel_basis(rows, ncols: int) -> list[Vector]:

@@ -3,14 +3,12 @@
 Monomials are sorted tuples of variable indices (a variable appears once
 per power), so ``(0, 0, 2)`` is t1*t1*t3; no coefficient is zero.
 The solver builds its quadratic residuals directly as term dicts; ``Poly``
-only stores, evaluates and renders them.
+only stores and renders them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .linalg import frac
 
 
 class Poly:
@@ -22,16 +20,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, values) -> Fraction:
-        vals = [frac(v) for v in values]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for ix in mono:
-                prod *= vals[ix]
-            total += prod
-        return total
 
     def render(self, names) -> str:
         """Deterministic human/JSON form, e.g. ``t1*t2 - 2*t3``."""

@@ -36,3 +36,21 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class CachedHash(Frozen):
+    """A Frozen record that hashes its slots once, on the first ``hash()``.
+
+    For large records used as cache keys (a ``StructureTensor`` hashes n^3
+    ``Fraction``s).  The cached value sits in this class's own slot, outside
+    the subclass's ``__slots__``, so equality and repr do not read it.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            set_field(self, "_hash", Record.__hash__(self))
+            return self._hash

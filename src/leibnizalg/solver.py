@@ -79,10 +79,6 @@ def scenario(key: str) -> Scenario:
         ) from None
 
 
-def column_index(dim: int, m: int, n: int, k: int) -> int:
-    return ((m - 1) * dim + (n - 1)) * dim + (k - 1)
-
-
 class LinearSystem(Frozen):
     __slots__ = ("dim", "form", "matrix", "row_provenance")
 
@@ -92,28 +88,6 @@ class LinearSystem(Frozen):
         set_field(self, "form", form)
         set_field(self, "matrix", matrix)  # n^4 sparse rows over n^3 columns
         set_field(self, "row_provenance", row_provenance)  # (i, j, m, n), 1-based
-
-    def apply(self, ftilde: StructureTensor):
-        """Residual vector of a candidate dual; independent of elimination."""
-        if ftilde.dim != self.dim:
-            raise DimensionError("tensor dimension does not match system")
-        flat = flatten_tensor(ftilde)
-        return tuple(
-            sum((c * flat[col] for col, c in row), Fraction(0)) for row in self.matrix
-        )
-
-    def annihilates(self, ftilde: StructureTensor) -> bool:
-        return all(v == 0 for v in self.apply(ftilde))
-
-
-def flatten_tensor(t: StructureTensor):
-    n = t.dim
-    return tuple(
-        t.data[m][ncol][k]
-        for m in range(n)
-        for ncol in range(n)
-        for k in range(n)
-    )
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
@@ -212,10 +186,6 @@ class QuadraticResidual(Frozen):
 
     def is_identically_zero(self) -> bool:
         return all(p.is_zero() for p in self.polynomials)
-
-    def evaluate(self, assignment):
-        vals = list(assignment)
-        return tuple(p.evaluate(vals) for p in self.polynomials)
 
 
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:

@@ -20,7 +20,10 @@ operators to unit covectors.  ``coboundary2`` and
 defects through the bracket-evaluation actions of ``act_by_brackets``.
 
 The rest are checks that only tests use, written on the library's own
-routes: ``cocycle_residual_tensor`` applies the rows of
+routes: ``apply_system`` applies the rows of a linear system to a tensor
+flattened in the solver's column order (``flatten_tensor``,
+``column_index``), ``evaluate_quadratic`` evaluates a quadratic residual at
+parameter values, ``cocycle_residual_tensor`` applies the rows of
 ``solver.cocycle_system`` to a tensor, ``verify_bialgebra`` checks one
 candidate dual table against a scenario and ``family_verdict`` a whole
 family.
@@ -41,7 +44,7 @@ from leibnizalg.core import (
     rank4,
 )
 from leibnizalg.errors import DimensionError
-from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, mat_vec, transpose, zeros
+from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, transpose, zeros
 from leibnizalg.solver import assemble_cocycle_system, cocycle_system, dual_leibniz_residual
 
 
@@ -59,6 +62,56 @@ def bracket(t: StructureTensor, x, y):
             for k, v in enumerate(t.data[i][j]):
                 if v:
                     out[k] += c * v
+    return tuple(out)
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def column_index(dim: int, m: int, n: int, k: int) -> int:
+    """Column of the 1-based dual entry (m, n, k) in the solver's flattening."""
+    return ((m - 1) * dim + (n - 1)) * dim + (k - 1)
+
+
+def flatten_tensor(t: StructureTensor):
+    """The entries of ``t`` in lexicographic (m, n, k) order."""
+    n = t.dim
+    return tuple(
+        t.data[m][ncol][k]
+        for m in range(n)
+        for ncol in range(n)
+        for k in range(n)
+    )
+
+
+def apply_system(system, ftilde: StructureTensor):
+    """Residual vector of a candidate dual under the rows of a linear
+    system; independent of elimination."""
+    if ftilde.dim != system.dim:
+        raise DimensionError("tensor dimension does not match system")
+    flat = flatten_tensor(ftilde)
+    return tuple(
+        sum((c * flat[col] for col, c in row), Fraction(0)) for row in system.matrix
+    )
+
+
+def annihilates(system, ftilde: StructureTensor) -> bool:
+    return all(v == 0 for v in apply_system(system, ftilde))
+
+
+def evaluate_quadratic(quadratic, assignment):
+    """Every polynomial of a ``QuadraticResidual`` at parameter values."""
+    vals = [frac(v) for v in assignment]
+    out = []
+    for poly in quadratic.polynomials:
+        total = Fraction(0)
+        for mono, coeff in poly.terms.items():
+            prod = coeff
+            for ix in mono:
+                prod *= vals[ix]
+            total += prod
+        out.append(total)
     return tuple(out)
 
 
@@ -489,7 +542,7 @@ def module_axiom_residuals(case, alg, sides):
 def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int):
     """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
     the rows of ``solver.cocycle_system(f, form)`` applied to ``ftilde``."""
-    return rank4(cocycle_system(f, form).apply(ftilde), f.dim)
+    return rank4(apply_system(cocycle_system(f, form), ftilde), f.dim)
 
 
 @dataclass(frozen=True)
@@ -520,7 +573,7 @@ def verify_bialgebra(alg, sc, ftilde: StructureTensor) -> BialgebraVerdict:
 def family_is_cocycle(alg, sc, family) -> bool:
     """Every generic member of the family solves the scenario's linear stage."""
     system = assemble_cocycle_system(alg, sc)
-    return all(system.annihilates(b) for b in family.basis)
+    return all(annihilates(system, b) for b in family.basis)
 
 
 def family_verdict(alg, sc, family):

@@ -1,13 +1,17 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from leibnizalg.cli import main
+
+from oracles import dense_rref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -347,5 +351,47 @@ def test_report_bytes_pinned_at_dimension_6(tmp_path, capsys, name):
     entries = "".join(entry.format(i=i, j=i + 1) for i in range(1, 6))
     path.write_text(f"name: {name}\ndim: 6\n" + entries)
     code, out, _ = run(capsys, "report", str(path), "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the stdout of `duals --scenario all --format json` on NF_3 and
+# NF_3^op rewritten in the basis e'_a = sum_i G[i][a] e_i.  G is a fixed
+# integer matrix of determinant 3 in which every one of the 27 bracket
+# entries is nonzero, and thirds appear, so every row of every cocycle system
+# is nonzero and carries fractions: the dense case of the eliminator.
+DENSE_BASIS = ((2, -1, 1), (-1, -1, 1), (0, -1, 0))
+DENSE_DUALS_DIGESTS = {
+    "NF_3": ({(1, 1, 2): 1, (1, 2, 3): 1},
+             "eb0293ce67f660bd31b333c107bbf4e122f7527f478cd1dbaf5bec015e1c1d8d"),
+    "NF_3^op": ({(1, 1, 2): 1, (2, 1, 3): 1},
+                "f7c6530115bc5aaa3327f549d3cde5d2f957993f37864afa78ceb054bbd5c5ee"),
+}
+
+
+def _in_basis(table, g):
+    """The bracket table ``table`` (1-based, {(i, j, k): value}) in the basis
+    whose vectors are the columns of ``g``."""
+    n = len(g)
+    rows, _ = dense_rref([[F(x) for x in row] + [F(i == j) for j in range(n)]
+                          for i, row in enumerate(g)])
+    g_inv = [row[n:] for row in rows]
+    out = {}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        v = sum(g[i - 1][a] * g[j - 1][b] * x * g_inv[c][k - 1]
+                for (i, j, k), x in table.items())
+        assert v != 0  # dense: every entry nonzero
+        out[(a + 1, b + 1, c + 1)] = v
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_DUALS_DIGESTS))
+def test_dense_duals_bytes_pinned(tmp_path, capsys, name):
+    table, digest = DENSE_DUALS_DIGESTS[name]
+    path = tmp_path / "dense.leib"
+    entries = "".join(f"f {i} {j} {k} = {v}\n"
+                      for (i, j, k), v in _in_basis(table, DENSE_BASIS).items())
+    path.write_text(f"name: {name}\ndim: 3\n" + entries)
+    code, out, _ = run(capsys, "duals", str(path), "--scenario", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -218,7 +218,9 @@ class TestStructureTensor:
             t.dim = 2
         with pytest.raises(AttributeError):
             ex1.tensor = t
+        hash(t)  # cached on first use, outside the fields
         assert repr(t) == "StructureTensor(dim=1, data=(((Fraction(0, 1),),),))"
+        assert t == StructureTensor.zero(1) and hash(t) == hash(StructureTensor.zero(1))
 
     def test_items_sorted_and_one_based(self, ex4):
         assert list(ex4.tensor.items()) == [((1, 1, 2), F(1)), ((2, 1, 3), F(1))]

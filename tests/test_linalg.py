@@ -8,14 +8,13 @@ from leibnizalg.linalg import (
     kernel_basis,
     mat,
     mat_mul,
-    mat_vec,
     rref,
     solve_affine,
     sparse_rows,
     transpose,
 )
 
-from oracles import dense_kernel_basis, dense_solve_affine
+from oracles import dense_kernel_basis, dense_rref, dense_solve_affine, mat_vec
 
 F = Fraction
 
@@ -28,12 +27,26 @@ def sparse(a):
 
 
 def test_sparse_rows_sum_sort_and_drop_zeros():
-    entries = [(0, 2, 1), (0, 0, F(1, 2)), (0, 2, -1), (1, 1, 3), (1, 0, F(-1, 3))]
-    assert sparse_rows(entries, 3) == (
+    big = (10007, 10009, 2 ** 61 - 1)  # pairwise coprime denominators
+    entries = [
+        (0, 2, 1), (0, 0, F(1, 2)), (0, 2, -1), (1, 1, 3), (1, 0, F(-1, 3)),
+        # int and Fraction terms at one position
+        (1, 1, F(1, 2)), (1, 1, -2),
+        # terms over different denominators that cancel
+        (1, 2, F(1, 6)), (1, 2, F(1, 3)), (1, 2, F(-1, 2)),
+        # large coprime denominators
+        (2, 0, F(1, big[0])), (2, 0, F(-1, big[1])), (2, 1, F(5, big[2])),
+        (2, 1, F(-5, big[2])), (2, 3, F(-7, big[0] * big[1])),
+    ]
+    rows = sparse_rows(entries, 4)
+    assert rows == (
         ((0, F(1, 2)),),
-        ((0, F(-1, 3)), (1, F(3))),
+        ((0, F(-1, 3)), (1, F(3, 2))),
+        ((0, F(big[1] - big[0], big[0] * big[1])), (3, F(-7, big[0] * big[1]))),
         (),
     )
+    assert all(type(x) is F for row in rows for _, x in row)
+    assert sparse_rows((), 2) == ((), ())
 
 
 def test_rref_pivots_and_normalization():
@@ -90,44 +103,83 @@ def test_solve_affine_kernel_matches_kernel_basis(monkeypatch):
         assert kernel == kernel_basis(sparse(a), ncols)
 
 
+KINDS = ("sparse", "dense", "rank-deficient", "mixed", "coprime", "negative-lead",
+         "cancelling")
+COPRIME = (1, 10007, 10009, 65537, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
 def _entry(rng, kind):
-    if kind == "dense":  # every entry nonzero
+    if kind in ("dense", "negative-lead"):  # every entry nonzero
         return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    if kind == "mixed":  # plain ints beside Fractions
+        return rng.choice((0, 0, 1, -2, 3, F(-1, 2), F(2, 3), F(5, 4), F(0)))
+    if kind == "coprime":
+        return F(rng.choice((0, 0, rng.randint(-10 ** 6, 10 ** 6))), rng.choice(COPRIME))
     return F(rng.choice((0, 0, 0, 0, 1, -1, 2)), rng.randint(1, 2))
+
+
+def _combination(rng, rows):
+    """A rational combination of ``rows``; some are exactly zero."""
+    cs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]
+    return [sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(len(rows[0]))]
 
 
 def random_systems(seed, count=60):
     """Seeded (kind, a, b, ncols): sparse, fully dense and rank-deficient
-    matrices, each with a right-hand side in the column space and one that is
-    almost always outside it."""
+    matrices; mixed int and Fraction entries; large coprime denominators;
+    rows that all lead with a negative entry; rows that cancel to zero
+    against earlier rows.  Each comes with a right-hand side in the column
+    space and a fractional one that is almost always outside it."""
     rng = random.Random(seed)
-    for kind in ("sparse", "dense", "rank-deficient"):
+    for kind in KINDS:
         for _ in range(count):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             if kind == "rank-deficient":
                 base = [[_entry(rng, "dense") for _ in range(ncols)]
                         for _ in range(rng.randint(1, max(1, min(nrows, ncols) - 1)))]
-                a = []
-                for _ in range(nrows):
-                    cs = [F(rng.randint(-2, 2)) for _ in base]
-                    a.append([sum(c * row[j] for c, row in zip(cs, base)) for j in range(ncols)])
+                a = [_combination(rng, base) for _ in range(nrows)]
             else:
                 a = [[_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+            if kind == "negative-lead":
+                a = [[-x for x in row] if row[0] > 0 else row for row in a]
+            if kind == "cancelling":
+                a += [[-x for x in a[0]], _combination(rng, a)]
+                rng.shuffle(a)
             a = tuple(tuple(row) for row in a)
             x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
             yield kind, a, mat_vec(a, x), ncols
-            yield kind, a, tuple(F(rng.randint(-3, 3)) for _ in range(nrows)), ncols
+            yield kind, a, tuple(F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in a), ncols
+
+
+def _as_given(a):
+    """Sparse rows that keep the entries' own types (int or Fraction)."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in a)
 
 
 def test_eliminator_matches_dense_oracle():
     outcomes = {}
     for kind, a, b, ncols in random_systems(2024):
-        assert kernel_basis(sparse(a), ncols) == dense_kernel_basis(a, ncols)
-        solved = solve_affine(sparse(a), b, ncols)
-        assert solved == dense_solve_affine(a, b, ncols)
+        for rows in (sparse(a), _as_given(a)):
+            reduced, pivots = rref(rows)
+            want, want_pivots = dense_rref([[F(x) for x in row] for row in a])
+            assert pivots == want_pivots
+            assert reduced == [
+                tuple((c, x) for c, x in enumerate(row) if x) for row in want[:len(pivots)]
+            ]
+            for row, pc in zip(reduced, pivots):
+                assert row[0] == (pc, 1)
+                assert all(type(x) is F for _, x in row)
+            kernel = kernel_basis(rows, ncols)
+            assert kernel == dense_kernel_basis(a, ncols)
+            solved = solve_affine(rows, b, ncols)
+            assert solved == dense_solve_affine(a, b, ncols)
+            values = [x for v in kernel for x in v]
+            if solved is not None:
+                values += solved[0] + tuple(x for v in solved[1] for x in v)
+            assert all(type(x) is F for x in values)
         outcomes.setdefault(kind, set()).add(solved is None)
     # every kind met both consistent and inconsistent right-hand sides
-    assert outcomes == {k: {True, False} for k in ("sparse", "dense", "rank-deficient")}
+    assert outcomes == {k: {True, False} for k in KINDS}
 
 
 def test_kernel_matches_sympy_nullspace():
