@@ -26,7 +26,8 @@ the right-handed axiom set on right-compatible algebras and the left-handed
 set on left-compatible ones; case 2 satisfies the right-handed set only and
 case 3 the left-handed set only.  On a two-sided algebra the crossed sets
 (case 2 with the left-handed axioms, case 3 with the right-handed ones) do
-fail; probe them via the ``sides`` override.
+fail; the tests probe them through the ``sides`` argument of
+``_sparse_residuals``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .core import LeibnizAlgebra, Side, StructureTensor
-from .errors import ChiralityError, DimensionError
+from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
+from .errors import ChiralityError
 from .linalg import Matrix
 
 # A sparse operator on the tensor square: one column dict per basis element
@@ -92,20 +93,19 @@ def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[
     must not mutate it; ``compose`` and ``lin`` build new operators.
     """
     n = t.dim
-    f = t.data
+    rows = bracket_rows(t)
     reach = REACH[case, side]
     ops = []
     for x in range(n):
-        # bracket of X_x with X_a: coefficients over the output basis
-        br = [f[x][a] if side is Side.LEFT else f[a][x] for a in range(n)]
+        # bracket of X_x with X_a: the nonzero (output index, coefficient)
+        br = [rows.get((x, a) if side is Side.LEFT else (a, x), ()) for a in range(n)]
         op = []
         for a, b in itertools.product(range(n), repeat=2):
             col = {}
             for factor in reach:
-                for m, c in enumerate(br[b if factor else a]):
-                    if c:
-                        q = a * n + m if factor else m * n + b
-                        col[q] = col.get(q, 0) + c
+                for m, c in br[b if factor else a]:
+                    q = a * n + m if factor else m * n + b
+                    col[q] = col.get(q, 0) + c
             op.append({q: c for q, c in col.items() if c})
         ops.append(op)
     return tuple(ops)
@@ -129,28 +129,15 @@ def compose(p: Operator, q: Operator) -> Operator:
     return out
 
 
-def lin(terms) -> Operator:
-    """The linear combination of (scalar, operator) pairs; at least one pair."""
-    terms = list(terms)
-    out = [{} for _ in terms[0][1]]
+def lin(size: int, terms) -> Operator:
+    """The linear combination of (scalar, operator) pairs, operators with
+    ``size`` columns."""
+    out = [{} for _ in range(size)]
     for s, op in terms:
-        if s:
-            for acc, col in zip(out, op):
-                for r, c in col.items():
-                    acc[r] = acc.get(r, 0) + s * c
+        for acc, col in zip(out, op):
+            for r, c in col.items():
+                acc[r] = acc.get(r, 0) + s * c
     return [{r: c for r, c in acc.items() if c} for acc in out]
-
-
-def act(case: ActionCase, side: Side, alg: LeibnizAlgebra, x: int, u: Matrix) -> Matrix:
-    """Apply [X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT); x is 1-based."""
-    case.require(alg)
-    n = alg.dim
-    if not 1 <= x <= n:
-        raise DimensionError(f"basis index {x} outside 1..{n}")
-    if len(u) != n or any(len(row) != n for row in u):
-        raise DimensionError("tensor-square element has wrong shape")
-    u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
-    return to_matrix(compose(action_operators(alg.tensor, case, side)[x - 1], [u_col])[0], n)
 
 
 def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra, sides):
@@ -161,13 +148,13 @@ def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra, sides):
         need = case.required_side
         sides = (need,) if need else tuple(s for s in Side if alg.admits(s))
     n = alg.dim
-    f = alg.tensor.data
+    rows = bracket_rows(alg.tensor)
     L = action_operators(alg.tensor, case, Side.LEFT)
     R = action_operators(alg.tensor, case, Side.RIGHT)
     o = compose
 
     def on(ops, x, y):  # the action of [X_x, X_y]
-        return lin(zip(f[x][y], ops))
+        return lin(n * n, ((c, ops[k]) for k, c in rows.get((x, y), ())))
 
     # each axiom reads  A - B - C = 0  for the (A, B, C) listed
     axioms = []
@@ -185,20 +172,12 @@ def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra, sides):
         ]
     for label, parts in axioms:
         yield label, [
-            [lin(zip((1, -1, -1), parts(x, y))) for y in range(n)] for x in range(n)
+            [lin(n * n, zip((1, -1, -1), parts(x, y))) for y in range(n)] for x in range(n)
         ]
 
 
 def _vanish(defects) -> bool:
     return not any(col for row in defects for op in row for col in op)
-
-
-def axioms_hold(case: ActionCase, alg: LeibnizAlgebra, sides=None) -> bool:
-    """Whether every axiom of the checked sets holds.  By default those are
-    the sets the case claims: its required handedness for cases 2 and 3,
-    every handedness the algebra admits for cases 1 and 4.  Pass ``sides``
-    explicitly to probe other combinations."""
-    return all(_vanish(d) for _, d in _sparse_residuals(case, alg, sides))
 
 
 def axiom_report(case: ActionCase, alg: LeibnizAlgebra) -> dict[str, bool]:

@@ -223,8 +223,7 @@ def _cmd_gybe(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
-    res = gybe_residual(alg, r, side)
-    ok = all(v == 0 for a in res for b in a for c in b for v in c)
+    ok = not gybe_residual(alg, r, side)
     payload = {"side": side.value, "gybe": "satisfied" if ok else "violated"}
     _emit(payload, args.format, [f"GYBE: {payload['gybe']}"])
     return OK if ok else FAIL
@@ -235,14 +234,7 @@ def _cmd_schouten(args) -> int:
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
     s = schouten(alg, r, side)
-    n = alg.dim
-    entries = [
-        [m + 1, p + 1, q + 1, rational_str(s.entries[m][p][q])]
-        for m in range(n)
-        for p in range(n)
-        for q in range(n)
-        if s.entries[m][p][q] != 0
-    ]
+    entries = [[m, p, q, rational_str(v)] for (m, p, q), v in s.entries]
     payload = {
         "side": side.value,
         "entries": entries,
@@ -285,6 +277,48 @@ def _cmd_corpus(args) -> int:
     return OK
 
 
+_FILE = ("file", {"help": "algebra definition file"})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_SIDE = ("--side", {"required": True})
+_R = ("--r", {"required": True})
+
+# The commands: name, help, handler and arguments, in help order.
+COMMANDS = (
+    ("check", "classify the bracket and verify the declared side", _cmd_check,
+     (_FILE, _FORMAT)),
+    ("adjoint", "print the adjoint slice matrices", _cmd_adjoint, (_FILE, _FORMAT)),
+    ("actions", "verify the module axioms per action case", _cmd_actions,
+     (_FILE, _FORMAT)),
+    ("duals", "solve the dual-structure scenarios", _cmd_duals, (
+        _FILE, _FORMAT,
+        ("--scenario", {
+            "default": "all",
+            "help": "scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'",
+        }),
+    )),
+    ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, (
+        _FILE, _FORMAT,
+        ("--case", {"required": True, "help": "coboundary case (right1|left1|right4|left4)"}),
+        ("--dual", {"required": True, "help": "dual tensor definition file"}),
+    )),
+    ("coboundary", "cocommutator induced by an r-matrix", _cmd_coboundary, (
+        _FILE, _FORMAT, ("--case", {"required": True}),
+        ("--r", {"required": True, "help": "r-matrix definition file"}),
+    )),
+    ("ybe", "classical Yang-Baxter check", _cmd_ybe,
+     (_FILE, _FORMAT, ("--side", {"required": True, "help": "l|r"}), _R)),
+    ("gybe", "generalized Yang-Baxter check", _cmd_gybe, (_FILE, _FORMAT, _SIDE, _R)),
+    ("schouten", "Schouten bracket of an r-matrix with itself", _cmd_schouten,
+     (_FILE, _FORMAT, _SIDE, _R)),
+    ("report", "run everything and emit the JSON report", _cmd_report,
+     (("file", {}), ("--seed", {"type": int, "default": 0}))),
+    ("corpus", "list or extract the bundled examples", _cmd_corpus, (
+        ("name", {"nargs": "?", "default": ""}),
+        ("--dest", {"default": "", "help": "directory to extract into"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibnizalg",
@@ -292,73 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dual (bialgebra) structures and classical r-matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="algebra definition file")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("check", help="classify the bracket and verify the declared side")
-    common(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("adjoint", help="print the adjoint slice matrices")
-    common(p)
-    p.set_defaults(fn=_cmd_adjoint)
-
-    p = sub.add_parser("actions", help="verify the module axioms per action case")
-    common(p)
-    p.set_defaults(fn=_cmd_actions)
-
-    p = sub.add_parser("duals", help="solve the dual-structure scenarios")
-    common(p)
-    p.add_argument(
-        "--scenario",
-        default="all",
-        help="scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'",
-    )
-    p.set_defaults(fn=_cmd_duals)
-
-    p = sub.add_parser("rmatrix", help="recover r-matrices for a given dual tensor")
-    common(p)
-    p.add_argument("--case", required=True, help="coboundary case (right1|left1|right4|left4)")
-    p.add_argument("--dual", required=True, help="dual tensor definition file")
-    p.set_defaults(fn=_cmd_rmatrix)
-
-    p = sub.add_parser("coboundary", help="cocommutator induced by an r-matrix")
-    common(p)
-    p.add_argument("--case", required=True)
-    p.add_argument("--r", required=True, help="r-matrix definition file")
-    p.set_defaults(fn=_cmd_coboundary)
-
-    p = sub.add_parser("ybe", help="classical Yang-Baxter check")
-    common(p)
-    p.add_argument("--side", required=True, help="l|r")
-    p.add_argument("--r", required=True)
-    p.set_defaults(fn=_cmd_ybe)
-
-    p = sub.add_parser("gybe", help="generalized Yang-Baxter check")
-    common(p)
-    p.add_argument("--side", required=True)
-    p.add_argument("--r", required=True)
-    p.set_defaults(fn=_cmd_gybe)
-
-    p = sub.add_parser("schouten", help="Schouten bracket of an r-matrix with itself")
-    common(p)
-    p.add_argument("--side", required=True)
-    p.add_argument("--r", required=True)
-    p.set_defaults(fn=_cmd_schouten)
-
-    p = sub.add_parser("report", help="run everything and emit the JSON report")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("corpus", help="list or extract the bundled examples")
-    p.add_argument("name", nargs="?", default="")
-    p.add_argument("--dest", default="", help="directory to extract into")
-    p.set_defaults(fn=_cmd_corpus)
-
+    for name, help_text, fn, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -3,8 +3,9 @@
 ``coboundary_entries`` is the one encoding of the degree-0 and degree-1
 coboundaries, written over the action operators of ``actions``: it gives
 ``coboundary0/1`` on cochains, the rows of ``solver.cocycle_system`` (minus
-the degree-1 coboundary of the cocommutator cochain) and the term table of
-``rmatrix._cocommutator_terms`` (the degree-0 coboundary of r).
+the degree-1 coboundary of the cochain X_k -> sum ftilde(a, b, k) X_a (x)
+X_b) and the term table of ``rmatrix._cocommutator_terms`` (the degree-0
+coboundary of r).
 
 Those are the degrees the bialgebra constructions use.  The degree-2
 coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
@@ -16,9 +17,9 @@ from __future__ import annotations
 import itertools
 
 from .actions import ActionCase, action_operators, to_matrix
-from .core import LeibnizAlgebra, Side, StructureTensor
+from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, zeros
+from .linalg import Matrix
 from .record import Frozen, set_field
 
 # Observed mechanically on the bundled corpus with random cochains
@@ -47,17 +48,6 @@ class CochainMap(Frozen):
         set_field(self, "arity", arity)
         set_field(self, "values", values)
 
-    def at(self, *indices: int) -> Matrix:
-        """Value on basis arguments, 1-based."""
-        if len(indices) != self.arity:
-            raise DimensionError(f"expected {self.arity} indices")
-        v = self.values
-        for ix in indices:
-            if not 1 <= ix <= self.dim:
-                raise DimensionError(f"index {ix} outside 1..{self.dim}")
-            v = v[ix - 1]
-        return v
-
     def is_zero(self) -> bool:
         def walk(v, depth):
             if depth == 0:
@@ -65,15 +55,6 @@ class CochainMap(Frozen):
             return all(walk(c, depth - 1) for c in v)
 
         return walk(self.values, self.arity)
-
-    @classmethod
-    def zero(cls, dim: int, arity: int) -> "CochainMap":
-        def nest(depth):
-            if depth == 0:
-                return zeros(dim, dim)
-            return tuple(nest(depth - 1) for _ in range(dim))
-
-        return cls(dim, arity, nest(arity))
 
 
 def _check(alg: LeibnizAlgebra, side: Side) -> None:
@@ -84,16 +65,17 @@ def _check(alg: LeibnizAlgebra, side: Side) -> None:
         )
 
 
-def _terms(f, L, R, side: Side, point):
+def _terms(rows, L, R, side: Side, point):
     """The coboundary at the basis arguments ``point`` (0-based; its length
     is the degree plus one) as terms (scalar, operator, arguments): the sum
-    of scalar * operator(w(arguments)), None standing for the identity."""
+    of scalar * operator(w(arguments)), None standing for the identity.
+    ``rows`` is ``core.bracket_rows`` of the bracket."""
     if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
         (x,) = point
         return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
     # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
     x, y = point
-    minus_w_of_bracket = [(-c, None, (k,)) for k, c in enumerate(f[x][y]) if c]
+    minus_w_of_bracket = [(-c, None, (k,)) for k, c in rows.get((x, y), ())]
     return [(1, L[x], (y,)), (1, R[y], (x,))] + minus_w_of_bracket
 
 
@@ -107,8 +89,9 @@ def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree:
     n = t.dim
     L = action_operators(t, case, Side.LEFT)
     R = action_operators(t, case, Side.RIGHT)
+    rows = bracket_rows(t)
     for point in itertools.product(range(n), repeat=degree + 1):
-        for s, op, args in _terms(t.data, L, R, side, point):
+        for s, op, args in _terms(rows, L, R, side, point):
             if op is None:
                 for q in range(n * n):
                     yield point, q, args, q, s
@@ -160,13 +143,3 @@ def coboundary1(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap
     """(X, Y) maps to [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]); same formula on
     both complexes."""
     return _coboundary(alg, case, side, 1, w)
-
-
-def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:
-    """The arity-1 cochain X_k -> sum ftilde(i, j, k) X_i (x) X_j."""
-    n = ftilde.dim
-    vals = tuple(
-        tuple(tuple(ftilde.data[a][b][k] for b in range(n)) for a in range(n))
-        for k in range(n)
-    )
-    return CochainMap(n, 1, vals)

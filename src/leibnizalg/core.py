@@ -2,10 +2,15 @@
 
 Conventions frozen across the whole package:
 
-* A bracket table is a dense rank-3 tensor ``t`` with ``[X_i, X_j] = sum_k
-  t(i,j,k) X_k``.  Public indices are 1-based; internal storage is 0-based.
-  A dual bracket table uses the identical layout, read as two upper indices
-  and one lower one.
+* A bracket table is a rank-3 tensor ``t`` with ``[X_i, X_j] = sum_k
+  t(i,j,k) X_k``, stored as its nonzero entries only: a sorted tuple of
+  ``((i, j, k), value)`` pairs with 1-based indices.  Zeros are dropped on
+  construction, so equal tensors have equal storage and equal hashes.  A dual
+  bracket table uses the identical layout, read as two upper indices and one
+  lower one.
+* A rank-4 residual (the Leibniz defect here, the generalized Yang-Baxter
+  residual in ``rmatrix``) is a dict {(i, j, k, m): value} of its nonzero
+  components, 0-based.
 * Adjoint matrices are stored with row = input basis index and column =
   output coefficient.  ``first_slot[i]`` has entry ``(j, k) = -t(i,j,k)``,
   ``second_slot[m]`` has ``(i, k) = -t(i,m,k)`` and ``output_slot[k]`` has
@@ -20,7 +25,6 @@ Supported dimensions are 1 through 8; everything is exact rational.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -30,10 +34,6 @@ from .linalg import Matrix, frac, mat_neg, transpose
 from .record import CachedHash, Frozen, set_field
 
 MAX_DIM = 8
-
-Rank3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
-Rank4 = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
-
 
 class Side(enum.Enum):
     LEFT = "left"
@@ -58,84 +58,38 @@ class Chirality(enum.Enum):
 
 
 class StructureTensor(CachedHash):
-    """Dense rank-3 tensor of exact rationals; absent entries are zero."""
+    """Rank-3 tensor of exact rationals held as its nonzero entries; build
+    it with ``from_entries``."""
 
-    __slots__ = ("dim", "data")
+    __slots__ = ("dim", "entries")
 
-    def __init__(self, dim: int, data: Rank3):
-        if not 1 <= dim <= MAX_DIM:
-            raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")
-        if len(data) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane) for plane in data
-        ):
-            raise DimensionError("tensor storage does not match dimension")
+    def __init__(self, dim: int, entries: tuple):
         set_field(self, "dim", dim)
-        set_field(self, "data", data)
-
-    @classmethod
-    def zero(cls, dim: int) -> "StructureTensor":
-        z = Fraction(0)
-        return cls(dim, tuple(tuple((z,) * dim for _ in range(dim)) for _ in range(dim)))
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "StructureTensor":
         """Build from a mapping {(i, j, k): value} with 1-based indices."""
         if not 1 <= dim <= MAX_DIM:
             raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")
-        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in entries.items():
-            for idx in (i, j, k):
-                if not 1 <= idx <= dim:
-                    raise DimensionError(f"index {idx} outside 1..{dim}")
-            cube[i - 1][j - 1][k - 1] = frac(value)
-        return cls(dim, tuple(tuple(tuple(row) for row in plane) for plane in cube))
-
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        """1-based accessor."""
-        return self.data[i - 1][j - 1][k - 1]
+        for i, j, k in entries:
+            for x in (i, j, k):
+                if not 1 <= x <= dim:
+                    raise DimensionError(f"index {x} outside 1..{dim}")
+        values = ((idx, frac(v)) for idx, v in entries.items())
+        return cls(dim, tuple(sorted((idx, v) for idx, v in values if v)))
 
     def items(self):
         """Nonzero entries as ((i, j, k), value) with 1-based indices, sorted."""
-        n = self.dim
-        for i, j, k in itertools.product(range(n), repeat=3):
-            v = self.data[i][j][k]
-            if v != 0:
-                yield (i + 1, j + 1, k + 1), v
+        return self.entries
 
-    def opposite(self) -> "StructureTensor":
-        """Swap the two argument slots of the bracket."""
-        n = self.dim
-        return StructureTensor(
-            n,
-            tuple(
-                tuple(tuple(self.data[j][i][k] for k in range(n)) for j in range(n))
-                for i in range(n)
-            ),
-        )
 
-    def scaled(self, c) -> "StructureTensor":
-        c = frac(c)
-        return StructureTensor(
-            self.dim,
-            tuple(
-                tuple(tuple(c * v for v in row) for row in plane)
-                for plane in self.data
-            ),
-        )
-
-    def plus(self, other: "StructureTensor") -> "StructureTensor":
-        if other.dim != self.dim:
-            raise DimensionError("tensor dimensions differ")
-        return StructureTensor(
-            self.dim,
-            tuple(
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(pa, pb)
-                )
-                for pa, pb in zip(self.data, other.data)
-            ),
-        )
+def bracket_rows(t: StructureTensor) -> dict:
+    """{(i, j): [(k, t(i,j,k)), ...]}, 0-based, over the nonzero entries."""
+    rows = {}
+    for (i, j, k), v in t.items():
+        rows.setdefault((i - 1, j - 1), []).append((k - 1, v))
+    return rows
 
 
 # The Leibniz identity as a term table, per side.  Component (i, j, k, m) of
@@ -179,46 +133,24 @@ def _defect(t: StructureTensor, side: Side):
     return out, scale * scale
 
 
-def leibniz_residual(t: StructureTensor, side: Side) -> Rank4:
-    """The defect of the Leibniz identity as a tensor [i][j][k][m]."""
+def leibniz_residual(t: StructureTensor, side: Side) -> dict:
+    """The defect of the Leibniz identity: {(i, j, k, m): value} of its
+    nonzero components, 0-based."""
     d, den = _defect(t, side)
-    zero = Fraction(0)
-    return rank4(
-        (Fraction(d[c], den) if c in d else zero
-         for c in itertools.product(range(t.dim), repeat=4)),
-        t.dim,
-    )
+    return {c: Fraction(x, den) for c, x in d.items() if x}
 
 
-def rank4(values, n: int) -> Rank4:
-    """Nest a flat stream given in lexicographic index order as [a][b][c][d]."""
-    it = iter(values)
-    return tuple(
-        tuple(
-            tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
-            for _ in range(n)
-        )
-        for _ in range(n)
-    )
-
-
-def first_nonzero(res: Rank4):
+def first_nonzero(res: dict):
     """First nonzero residual component as ((i, j, k, m) 1-based, value)."""
-    for i, a in enumerate(res):
-        for j, b in enumerate(a):
-            for k, c in enumerate(b):
-                for m, v in enumerate(c):
-                    if v != 0:
-                        return (i + 1, j + 1, k + 1, m + 1), v
-    return None
+    if not res:
+        return None
+    c = min(res)
+    return tuple(x + 1 for x in c), res[c]
 
 
 def is_antisymmetric(t: StructureTensor) -> bool:
-    n = t.dim
-    return all(
-        t.data[i][j][k] == -t.data[j][i][k]
-        for i, j, k in itertools.product(range(n), repeat=3)
-    )
+    f = dict(t.items())
+    return all(f.get((j, i, k), 0) == -v for (i, j, k), v in f.items())
 
 
 def classify(t: StructureTensor) -> Chirality:
@@ -274,20 +206,16 @@ class AdjointMatrices(Frozen):
 
 def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
     n = t.dim
-    f = t.data
-    first = tuple(
-        tuple(tuple(-f[i][j][k] for k in range(n)) for j in range(n))
-        for i in range(n)
+    first, second, output = (
+        [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(3)
     )
-    second = tuple(
-        tuple(tuple(-f[i][m][k] for k in range(n)) for i in range(n))
-        for m in range(n)
-    )
-    output = tuple(
-        tuple(tuple(-f[i][j][k] for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-    return AdjointMatrices(first, second, output)
+    for (i, j, k), v in t.items():
+        i, j, k = i - 1, j - 1, k - 1
+        first[i][j][k] = second[j][i][k] = output[k][i][j] = -v
+    return AdjointMatrices(*(
+        tuple(tuple(tuple(row) for row in m) for m in family)
+        for family in (first, second, output)
+    ))
 
 
 class CoadjointMatrices(Frozen):

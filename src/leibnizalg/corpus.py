@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .document import AlgebraDocument, parse_algebra
-
 CORPUS: dict[str, str] = {
     "example1": (
         "# two-dimensional left Leibniz algebra\n"
@@ -50,7 +48,3 @@ def text(name: str) -> str:
         raise KeyError(
             f"unknown corpus entry {name!r}; available: " + ", ".join(names())
         ) from None
-
-
-def document(name: str) -> AlgebraDocument:
-    return parse_algebra(text(name))

@@ -163,28 +163,3 @@ def parse_algebra(text: str) -> AlgebraDocument:
 def parse_rmatrix(text: str) -> RMatrixDocument:
     name, dim, _, entries = _scan(text, "r")
     return RMatrixDocument(name, dim, entries)
-
-
-def serialize_algebra(doc: AlgebraDocument) -> str:
-    lines = []
-    if doc.name:
-        lines.append(f"name: {doc.name}")
-    lines.append(f"dim: {doc.dim}")
-    lines.append(f"side: {doc.declared_side}")
-    for (i, j, k) in sorted(doc.entries):
-        v = doc.entries[(i, j, k)]
-        if v != 0:
-            lines.append(f"f {i} {j} {k} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_rmatrix(doc: RMatrixDocument) -> str:
-    lines = []
-    if doc.name:
-        lines.append(f"name: {doc.name}")
-    lines.append(f"dim: {doc.dim}")
-    for (i, j) in sorted(doc.entries):
-        v = doc.entries[(i, j)]
-        if v != 0:
-            lines.append(f"r {i} {j} = {v}")
-    return "\n".join(lines) + "\n"

@@ -38,10 +38,6 @@ def mat(rows) -> Matrix:
     return tuple(tuple(frac(x) for x in row) for row in rows)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple((Fraction(0),) * ncols for _ in range(nrows))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 

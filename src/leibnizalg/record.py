@@ -41,8 +41,8 @@ class Frozen(Record):
 class CachedHash(Frozen):
     """A Frozen record that hashes its slots once, on the first ``hash()``.
 
-    For large records used as cache keys (a ``StructureTensor`` hashes n^3
-    ``Fraction``s).  The cached value sits in this class's own slot, outside
+    For large records used as cache keys (a ``StructureTensor`` hashes every
+    nonzero entry).  The cached value sits in this class's own slot, outside
     the subclass's ``__slots__``, so equality and repr do not read it.
     """
 

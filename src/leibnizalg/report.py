@@ -164,18 +164,12 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
                 route_ok = False
             if not crosscheck_dual_defect(alg, r, side):
                 defect_ok = False
-            s = schouten(alg, r, side).entries
             p1, p2, _ = triple_products(alg, r, side)
-            total = tuple(
-                tuple(
-                    tuple(
-                        p1.entries[a][b][c] + p2.entries[a][b][c] for c in range(n)
-                    )
-                    for b in range(n)
-                )
-                for a in range(n)
-            )
-            if total != s:
+            total = dict(p1.entries)
+            for c, v in p2.entries:
+                total[c] = total.get(c, 0) + v
+            total = {c: v for c, v in total.items() if v}
+            if total != dict(schouten(alg, r, side).entries):
                 decomp_ok = False
     results["cocommutator_routes_agree"] = route_ok
     results["dual_defect_identity"] = defect_ok

@@ -36,7 +36,6 @@ enforce here as well:
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 from fractions import Fraction
 
@@ -49,7 +48,6 @@ from .core import (
     adjoint_matrices,
     coadjoint_matrices,
     leibniz_residual,
-    rank4,
 )
 from .errors import ChiralityError, DimensionError, quote
 from .linalg import (
@@ -60,13 +58,8 @@ from .linalg import (
     solve_affine,
     sparse_rows,
     transpose,
-    zeros,
 )
 from .record import Frozen, set_field
-
-Rank3 = tuple  # [m][n][p], 0-based
-Rank4 = tuple  # [x][m][n][p], 0-based
-
 
 class CoboundaryCase(enum.Enum):
     """Which coboundary formula turns r into a cocommutator.
@@ -149,8 +142,9 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
 def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
     """Term table of the linear map r -> delta(r): the degree-0 coboundary
     under action case ``case.form`` on the complex of ``case.required_side``,
-    read as the cochain of ``cocommutator_cochain``; a trivial case has no
-    terms, since only the zero cocommutator is a coboundary there.
+    read as the cochain X_m -> sum delta(r)(a, b, m) X_a (x) X_b; a trivial
+    case has no terms, since only the zero cocommutator is a coboundary
+    there.
 
     Yields ((a, b, m), (i, j), c), 0-based, for every nonzero coefficient c
     of delta(r)[a][b][m] = sum c * r[i][j].
@@ -169,13 +163,11 @@ def coboundary_cocommutator(
     """Dual bracket table induced by r under the chosen coboundary case."""
     _require(alg, case)
     r = _check_r(alg, r)
-    n = alg.dim
-    cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    out = {}
     for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
-        cube[a][b][m] += c * r[i][j]
-    return StructureTensor(
-        n, tuple(tuple(tuple(row) for row in plane) for plane in cube)
-    )
+        key = (a + 1, b + 1, m + 1)
+        out[key] = out.get(key, 0) + c * r[i][j]
+    return StructureTensor.from_entries(alg.dim, out)
 
 
 def cocommutator_matrix_route(
@@ -186,24 +178,22 @@ def cocommutator_matrix_route(
     r = _check_r(alg, r)
     n = alg.dim
     adj = adjoint_matrices(alg.tensor)
-    ys = []
-    for m in range(n):
+    out = {}
+    for m in range(0 if case.trivial else n):
         if case is CoboundaryCase.RIGHT_1:
-            ys.append(mat_mul(transpose(adj.first_slot[m]), r))
+            y = mat_mul(transpose(adj.first_slot[m]), r)
         elif case is CoboundaryCase.LEFT_1:
-            ys.append(mat_neg(mat_mul(transpose(adj.second_slot[m]), r)))
+            y = mat_neg(mat_mul(transpose(adj.second_slot[m]), r))
         elif case is CoboundaryCase.RIGHT_4:
-            ys.append(mat_mul(r, adj.first_slot[m]))
-        elif case is CoboundaryCase.LEFT_4:
-            ys.append(mat_neg(mat_mul(r, adj.second_slot[m])))
+            y = mat_mul(r, adj.first_slot[m])
         else:
-            ys.append(zeros(n, n))
-    # ys[m][i][j] holds the negated dual entry (i, j, m)
-    cube = tuple(
-        tuple(tuple(-ys[m][i][j] for m in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return StructureTensor(n, cube)
+            y = mat_neg(mat_mul(r, adj.second_slot[m]))
+        # y[i][j] holds the negated dual entry (i, j, m)
+        for i, row in enumerate(y):
+            for j, v in enumerate(row):
+                if v:
+                    out[i + 1, j + 1, m + 1] = -v
+    return StructureTensor.from_entries(n, out)
 
 
 class RMatrixFamily(Frozen):
@@ -249,10 +239,9 @@ def solve_rmatrix(
          for (a, b, m), (i, j), c in _cocommutator_terms(alg, case)),
         n ** 3,
     )
-    rhs = tuple(
-        ftilde.data[a][b][m]
-        for m, a, b in itertools.product(range(n), repeat=3)
-    )
+    rhs = [Fraction(0)] * n ** 3
+    for (a, b, m), v in ftilde.items():
+        rhs[((m - 1) * n + a - 1) * n + b - 1] = v
     solved = solve_affine(rows, rhs, n * n)
     if solved is None:
         return None
@@ -289,8 +278,8 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
     r = _check_r(alg, r)
     n = alg.dim
     coad = coadjoint_matrices(adjoint_matrices(alg.tensor))
-    cube = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    # cube[k][j][m] is sum_i r[i][j] * coad.right[i][k][m] right-handed and
+    out = {}
+    # entry (k, j, m) is sum_i r[i][j] * coad.right[i][k][m] right-handed and
     # -sum_i r[k][i] * coad.left[i][j][m] left-handed, over the nonzero
     # coadjoint entries only.
     for i in range(n):
@@ -298,31 +287,31 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
             for a, b, v in _nonzero_entries(coad.right[i]):
                 for j, c in enumerate(r[i]):
                     if c:
-                        cube[a][j][b] += c * v
+                        key = (a + 1, j + 1, b + 1)
+                        out[key] = out.get(key, 0) + c * v
         else:
             for a, b, v in _nonzero_entries(coad.left[i]):
                 for k in range(n):
                     if r[k][i]:
-                        cube[k][a][b] -= r[k][i] * v
-    return StructureTensor(
-        n, tuple(tuple(tuple(row) for row in plane) for plane in cube)
-    )
+                        key = (k + 1, a + 1, b + 1)
+                        out[key] = out.get(key, 0) - r[k][i] * v
+    return StructureTensor.from_entries(n, out)
 
 
 class SchoutenTensor(Frozen):
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Rank3):  # [m][n][p], 0-based
+    def __init__(self, entries: tuple):  # ((m, n, p), value), 1-based, nonzero
         set_field(self, "entries", entries)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for a in self.entries for b in a for v in b)
+        return not self.entries
 
 
 class TripleProduct(Frozen):
     __slots__ = ("which", "entries")
 
-    def __init__(self, which: str, entries: Rank3):
+    def __init__(self, which: str, entries: tuple):
         set_field(self, "which", which)
         set_field(self, "entries", entries)
 
@@ -343,31 +332,26 @@ _WHICH = {
 }
 
 
-def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> Rank3:
-    """The sum of the ``terms`` of TRIPLE as a tensor [m][n][p]."""
+def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> tuple:
+    """The sum of the ``terms`` of TRIPLE as its nonzero entries
+    ((m, n, p), value), 1-based and sorted, like ``StructureTensor.items``."""
     alg.require(side)
     r = _check_r(alg, r)
-    n = alg.dim
     # lines[0][i] holds the nonzero r[i][x] as (x, value), lines[1][i] the r[x][i]
     lines = tuple(
         tuple(tuple((x, v) for x, v in enumerate(row) if v) for row in grid)
         for grid in (r, transpose(r))
     )
-    f = tuple(alg.tensor.items())
     out = {}
     for sign, sa, sb, pick in terms:
         component = operator.itemgetter(*pick)
-        for (i, j, k), v in f:
+        for (i, j, k), v in alg.tensor.items():
             for x, ra in lines[sa][i - 1]:
                 c = sign * v * ra
                 for y, rb in lines[sb][j - 1]:
-                    key = component((k - 1, x, y))
+                    key = component((k, x + 1, y + 1))
                     out[key] = out.get(key, 0) + c * rb
-    zero = Fraction(0)
-    return tuple(
-        tuple(tuple(out.get((m, a, b), zero) for b in range(n)) for a in range(n))
-        for m in range(n)
-    )
+    return tuple(sorted((key, v) for key, v in out.items() if v))
 
 
 def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:
@@ -400,34 +384,27 @@ def cybe_check(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
 _GYBE = {Side.RIGHT: (0, 1, (0, 2, 4, 5)), Side.LEFT: (2, 0, (1, 3, 4, 2))}
 
 
-def gybe_residual(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Rank4:
-    """Degree-0 coboundary of the Schouten tensor, per basis element.
+def gybe_residual(alg: LeibnizAlgebra, r: Matrix, side: Side) -> dict:
+    """Degree-0 coboundary of the Schouten tensor, per basis element, as
+    {(x, m, n, p): value} of its nonzero components, 0-based.
 
-    Indexed [x][m][n][p]: right-handed, the bracket acts on the first slot
-    (-sum_q f(x,q,m) S(q,n,p)); left-handed, mirrored onto the third slot
-    (-sum_q S(m,n,q) f(q,x,p)).  All zero means the generalized Yang-Baxter
-    condition holds; the orientation makes ``crosscheck_dual_defect`` an
-    exact componentwise identity.
+    Right-handed, the bracket acts on the first slot (-sum_q f(x,q,m)
+    S(q,n,p)); left-handed, mirrored onto the third slot (-sum_q S(m,n,q)
+    f(q,x,p)).  Empty means the generalized Yang-Baxter condition holds;
+    the orientation makes ``crosscheck_dual_defect`` an exact componentwise
+    identity.
     """
-    s = schouten(alg, r, side).entries
     s_slot, f_slot, pick = _GYBE[side]
     component = operator.itemgetter(*pick)
     meet = {}  # meet[q]: the nonzero S entries whose index s_slot is q
-    for e in itertools.product(range(alg.dim), repeat=3):
-        w = s[e[0]][e[1]][e[2]]
-        if w:
-            meet.setdefault(e[s_slot], []).append((e, w))
+    for e, w in schouten(alg, r, side).entries:
+        meet.setdefault(e[s_slot], []).append((e, w))
     out = {}
-    for (i, j, k), v in alg.tensor.items():
-        a = (i - 1, j - 1, k - 1)
+    for a, v in alg.tensor.items():
         for e, w in meet.get(a[f_slot], ()):
             key = component(a + e)
             out[key] = out.get(key, 0) - v * w
-    zero = Fraction(0)
-    return rank4(
-        (out.get(c, zero) for c in itertools.product(range(alg.dim), repeat=4)),
-        alg.dim,
-    )
+    return {tuple(x - 1 for x in c): v for c, v in out.items() if v}
 
 
 def crosscheck_dual_defect(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
@@ -440,14 +417,10 @@ def crosscheck_dual_defect(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
     """
     alg.require(side)
     r = _check_r(alg, r)
-    n = alg.dim
     case = CoboundaryCase.RIGHT_1 if side is Side.RIGHT else CoboundaryCase.LEFT_4
-    ftilde = coboundary_cocommutator(alg, r, case)
-    defect = leibniz_residual(ftilde, side)
-    gybe = gybe_residual(alg, r, side)
-    for x, a, b, c in itertools.product(range(n), repeat=4):
-        expected = gybe[x][a][b][c]
-        got = defect[c][a][b][x] if side is Side.RIGHT else defect[a][b][c][x]
-        if got != expected:
-            return False
-    return True
+    defect = leibniz_residual(coboundary_cocommutator(alg, r, case), side)
+    if side is Side.RIGHT:
+        moved = {(x, a, b, c): v for (c, a, b, x), v in defect.items()}
+    else:
+        moved = {(x, a, b, c): v for (a, b, c, x), v in defect.items()}
+    return moved == gybe_residual(alg, r, side)

@@ -4,7 +4,7 @@ quadratic residuals that sit on top of them.
 Compatibility form k linking a bracket table to a candidate dual table is
 the degree-1 cocycle condition under action case k: the rows built by
 ``cocycle_system`` are minus ``cohomology.coboundary_entries`` of degree 1,
-read on the cocommutator cochain.
+read on the cochain X_k -> sum ftilde(a, b, k) X_a (x) X_b.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
@@ -91,12 +91,13 @@ class LinearSystem(Frozen):
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
-    it = iter(vec)
-    data = tuple(
-        tuple(tuple(next(it) for _ in range(dim)) for _ in range(dim))
-        for _ in range(dim)
-    )
-    return StructureTensor(dim, data)
+    """The tensor whose entries, in the column order, are the vector ``vec``."""
+    entries = {}
+    for x, v in enumerate(vec):
+        if v:
+            mn, k = divmod(x, dim)
+            entries[mn // dim + 1, mn % dim + 1, k + 1] = v
+    return StructureTensor.from_entries(dim, entries)
 
 
 def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
@@ -138,16 +139,6 @@ class DualFamily(Frozen):
         set_field(self, "dim", dim)
         set_field(self, "basis", basis)
         set_field(self, "parameters", parameters)
-
-    def member(self, assignment) -> StructureTensor:
-        if len(assignment) != len(self.parameters):
-            raise DimensionError(
-                f"expected {len(self.parameters)} parameter values"
-            )
-        out = StructureTensor.zero(self.dim)
-        for value, b in zip(assignment, self.basis):
-            out = out.plus(b.scaled(value))
-        return out
 
     def __len__(self):
         return len(self.basis)

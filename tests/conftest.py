@@ -1,11 +1,13 @@
 import pytest
 
 from leibnizalg import LeibnizAlgebra, StructureTensor
-from leibnizalg.corpus import CORPUS, document
+from leibnizalg.corpus import CORPUS
+
+from oracles import corpus_document
 
 
 def _algebra(name):
-    return document(name).algebra()
+    return corpus_document(name).algebra()
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +37,7 @@ def corpus_algebras(ex1, ex2, ex3, ex4):
 
 @pytest.fixture(scope="session")
 def zero2():
-    return LeibnizAlgebra.analyze(StructureTensor.zero(2), "zero2")
+    return LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2")
 
 
 @pytest.fixture()

@@ -20,6 +20,8 @@ from fractions import Fraction
 from leibnizalg import StructureTensor
 from leibnizalg.solver import DualFamily
 
+from oracles import family_member
+
 
 @dataclass(frozen=True)
 class ReferenceFamily:
@@ -36,7 +38,7 @@ class ReferenceFamily:
         return DualFamily(dim, basis, params)
 
     def member(self, dim: int, values) -> StructureTensor:
-        return self.family(dim).member([Fraction(v) for v in values])
+        return family_member(self.family(dim), [Fraction(v) for v in values])
 
 
 def _ref(key, label, generators, admitted):

@@ -26,13 +26,20 @@ flattened in the solver's column order (``flatten_tensor``,
 parameter values, ``cocycle_residual_tensor`` applies the rows of
 ``solver.cocycle_system`` to a tensor, ``verify_bialgebra`` checks one
 candidate dual table against a scenario and ``family_verdict`` a whole
-family.
+family; ``act`` and ``axioms_hold`` apply the library's action operators
+and module-axiom defects, ``family_member``, ``opposite`` and
+``tensor_sum`` build tensors, ``cochain_at``, ``zero_cochain`` and
+``cocommutator_cochain`` handle cochains, and the serializers write
+definition files back.  ``dense``/``grid3`` and ``grid4`` spread the
+library's sparse tensors and residuals into dense grids for comparison
+with the dense routes above (``from_dense`` and ``sparse4`` go back).
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from leibnizalg.actions import _sparse_residuals, _vanish, action_operators, compose, to_matrix
 from leibnizalg.cohomology import CochainMap
 from leibnizalg.core import (
     Side,
@@ -41,11 +48,176 @@ from leibnizalg.core import (
     coadjoint_matrices,
     first_nonzero,
     leibniz_residual,
-    rank4,
 )
+from leibnizalg.corpus import text
+from leibnizalg.document import parse_algebra
 from leibnizalg.errors import DimensionError
-from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, transpose, zeros
-from leibnizalg.solver import assemble_cocycle_system, cocycle_system, dual_leibniz_residual
+from leibnizalg.linalg import frac, mat, mat_mul, mat_neg, transpose
+from leibnizalg.solver import (
+    DualFamily,
+    assemble_cocycle_system,
+    cocycle_system,
+    dual_leibniz_residual,
+)
+
+
+def zeros(nrows: int, ncols: int):
+    return tuple((Fraction(0),) * ncols for _ in range(nrows))
+
+
+def grid3(entries, n):
+    """Sparse entries ((i, j, k), value), 1-based, as a dense n x n x n grid
+    [i][j][k], 0-based."""
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in entries:
+        out[i - 1][j - 1][k - 1] = v
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+def dense(t: StructureTensor):
+    """The bracket table as a dense grid [i][j][k], 0-based."""
+    return grid3(t.items(), t.dim)
+
+
+def from_dense(grid) -> StructureTensor:
+    """The tensor with the dense grid [i][j][k], 0-based, as its entries."""
+    n = len(grid)
+    return StructureTensor.from_entries(n, {
+        (i + 1, j + 1, k + 1): grid[i][j][k]
+        for i, j, k in itertools.product(range(n), repeat=3)
+    })
+
+
+def nest4(values, n):
+    """Nest a flat stream given in lexicographic index order as [a][b][c][d]."""
+    it = iter(values)
+    return tuple(
+        tuple(
+            tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
+
+
+def grid4(res: dict, n):
+    """A sparse rank-4 residual {(a, b, c, d): value}, 0-based, as a dense
+    grid [a][b][c][d]."""
+    zero = Fraction(0)
+    return nest4((res.get(c, zero) for c in itertools.product(range(n), repeat=4)), n)
+
+
+def sparse4(grid) -> dict:
+    """A dense rank-4 grid as {(a, b, c, d): value} of its nonzero components."""
+    n = len(grid)
+    return {
+        (a, b, c, d): grid[a][b][c][d]
+        for a, b, c, d in itertools.product(range(n), repeat=4)
+        if grid[a][b][c][d]
+    }
+
+
+def tensor_sum(a: StructureTensor, b: StructureTensor) -> StructureTensor:
+    out = dict(a.items())
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return StructureTensor.from_entries(a.dim, out)
+
+
+def opposite(t: StructureTensor) -> StructureTensor:
+    """Swap the two argument slots of the bracket."""
+    return StructureTensor.from_entries(t.dim, {(j, i, k): v for (i, j, k), v in t.items()})
+
+
+def family_member(family: DualFamily, assignment) -> StructureTensor:
+    """The member sum_a assignment[a] * basis_a of a dual family."""
+    if len(assignment) != len(family.parameters):
+        raise DimensionError(f"expected {len(family.parameters)} parameter values")
+    out = {}
+    for value, b in zip(assignment, family.basis):
+        for e, v in b.items():
+            out[e] = out.get(e, 0) + frac(value) * v
+    return StructureTensor.from_entries(family.dim, out)
+
+
+def corpus_document(name: str):
+    return parse_algebra(text(name))
+
+
+def serialize_algebra(doc) -> str:
+    lines = []
+    if doc.name:
+        lines.append(f"name: {doc.name}")
+    lines.append(f"dim: {doc.dim}")
+    lines.append(f"side: {doc.declared_side}")
+    for (i, j, k) in sorted(doc.entries):
+        v = doc.entries[(i, j, k)]
+        if v != 0:
+            lines.append(f"f {i} {j} {k} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_rmatrix(doc) -> str:
+    lines = []
+    if doc.name:
+        lines.append(f"name: {doc.name}")
+    lines.append(f"dim: {doc.dim}")
+    for (i, j) in sorted(doc.entries):
+        v = doc.entries[(i, j)]
+        if v != 0:
+            lines.append(f"r {i} {j} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def act(case, side: Side, alg, x: int, u):
+    """Apply [X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT), x 1-based,
+    through the library's action operators."""
+    case.require(alg)
+    n = alg.dim
+    if not 1 <= x <= n:
+        raise DimensionError(f"basis index {x} outside 1..{n}")
+    if len(u) != n or any(len(row) != n for row in u):
+        raise DimensionError("tensor-square element has wrong shape")
+    u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
+    return to_matrix(compose(action_operators(alg.tensor, case, side)[x - 1], [u_col])[0], n)
+
+
+def axioms_hold(case, alg, sides=None) -> bool:
+    """Whether every axiom of the library's module-axiom defects holds for
+    the checked sets: by default the sets the case claims (its required
+    handedness for cases 2 and 3, every handedness the algebra admits for
+    cases 1 and 4); pass ``sides`` to probe other combinations."""
+    return all(_vanish(d) for _, d in _sparse_residuals(case, alg, sides))
+
+
+def cochain_at(w: CochainMap, *indices: int):
+    """Value of a cochain on basis arguments, 1-based."""
+    if len(indices) != w.arity:
+        raise DimensionError(f"expected {w.arity} indices")
+    v = w.values
+    for ix in indices:
+        if not 1 <= ix <= w.dim:
+            raise DimensionError(f"index {ix} outside 1..{w.dim}")
+        v = v[ix - 1]
+    return v
+
+
+def zero_cochain(dim: int, arity: int) -> CochainMap:
+    def nest(depth):
+        if depth == 0:
+            return zeros(dim, dim)
+        return tuple(nest(depth - 1) for _ in range(dim))
+
+    return CochainMap(dim, arity, nest(arity))
+
+
+def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:
+    """The arity-1 cochain X_k -> sum ftilde(i, j, k) X_i (x) X_j."""
+    n = ftilde.dim
+    f = dense(ftilde)
+    return CochainMap(n, 1, tuple(
+        tuple(tuple(f[a][b][k] for b in range(n)) for a in range(n)) for k in range(n)
+    ))
 
 
 def bracket(t: StructureTensor, x, y):
@@ -56,10 +228,11 @@ def bracket(t: StructureTensor, x, y):
     if len(x) != n or len(y) != n:
         raise DimensionError("coordinate vectors must have length dim")
     out = [Fraction(0)] * n
+    f = dense(t)
     for i, j in itertools.product(range(n), repeat=2):
         if x[i] and y[j]:
             c = x[i] * y[j]
-            for k, v in enumerate(t.data[i][j]):
+            for k, v in enumerate(f[i][j]):
                 if v:
                     out[k] += c * v
     return tuple(out)
@@ -77,8 +250,9 @@ def column_index(dim: int, m: int, n: int, k: int) -> int:
 def flatten_tensor(t: StructureTensor):
     """The entries of ``t`` in lexicographic (m, n, k) order."""
     n = t.dim
+    f = dense(t)
     return tuple(
-        t.data[m][ncol][k]
+        f[m][ncol][k]
         for m in range(n)
         for ncol in range(n)
         for k in range(n)
@@ -278,7 +452,7 @@ def quadratic_by_polarization(family, side: Side):
         if a == b:
             coeffs = single[a]
         else:
-            both = flat(basis[a].plus(basis[b]))
+            both = flat(tensor_sum(basis[a], basis[b]))
             coeffs = [x - y - z for x, y, z in zip(both, single[a], single[b])]
         for terms, c in zip(out, coeffs):
             if c:
@@ -316,8 +490,7 @@ def act_by_brackets(case: int, side: Side, t: StructureTensor, x: int, u):
 
 def tensor_from_first_slot(mats) -> StructureTensor:
     n = len(mats)
-    return StructureTensor(
-        n,
+    return from_dense(
         tuple(
             tuple(tuple(-mats[i][j][k] for k in range(n)) for j in range(n))
             for i in range(n)
@@ -327,8 +500,7 @@ def tensor_from_first_slot(mats) -> StructureTensor:
 
 def tensor_from_second_slot(mats) -> StructureTensor:
     n = len(mats)
-    return StructureTensor(
-        n,
+    return from_dense(
         tuple(
             tuple(tuple(-mats[m][i][k] for k in range(n)) for m in range(n))
             for i in range(n)
@@ -338,8 +510,7 @@ def tensor_from_second_slot(mats) -> StructureTensor:
 
 def tensor_from_output_slot(mats) -> StructureTensor:
     n = len(mats)
-    return StructureTensor(
-        n,
+    return from_dense(
         tuple(
             tuple(tuple(-mats[k][i][j] for k in range(n)) for j in range(n))
             for i in range(n)
@@ -357,7 +528,7 @@ def _triple_grid(n, component):
 def schouten_dense(alg, r, side: Side):
     """Schouten tensor [m][n][p] of r, summed over every (i, j)."""
     n = alg.dim
-    f = alg.tensor.data
+    f = dense(alg.tensor)
     r = mat(r)
 
     def component(m, nc, p):
@@ -378,7 +549,7 @@ def schouten_dense(alg, r, side: Side):
 def triple_products_dense(alg, r, side: Side):
     """The three triple products [m][n][p] of r, summed over every (i, j)."""
     n = alg.dim
-    f = alg.tensor.data
+    f = dense(alg.tensor)
     r = mat(r)
     if side is Side.RIGHT:
         terms = (
@@ -405,7 +576,7 @@ def gybe_residual_dense(alg, r, side: Side):
     """Degree-0 coboundary [x][m][n][p] of ``schouten_dense``: right-handed
     -sum_q f(x,q,m) S(q,n,p), left-handed -sum_q S(m,n,q) f(q,x,p)."""
     n = alg.dim
-    f = alg.tensor.data
+    f = dense(alg.tensor)
     s = schouten_dense(alg, r, side)
 
     def component(x, m, nc, p):
@@ -442,7 +613,7 @@ def dual_bracket_by_units(alg, r, side: Side) -> StructureTensor:
                 img = mat_vec(ad_star_left[i], unit[j])
                 out = [o + r[k][i] * v for o, v in zip(out, img)]
         cube[k][j] = tuple(out)
-    return StructureTensor(n, tuple(tuple(plane) for plane in cube))
+    return from_dense(tuple(tuple(plane) for plane in cube))
 
 
 def _combo(n, terms):
@@ -472,7 +643,7 @@ def coboundary2(alg, case, side: Side, w) -> CochainMap:
     if w.arity != 2:
         raise DimensionError("coboundary2 expects an arity-2 cochain")
     n = alg.dim
-    f = alg.tensor.data
+    f = dense(alg.tensor)
     L, R = _actions_by_brackets(case, alg.tensor)
     v = w.values
 
@@ -500,7 +671,7 @@ def module_axiom_residuals(case, alg, sides):
     X_a (x) X_b, coefficient slot (m, n).  Each axiom reads A - B - C = 0.
     """
     n = alg.dim
-    f = alg.tensor.data
+    f = dense(alg.tensor)
     L, R = _actions_by_brackets(case, alg.tensor)
 
     def on(op, x, y, u):  # the action of [X_x, X_y]
@@ -542,7 +713,7 @@ def module_axiom_residuals(case, alg, sides):
 def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int):
     """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
     the rows of ``solver.cocycle_system(f, form)`` applied to ``ftilde``."""
-    return rank4(apply_system(cocycle_system(f, form), ftilde), f.dim)
+    return nest4(apply_system(cocycle_system(f, form), ftilde), f.dim)
 
 
 @dataclass(frozen=True)
@@ -562,7 +733,7 @@ def verify_bialgebra(alg, sc, ftilde: StructureTensor) -> BialgebraVerdict:
     sc.require(alg)
     if ftilde.dim != alg.dim:
         raise DimensionError("dual tensor dimension does not match the algebra")
-    hit = first_nonzero(cocycle_residual_tensor(alg.tensor, ftilde, sc.form))
+    hit = first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, sc.form)))
     witness = None if hit is None else ("cocycle", hit[0], hit[1])
     dhit = first_nonzero(leibniz_residual(ftilde, sc.dual_side))
     if witness is None and dhit is not None:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from leibnizalg import (
     CoboundaryCase,
     Side,
-    StructureTensor,
     coboundary_cocommutator,
     solve_rmatrix,
 )
@@ -29,7 +28,11 @@ from oracles import (
     annihilates,
     cocycle_residual_matrix,
     cocycle_residual_tensor,
+    family_member,
+    from_dense,
+    grid3,
     schouten_dense,
+    sparse4,
 )
 
 F = Fraction
@@ -43,8 +46,7 @@ def rand_matrix(rng, n):
 
 
 def rand_tensor(rng, n):
-    return StructureTensor(
-        n,
+    return from_dense(
         tuple(
             tuple(
                 tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
@@ -117,7 +119,7 @@ def check_coboundary_is_cocycle(algebras, seed, trials):
         alg, case = pool[rng.randrange(len(pool))]
         r = rand_matrix(rng, alg.dim)
         ftilde = coboundary_cocommutator(alg, r, case)
-        if first_nonzero(cocycle_residual_tensor(alg.tensor, ftilde, case.form)):
+        if first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, case.form))):
             failures += 1
     return failures
 
@@ -157,8 +159,9 @@ def check_schouten_decomposition(algebras, seed, trials):
         s = schouten_dense(alg, r, side)
         p1, p2, _ = triple_products(alg, r, side)
         n = alg.dim
+        p1, p2 = grid3(p1.entries, n), grid3(p2.entries, n)
         ok = all(
-            p1.entries[a][b][c] + p2.entries[a][b][c] == s[a][b][c]
+            p1[a][b][c] + p2[a][b][c] == s[a][b][c]
             for a, b, c in itertools.product(range(n), repeat=3)
         )
         failures += 0 if ok else 1
@@ -191,7 +194,7 @@ def check_kernel_soundness(algebras, seed, trials):
     failures = 0
     for _ in range(trials):
         system, family = systems[rng.randrange(len(systems))]
-        member = family.member([F(rng.randint(-5, 5)) for _ in family.parameters])
+        member = family_member(family, [F(rng.randint(-5, 5)) for _ in family.parameters])
         if not annihilates(system, member):
             failures += 1
     return failures

@@ -19,7 +19,7 @@ from leibnizalg import (
 )
 from leibnizalg.cli import main
 from leibnizalg.core import adjoint_matrices
-from leibnizalg.corpus import document, names
+from leibnizalg.corpus import names
 from leibnizalg.linalg import mat
 from leibnizalg.solver import SCENARIOS
 
@@ -194,7 +194,7 @@ def test_adjoint_golden(corpus_algebras):
 def test_property_suite(corpus_algebras):
     failures = []
     pool = list(corpus_algebras.values())
-    pool.append(LeibnizAlgebra.analyze(StructureTensor.zero(2), "zero2"))
+    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2"))
     results = ps.run_all(pool, seed=20240809, trials=100)
     for name, count in results.items():
         if count:

@@ -395,3 +395,67 @@ def test_dense_duals_bytes_pinned(tmp_path, capsys, name):
     code, out, _ = run(capsys, "duals", str(path), "--scenario", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 and exit code of the stdout of each r-matrix command with
+# `--format json` on NF_6 (left-handed: `--case left4`, `--side l`) and on
+# NF_6^op (right-handed: `--case right1`, `--side r`), for one dense rational
+# r in which all 36 entries are nonzero; `rmatrix` reads back, as its
+# `--dual`, the dual tensor that `coboundary` printed.  The digests were
+# recorded before the bracket tables and residuals became sparse.
+RMATRIX_SIDES = {"NF_6": ("left4", "l"), "NF_6^op": ("right1", "r")}
+RMATRIX_DIGESTS = {
+    ("NF_6", "coboundary"):
+        (0, "bfc81af3ed89594efa6c4f0cb2eb41bae64311f75a4af6d59420610caf2bc12b"),
+    ("NF_6", "rmatrix"):
+        (0, "7cbf80588753b94ee3a487ca6b6222beb338d866ea992bc224bf162a0a520580"),
+    ("NF_6", "schouten"):
+        (0, "608740422209fe66a6bca236f3367bcf7d49b9b96f7bff54980e692b2d21d681"),
+    ("NF_6", "ybe"):
+        (1, "94d2a8e4327719600595de77ddf51ad3286ef122badcf856af2225a3854e0678"),
+    ("NF_6", "gybe"):
+        (1, "d78c66c5e9dc88dfb184f0c257cb17c72529c4cd3eda71397529fb2590d8c837"),
+    ("NF_6^op", "coboundary"):
+        (0, "96fbc5a31b71bb9443636860be1c8b1f9e3dfaf8183be1958d83ee942287c03b"),
+    ("NF_6^op", "rmatrix"):
+        (0, "1dd34b01d247f13a6da8d58931ccfa2779840e1fa86d375ab91836f4ea3ab274"),
+    ("NF_6^op", "schouten"):
+        (0, "f413735738dbe70d1a86b50d939f01912fe5dc1baa8480113abcbe3fe66ecc45"),
+    ("NF_6^op", "ybe"):
+        (1, "ad9db20d27c729a62d34f3cf7b1f4c563a74fef09818eca92ce590a7414bc4ac"),
+    ("NF_6^op", "gybe"):
+        (1, "6337696ba3e3585e40b4a12a755ccce1dffb66c37cd2b58fbf9e9f50153d947b"),
+}
+
+
+def _dense_r(n):
+    return {(i, j): F((-1) ** (i + j) * (1 + (i + 2 * j) % 4), 1 + (i * j) % 3)
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("name, command", sorted(RMATRIX_DIGESTS))
+def test_rmatrix_commands_bytes_pinned_at_dimension_6(tmp_path, capsys, name, command):
+    code_want, digest = RMATRIX_DIGESTS[name, command]
+    case, side = RMATRIX_SIDES[name]
+    alg = tmp_path / "nf6.leib"
+    entry = REPORT_DIGESTS[name][0]
+    alg.write_text(f"name: {name}\ndim: 6\n"
+                   + "".join(entry.format(i=i, j=i + 1) for i in range(1, 6)))
+    r = tmp_path / "r.rmat"
+    r.write_text("dim: 6\n" + "".join(f"r {i} {j} = {v}\n"
+                                      for (i, j), v in _dense_r(6).items()))
+    args = {"coboundary": ("--case", case, "--r", str(r)),
+            "schouten": ("--side", side, "--r", str(r)),
+            "ybe": ("--side", side, "--r", str(r)),
+            "gybe": ("--side", side, "--r", str(r))}
+    if command == "rmatrix":
+        code, out, _ = run(capsys, "coboundary", str(alg), *args["coboundary"],
+                           "--format", "json")
+        assert code == 0
+        dual = tmp_path / "dual.leib"
+        dual.write_text("dim: 6\n" + "".join(
+            f"f {i} {j} {k} = {v}\n" for i, j, k, v in json.loads(out)["dual_tensor"]))
+        args["rmatrix"] = ("--case", case, "--dual", str(dual))
+    code, out, _ = run(capsys, command, str(alg), *args[command], "--format", "json")
+    assert code == code_want
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -17,7 +17,11 @@ from leibnizalg.linalg import mat, mat_neg, transpose
 
 from oracles import (
     bracket,
+    from_dense,
+    grid4,
     leibniz_residual_by_brackets,
+    opposite,
+    sparse4,
     tensor_from_first_slot,
     tensor_from_output_slot,
     tensor_from_second_slot,
@@ -27,8 +31,7 @@ F = Fraction
 
 
 def rand_tensor(rng, dim):
-    return StructureTensor(
-        dim,
+    return from_dense(
         tuple(
             tuple(
                 tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
@@ -45,11 +48,11 @@ class TestLeibnizResidual:
         res = leibniz_residual(ex1.tensor, Side.RIGHT)
         assert first_nonzero(res) is not None
         # hand substitution of the first basis vector into the right identity
-        assert res[0][0][0][1] == F(-1)
+        assert res[0, 0, 0, 1] == F(-1)
         assert first_nonzero(res) == ((1, 1, 1, 2), F(-1))
 
     def test_zero_tensor_passes_both_sides(self):
-        z = StructureTensor.zero(3)
+        z = StructureTensor.from_entries(3, {})
         for side in Side:
             assert first_nonzero(leibniz_residual(z, side)) is None
 
@@ -58,8 +61,8 @@ class TestLeibnizResidual:
         for dim in (2, 3):
             for _ in range(25):
                 t = rand_tensor(rng, dim)
-                left = leibniz_residual(t, Side.LEFT)
-                right_op = leibniz_residual(t.opposite(), Side.RIGHT)
+                left = grid4(leibniz_residual(t, Side.LEFT), dim)
+                right_op = grid4(leibniz_residual(opposite(t), Side.RIGHT), dim)
                 for i, j, k in itertools.product(range(dim), repeat=3):
                     assert right_op[i][j][k] == left[i][k][j]
 
@@ -70,8 +73,10 @@ class TestLeibnizResidual:
         for t in tensors:
             for side in Side:
                 expected = leibniz_residual_by_brackets(t, side)
-                assert leibniz_residual(t, side) == expected
-                assert classify(t).admits(side) == (first_nonzero(expected) is None)
+                res = leibniz_residual(t, side)
+                assert grid4(res, t.dim) == expected
+                assert all(res.values())  # nonzero components only
+                assert classify(t).admits(side) == (first_nonzero(sparse4(expected)) is None)
 
 
 class TestClassify:
@@ -82,7 +87,7 @@ class TestClassify:
         assert ex4.chirality is Chirality.RIGHT
 
     def test_zero_tensor_is_lie(self):
-        assert classify(StructureTensor.zero(2)) is Chirality.LIE
+        assert classify(StructureTensor.from_entries(2, {})) is Chirality.LIE
 
     def test_neither(self):
         t = StructureTensor.from_entries(2, {(1, 1, 1): 1, (1, 1, 2): 1, (2, 1, 1): 1})
@@ -156,7 +161,7 @@ class TestAdjoint:
         assert adj.output_slot == tuple(mat(m) for m in want["output_slot"])
 
     def test_zero_tensor(self):
-        adj = adjoint_matrices(StructureTensor.zero(2))
+        adj = adjoint_matrices(StructureTensor.from_entries(2, {}))
         assert all(
             all(v == 0 for row in m for v in row)
             for fam in (adj.first_slot, adj.second_slot, adj.output_slot)
@@ -193,34 +198,58 @@ class TestCoadjoint:
         assert coad.right[0] == mat([[0, 0], [1, 1]])
 
     def test_zero(self):
-        coad = coadjoint_matrices(adjoint_matrices(StructureTensor.zero(2)))
+        coad = coadjoint_matrices(adjoint_matrices(StructureTensor.from_entries(2, {})))
         assert all(v == 0 for m in coad.left + coad.right for row in m for v in row)
 
 
 class TestStructureTensor:
     def test_dimension_bound(self):
         with pytest.raises(DimensionError):
-            StructureTensor.zero(9)
+            StructureTensor.from_entries(9, {})
         with pytest.raises(DimensionError):
-            StructureTensor.zero(0)
+            StructureTensor.from_entries(0, {})
         with pytest.raises(DimensionError):
-            StructureTensor(2, StructureTensor.zero(3).data)
+            StructureTensor.from_entries(2, {(3, 1, 1): 1})
         with pytest.raises(DimensionError):
-            StructureTensor(9, StructureTensor.zero(1).data)
+            StructureTensor.from_entries(9, {(1, 1, 1): 1})
 
     def test_entry_index_validation(self):
         with pytest.raises(DimensionError):
             StructureTensor.from_entries(2, {(1, 1, 3): 1})
+        with pytest.raises(DimensionError):
+            StructureTensor.from_entries(2, {(0, 1, 1): 1})
+        with pytest.raises(DimensionError):
+            StructureTensor.from_entries(2, {(1, 0, 1): 0})  # checked even when zero
 
     def test_immutable_with_slot_repr(self, ex1):
-        t = StructureTensor.zero(1)
+        t = StructureTensor.from_entries(1, {(1, 1, 1): F(1, 2)})
         with pytest.raises(AttributeError):
             t.dim = 2
         with pytest.raises(AttributeError):
             ex1.tensor = t
         hash(t)  # cached on first use, outside the fields
-        assert repr(t) == "StructureTensor(dim=1, data=(((Fraction(0, 1),),),))"
-        assert t == StructureTensor.zero(1) and hash(t) == hash(StructureTensor.zero(1))
+        assert repr(t) == "StructureTensor(dim=1, entries=(((1, 1, 1), Fraction(1, 2)),))"
+        same = StructureTensor.from_entries(1, {(1, 1, 1): F(1, 2)})
+        assert t == same and hash(t) == hash(same)
+        assert repr(StructureTensor.from_entries(1, {})) == "StructureTensor(dim=1, entries=())"
+
+    def test_explicit_zero_dropped(self):
+        plain = StructureTensor.from_entries(2, {(1, 2, 1): 3})
+        for z in (0, F(0), "0", F(0, 5)):
+            t = StructureTensor.from_entries(2, {(1, 1, 2): z, (1, 2, 1): 3})
+            assert t == plain and hash(t) == hash(plain)
+            assert t.items() == (((1, 2, 1), F(3)),)
+        zero = StructureTensor.from_entries(2, {})
+        assert StructureTensor.from_entries(2, {(2, 2, 2): 0}) == zero
+
+    def test_insertion_order_does_not_matter(self):
+        entries = {(2, 1, 1): F(-1, 3), (1, 1, 2): 1, (1, 2, 2): F(5), (1, 1, 1): 2}
+        reversed_order = dict(reversed(list(entries.items())))
+        a = StructureTensor.from_entries(2, entries)
+        b = StructureTensor.from_entries(2, reversed_order)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [e for e, _ in a.items()] == sorted(entries)
+        assert all(isinstance(v, F) for _, v in a.items())
 
     def test_items_sorted_and_one_based(self, ex4):
         assert list(ex4.tensor.items()) == [((1, 1, 2), F(1)), ((2, 1, 3), F(1))]

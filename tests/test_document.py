@@ -3,13 +3,10 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import ChiralityError, ParseError
-from leibnizalg.corpus import CORPUS, document, names, text
-from leibnizalg.document import (
-    parse_algebra,
-    parse_rmatrix,
-    serialize_algebra,
-    serialize_rmatrix,
-)
+from leibnizalg.corpus import CORPUS, names, text
+from leibnizalg.document import parse_algebra, parse_rmatrix
+
+from oracles import corpus_document, serialize_algebra, serialize_rmatrix
 
 F = Fraction
 
@@ -100,11 +97,11 @@ class TestCorpus:
 
     def test_documents_parse_and_verify(self):
         for name in names():
-            alg = document(name).algebra()
+            alg = corpus_document(name).algebra()
             assert alg.name == name
 
     def test_declared_sides(self):
-        sides = {name: document(name).declared_side for name in names()}
+        sides = {name: corpus_document(name).declared_side for name in names()}
         assert sides == {
             "example1": "left",
             "example2": "right",

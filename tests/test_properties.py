@@ -9,10 +9,11 @@ import property_suite as ps
 @pytest.fixture(scope="module")
 def algebras(request):
     from leibnizalg import LeibnizAlgebra, StructureTensor
-    from leibnizalg.corpus import document, names
+    from leibnizalg.corpus import names
+    from oracles import corpus_document
 
-    pool = [document(n).algebra() for n in names()]
-    pool.append(LeibnizAlgebra.analyze(StructureTensor.zero(2), "zero2"))
+    pool = [corpus_document(n).algebra() for n in names()]
+    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2"))
     return pool
 
 

@@ -18,7 +18,7 @@ from leibnizalg import (
     solve_rmatrix,
 )
 from leibnizalg.core import first_nonzero
-from leibnizalg.linalg import mat, zeros
+from leibnizalg.linalg import mat
 from leibnizalg.rmatrix import (
     cocommutator_matrix_route,
     crosscheck_dual_defect,
@@ -27,12 +27,18 @@ from leibnizalg.rmatrix import (
 )
 
 from families import EX1_FAMILIES, EX2_FAMILIES, EX3_FAMILIES, EX4_FAMILIES
+from test_cli import DENSE_BASIS, _in_basis
 from oracles import (
     cocycle_residual_tensor,
     dual_bracket_by_units,
+    grid3,
+    grid4,
     gybe_residual_dense,
+    opposite,
     schouten_dense,
+    sparse4,
     triple_products_dense,
+    zeros,
 )
 
 F = Fraction
@@ -64,13 +70,15 @@ class TestCoboundaryCocommutator:
         assert ftilde == EX2_FAMILIES[0].member(2, [F(1)])
 
     def test_zero_r(self, ex2):
+        zero = StructureTensor.from_entries(2, {})
         for case in (CoboundaryCase.RIGHT_1, CoboundaryCase.RIGHT_4):
-            assert coboundary_cocommutator(ex2, zeros(2, 2), case) == StructureTensor.zero(2)
+            assert coboundary_cocommutator(ex2, zeros(2, 2), case) == zero
 
     def test_trivial_cases_yield_zero(self, ex2):
         r = mat([[5, 7], [11, 13]])
-        assert coboundary_cocommutator(ex2, r, CoboundaryCase.TRIVIAL_2) == StructureTensor.zero(2)
-        assert coboundary_cocommutator(ex2, r, CoboundaryCase.TRIVIAL_3) == StructureTensor.zero(2)
+        zero = StructureTensor.from_entries(2, {})
+        assert coboundary_cocommutator(ex2, r, CoboundaryCase.TRIVIAL_2) == zero
+        assert coboundary_cocommutator(ex2, r, CoboundaryCase.TRIVIAL_3) == zero
 
     def test_chirality_guard(self, ex1):
         with pytest.raises(ChiralityError):
@@ -96,7 +104,7 @@ class TestCoboundaryCocommutator:
                         r = rand_matrix(rng, alg.dim)
                         ftilde = coboundary_cocommutator(alg, r, case)
                         res = cocycle_residual_tensor(alg.tensor, ftilde, case.form)
-                        assert first_nonzero(res) is None
+                        assert first_nonzero(sparse4(res)) is None
 
 
 class TestDualBracketFromR:
@@ -112,7 +120,8 @@ class TestDualBracketFromR:
         assert out == EX1_FAMILIES[0].member(2, [F(1)])
 
     def test_zero_r(self, ex4):
-        assert dual_bracket_from_r(ex4, zeros(3, 3), Side.RIGHT) == StructureTensor.zero(3)
+        zero = StructureTensor.from_entries(3, {})
+        assert dual_bracket_from_r(ex4, zeros(3, 3), Side.RIGHT) == zero
 
     def test_route_equivalence_random(self, corpus_algebras):
         rng = random.Random(47)
@@ -217,7 +226,7 @@ class TestSolveRMatrix:
                         assert coboundary_cocommutator(alg, member, case) == ftilde
 
     def test_trivial_case_semantics(self, ex2):
-        assert solve_rmatrix(ex2, StructureTensor.zero(2), CoboundaryCase.TRIVIAL_2)
+        assert solve_rmatrix(ex2, StructureTensor.from_entries(2, {}), CoboundaryCase.TRIVIAL_2)
         nonzero = StructureTensor.from_entries(2, {(1, 1, 1): 1})
         assert solve_rmatrix(ex2, nonzero, CoboundaryCase.TRIVIAL_2) is None
 
@@ -234,13 +243,14 @@ class TestSchouten:
 
     def test_example3_right_single_component(self, ex3):
         s = schouten(ex3, mat([[0, 1], [0, 0]]), Side.RIGHT)
-        assert s.entries[1][1][1] == F(1)
+        assert grid3(s.entries, 2)[1][1][1] == F(1)
         nonzero = [
             (m, n, p)
             for m, n, p in itertools.product(range(2), repeat=3)
-            if s.entries[m][n][p] != 0
+            if grid3(s.entries, 2)[m][n][p] != 0
         ]
         assert nonzero == [(1, 1, 1)]
+        assert s.entries == (((2, 2, 2), F(1)),)
 
     def test_zero_r(self, ex2):
         assert schouten(ex2, zeros(2, 2), Side.RIGHT).is_zero()
@@ -257,9 +267,10 @@ class TestTripleProducts:
         assert (p1.which, p2.which, p3.which) == ("r12r13", "r12r23", "r13r23")
         s = schouten_dense(ex3, r, Side.RIGHT)
         n = 2
+        p1, p2 = grid3(p1.entries, n), grid3(p2.entries, n)
         total = tuple(
             tuple(
-                tuple(p1.entries[a][b][c] + p2.entries[a][b][c] for c in range(n))
+                tuple(p1[a][b][c] + p2[a][b][c] for c in range(n))
                 for b in range(n)
             )
             for a in range(n)
@@ -271,12 +282,14 @@ class TestTripleProducts:
         p1, p2, p3 = triple_products(ex1, r, Side.LEFT)
         assert (p1.which, p2.which, p3.which) == ("r21r31", "r21r32", "r31r32")
         n = 2
+        p1, p2 = grid3(p1.entries, n), grid3(p2.entries, n)
         for a, b, c in itertools.product(range(n), repeat=3):
-            assert p1.entries[a][b][c] + p2.entries[a][b][c] == 0
+            assert p1[a][b][c] + p2[a][b][c] == 0
 
     def test_zero_r(self, ex4):
         for p in triple_products(ex4, zeros(3, 3), Side.RIGHT):
-            assert all(v == 0 for x in p.entries for y in x for v in y)
+            assert all(v == 0 for x in grid3(p.entries, 3) for y in x for v in y)
+            assert p.entries == ()
 
     def test_decomposition_random(self, corpus_algebras):
         rng = random.Random(59)
@@ -287,11 +300,9 @@ class TestTripleProducts:
                     p1, p2, _ = triple_products(alg, r, side)
                     s = schouten_dense(alg, r, side)
                     n = alg.dim
+                    p1, p2 = grid3(p1.entries, n), grid3(p2.entries, n)
                     for a, b, c in itertools.product(range(n), repeat=3):
-                        assert (
-                            p1.entries[a][b][c] + p2.entries[a][b][c]
-                            == s[a][b][c]
-                        )
+                        assert p1[a][b][c] + p2[a][b][c] == s[a][b][c]
 
 
 def sparse_matrix(rng, n):
@@ -309,19 +320,21 @@ class TestDenseOracles:
         nf4 = StructureTensor.from_entries(4, {(1, i, i + 1): 1 for i in (1, 2, 3)})
         algebras = list(corpus_algebras.values()) + [
             LeibnizAlgebra.analyze(t)
-            for t in (nf4, nf4.opposite(), StructureTensor.zero(3))
+            for t in (nf4, opposite(nf4), StructureTensor.from_entries(3, {}))
         ]
         rng = random.Random(71)
         for alg in algebras:
             for side, _ in sides_with_cases(alg):
                 for r in (rand_matrix(rng, alg.dim), sparse_matrix(rng, alg.dim)):
+                    n = alg.dim
                     s = schouten(alg, r, side)
-                    assert s.entries == schouten_dense(alg, r, side)
+                    assert grid3(s.entries, n) == schouten_dense(alg, r, side)
                     assert tuple(
-                        p.entries for p in triple_products(alg, r, side)
+                        grid3(p.entries, n) for p in triple_products(alg, r, side)
                     ) == triple_products_dense(alg, r, side)
                     gybe = gybe_residual(alg, r, side)
-                    assert gybe == gybe_residual_dense(alg, r, side)
+                    assert grid4(gybe, n) == gybe_residual_dense(alg, r, side)
+                    assert all(gybe.values())  # nonzero components only
                     assert dual_bracket_from_r(alg, r, side) == dual_bracket_by_units(
                         alg, r, side
                     )
@@ -347,7 +360,8 @@ class TestYangBaxter:
 
     def test_gybe_zero_r(self, ex2):
         res = gybe_residual(ex2, zeros(2, 2), Side.RIGHT)
-        assert all(v == 0 for a in res for b in a for c in b for v in c)
+        assert all(v == 0 for a in grid4(res, 2) for b in a for c in b for v in c)
+        assert res == {}
 
 
 class TestDefectIdentity:
@@ -368,3 +382,33 @@ class TestDefectIdentity:
             for side, _ in sides_with_cases(alg):
                 for _ in range(10):
                     assert crosscheck_dual_defect(alg, rand_matrix(rng, alg.dim), side)
+
+    def test_null_filiform_both_sides(self):
+        nf4 = StructureTensor.from_entries(4, {(1, i, i + 1): 1 for i in (1, 2, 3)})
+        rng = random.Random(73)
+        for t, side in ((nf4, Side.LEFT), (opposite(nf4), Side.RIGHT)):
+            alg = LeibnizAlgebra.analyze(t)
+            for _ in range(5):
+                r = rand_matrix(rng, 4)
+                assert gybe_residual(alg, r, side)  # both sides of the identity nonzero
+                assert crosscheck_dual_defect(alg, r, side)
+
+
+def test_cancelling_terms_leave_no_zero_component():
+    # NF_3 in a basis where all 27 bracket entries are nonzero: with this r,
+    # 18 components of the generalized Yang-Baxter residual gain terms that
+    # cancel exactly, and the results must not keep them.
+    table = _in_basis({(1, 1, 2): 1, (1, 2, 3): 1}, DENSE_BASIS)
+    alg = LeibnizAlgebra.analyze(StructureTensor.from_entries(3, table))
+    r = mat([[-1, 1, -1], [0, 0, 1], [-1, -1, 1]])
+    gybe = gybe_residual(alg, r, Side.LEFT)
+    assert grid4(gybe, 3) == gybe_residual_dense(alg, r, Side.LEFT)
+    assert gybe and all(gybe.values())
+    s = schouten(alg, r, Side.LEFT)
+    assert grid3(s.entries, 3) == schouten_dense(alg, r, Side.LEFT)
+    dense = triple_products_dense(alg, r, Side.LEFT)
+    for p, want in zip(triple_products(alg, r, Side.LEFT), dense):
+        assert grid3(p.entries, 3) == want
+    for entries in [s.entries] + [p.entries for p in triple_products(alg, r, Side.LEFT)]:
+        assert all(v for _, v in entries)
+    assert crosscheck_dual_defect(alg, r, Side.LEFT)
