@@ -5,7 +5,12 @@ coboundaries, written over the action operators of ``actions``: it gives
 ``coboundary0/1`` on cochains, the rows of ``solver.cocycle_system`` (minus
 the degree-1 coboundary of the cochain X_k -> sum ftilde(a, b, k) X_a (x)
 X_b) and the term table of ``rmatrix._cocommutator_terms`` (the degree-0
-coboundary of r).
+coboundary of r).  Its coefficients are integers over one common
+denominator, the lcm of the bracket's denominators, taken from integer
+copies of the action operators that are built once per tensor and case.
+Its readers sum the integers (the cocycle rows) or multiply them into the
+rational cochain values, and divide by the denominator once per value, not
+once per term.
 
 Those are the degrees the bialgebra constructions use.  The degree-2
 coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
@@ -14,7 +19,10 @@ action case, is a test oracle in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from .actions import ActionCase, action_operators, to_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
@@ -69,7 +77,7 @@ def _terms(rows, L, R, side: Side, point):
     """The coboundary at the basis arguments ``point`` (0-based; its length
     is the degree plus one) as terms (scalar, operator, arguments): the sum
     of scalar * operator(w(arguments)), None standing for the identity.
-    ``rows`` is ``core.bracket_rows`` of the bracket."""
+    ``rows`` holds the bracket as ``core.bracket_rows`` does."""
     if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
         (x,) = point
         return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
@@ -79,26 +87,50 @@ def _terms(rows, L, R, side: Side, point):
     return [(1, L[x], (y,)), (1, R[y], (x,))] + minus_w_of_bracket
 
 
-def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
-    """The coboundary of degree 0 or 1 as a sparse linear map.
+@functools.lru_cache(maxsize=32)
+def _integer_tables(t: StructureTensor, case: ActionCase):
+    """The action operators of both sides (``actions.action_operators``) and
+    the bracket rows (``core.bracket_rows``) of t with integer coefficients
+    over den, the lcm of the denominators of t: (den, L, R, rows).  Built
+    once per tensor and case and shared; callers must not mutate them."""
+    den = lcm(*(v.denominator for _, v in t.items()))
 
-    Yields (point, q, arguments, p, c), 0-based: component q = m*n + n' of
-    the value at the basis arguments ``point`` gains c times component p of
-    the cochain's value at ``arguments``.  No chirality check.
+    def numerators(pairs):
+        return {key: c.numerator * (den // c.denominator) for key, c in pairs}
+
+    L, R = (
+        [[numerators(col.items()) for col in op] for op in action_operators(t, case, side)]
+        for side in (Side.LEFT, Side.RIGHT)
+    )
+    rows = {xy: list(numerators(line).items()) for xy, line in bracket_rows(t).items()}
+    return den, L, R, rows
+
+
+def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
+    """The coboundary of degree 0 or 1 as a sparse linear map with integer
+    coefficients over one common denominator.
+
+    Returns (den, terms), den the lcm of the denominators of t.  ``terms``
+    yields (point, q, arguments, p, c), 0-based, c a nonzero integer:
+    component q = m*n + n' of the value at the basis arguments ``point``
+    gains c/den times component p of the cochain's value at ``arguments``.
+    No chirality check.
     """
     n = t.dim
-    L = action_operators(t, case, Side.LEFT)
-    R = action_operators(t, case, Side.RIGHT)
-    rows = bracket_rows(t)
-    for point in itertools.product(range(n), repeat=degree + 1):
-        for s, op, args in _terms(rows, L, R, side, point):
-            if op is None:
-                for q in range(n * n):
-                    yield point, q, args, q, s
-            else:
-                for p, col in enumerate(op):
-                    for q, c in col.items():
-                        yield point, q, args, p, s * c
+    den, L, R, rows = _integer_tables(t, case)
+
+    def terms():
+        for point in itertools.product(range(n), repeat=degree + 1):
+            for s, op, args in _terms(rows, L, R, side, point):
+                if op is None:
+                    for q in range(n * n):
+                        yield point, q, args, q, s
+                else:
+                    for p, col in enumerate(op):
+                        for q, c in col.items():
+                            yield point, q, args, p, s * c
+
+    return den, terms()
 
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
@@ -113,8 +145,9 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
     case.require(alg)
     if not shape_ok:
         raise DimensionError("tensor-square element has wrong shape")
+    den, terms = coboundary_entries(alg.tensor, case, side, degree)
     out = {}
-    for point, q, args, p, c in coboundary_entries(alg.tensor, case, side, degree):
+    for point, q, args, p, c in terms:
         v = values
         for a in args:
             v = v[a]
@@ -125,7 +158,7 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
 
     def nest(point):
         if len(point) > degree:
-            return to_matrix(out.get(point, {}), n)
+            return to_matrix({q: Fraction(x, den) for q, x in out.get(point, {}).items() if x}, n)
         return tuple(nest(point + (k,)) for k in range(n))
 
     return CochainMap(n, degree + 1, nest(()))

@@ -12,8 +12,8 @@ the lcm of its denominators and works on integer rows (dicts {column: int})
 from then on: a reduction step cross-multiplies two rows, a*v - b*p, and
 divides the result by its content (the gcd of its entries), which keeps the
 integers small.  ``Fraction``s appear only on output, one per entry of a
-reduced row.  ``sparse_rows`` likewise sums integer numerators over one
-common denominator.
+reduced row.  ``sparse_rows`` likewise takes integer numerators over one
+common denominator and sums them as integers.
 """
 
 from __future__ import annotations
@@ -61,19 +61,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def sparse_rows(entries, nrows: int) -> tuple[Row, ...]:
-    """Sparse rows from (row, column, coefficient) triples; coefficients at
-    one position add up, and positions that sum to zero are dropped.
+def sparse_rows(entries, nrows: int, den: int) -> tuple[Row, ...]:
+    """Sparse rows from (row, column, numerator) triples of integer
+    numerators over the common denominator ``den``; numerators at one
+    position add up, and positions that sum to zero are dropped.
 
-    The sums run on integer numerators over the lcm of all denominators, so
-    one ``Fraction`` is built per nonzero entry, not one per term.
+    One ``Fraction`` is built per nonzero entry, not one per term.
     """
-    entries = list(entries)
-    den = lcm(*(v.denominator for _, _, v in entries))
     acc: list[dict] = [{} for _ in range(nrows)]
-    for r, c, v in entries:
+    for r, c, x in entries:
         row = acc[r]
-        row[c] = row.get(c, 0) + v.numerator * (den // v.denominator)
+        row[c] = row.get(c, 0) + x
     return tuple(
         tuple((c, Fraction(x, den)) for c, x in sorted(d.items()) if x) for d in acc
     )

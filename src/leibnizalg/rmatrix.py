@@ -146,15 +146,15 @@ def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
     case has no terms, since only the zero cocommutator is a coboundary
     there.
 
-    Yields ((a, b, m), (i, j), c), 0-based, for every nonzero coefficient c
-    of delta(r)[a][b][m] = sum c * r[i][j].
+    Returns (den, terms), with integer coefficients over the common
+    denominator den: ``terms`` yields ((a, b, m), (i, j), c), 0-based, for
+    every nonzero integer c of delta(r)[a][b][m] = sum c/den * r[i][j].
     """
     if case.trivial:
-        return
+        return 1, ()
     n = alg.dim
-    entries = coboundary_entries(alg.tensor, ActionCase(case.form), case.required_side, 0)
-    for (m,), q, _, p, c in entries:
-        yield (q // n, q % n, m), divmod(p, n), c
+    den, entries = coboundary_entries(alg.tensor, ActionCase(case.form), case.required_side, 0)
+    return den, (((q // n, q % n, m), divmod(p, n), c) for (m,), q, _, p, c in entries)
 
 
 def coboundary_cocommutator(
@@ -163,8 +163,10 @@ def coboundary_cocommutator(
     """Dual bracket table induced by r under the chosen coboundary case."""
     _require(alg, case)
     r = _check_r(alg, r)
+    den, terms = _cocommutator_terms(alg, case)
+    r = [[x / den for x in row] for row in r]
     out = {}
-    for (a, b, m), (i, j), c in _cocommutator_terms(alg, case):
+    for (a, b, m), (i, j), c in terms:
         key = (a + 1, b + 1, m + 1)
         out[key] = out.get(key, 0) + c * r[i][j]
     return StructureTensor.from_entries(alg.dim, out)
@@ -234,10 +236,11 @@ def solve_rmatrix(
         raise DimensionError("dual tensor dimension does not match the algebra")
     n = alg.dim
     # Unknowns r[i][j] flattened as i*n + j; one equation per (m, a, b).
+    den, terms = _cocommutator_terms(alg, case)
     rows = sparse_rows(
-        (((m * n + a) * n + b, i * n + j, c)
-         for (a, b, m), (i, j), c in _cocommutator_terms(alg, case)),
+        (((m * n + a) * n + b, i * n + j, c) for (a, b, m), (i, j), c in terms),
         n ** 3,
+        den,
     )
     rhs = [Fraction(0)] * n ** 3
     for (a, b, m), v in ftilde.items():

@@ -13,6 +13,14 @@ solver handles the linear stage exactly and exposes the quadratic stage as
 polynomials in the family parameters; it never attempts to solve the
 quadratic variety.
 
+Both stages run on integers over one common denominator and build no
+``Fraction`` per term.  The cocycle rows sum the integer coboundary
+coefficients into ``linalg.sparse_rows``, which builds one ``Fraction`` per
+nonzero entry for ``rref``.  The quadratic stage scales the family's basis
+to integers, accumulates each coefficient of t_u*t_v under the integer key
+u*d + v, and hands every component to ``Poly`` as sorted monomials with
+integer numerators over the square of that scale.
+
 Column contract: the unknown dual entries are flattened in lexicographic
 (m, n, k) order, 1-based, and parameters are named t1..td in the order of
 the free columns.
@@ -112,10 +120,11 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
         raise DimensionError(f"unknown form {form}")
     n = t.dim
     # the degree-1 coboundary has one formula on both complexes
-    entries = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
+    den, entries = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
     rows = sparse_rows(
         (((i * n + j) * n * n + q, p * n + k, -c) for (i, j), q, (k,), p, c in entries),
         n ** 4,
+        den,
     )
     provenance = tuple(
         (i + 1, j + 1, m + 1, ncol + 1)
@@ -181,14 +190,15 @@ class QuadraticResidual(Frozen):
 
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     """Quadratic polynomials whose simultaneous vanishing marks the members
-    of the family whose bracket satisfies the requested identity.
+    of the family whose bracket satisfies the requested identity; every
+    polynomial is integer numerators over the same denominator.
 
     An empty family (trivial kernel) has nothing to constrain and gets an
     empty polynomial list.
     """
     if not family.basis:
         return QuadraticResidual(side, (), (), ())
-    n = family.dim
+    n, d = family.dim, len(family.basis)
     # integer coefficients over a common denominator, so the products below
     # need no Fraction arithmetic
     entries = [
@@ -200,17 +210,25 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     forms = {}  # entry (i, j, k), 0-based -> linear form {parameter: coefficient}
     for e, p, v in entries:
         forms.setdefault(e, {})[p] = v.numerator * (scale // v.denominator)
+    # component -> {u*d + v: coefficient of t_u*t_v}, u <= v
     quad = {}
     for c, s, a, b in leibniz_terms(forms, side):
-        terms = quad.setdefault(c, {})
+        terms = quad.get(c)
+        if terms is None:
+            terms = quad[c] = {}
+        second = forms[b].items()
         for u, x in forms[a].items():
-            for v, y in forms[b].items():
-                mono = (u, v) if u <= v else (v, u)
-                terms[mono] = terms.get(mono, 0) + s * x * y
+            x *= s
+            for v, y in second:
+                key = u * d + v if u <= v else v * d + u
+                terms[key] = terms.get(key, 0) + x * y
     components = tuple(itertools.product(range(n), repeat=4))
     den = scale * scale
+    # the key u*d + v with u <= v is the monomial (u, v); sorted keys are
+    # monomials in ascending order
     polys = tuple(
-        Poly({m: Fraction(x, den) for m, x in quad.get(c, {}).items() if x}) for c in components
+        Poly({divmod(key, d): x for key, x in sorted(quad.get(c, {}).items()) if x}, den)
+        for c in components
     )
     provenance = tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
     return QuadraticResidual(side, family.parameters, polys, provenance)

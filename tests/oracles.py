@@ -227,8 +227,13 @@ def bracket(t: StructureTensor, x, y):
     y = tuple(frac(v) for v in y)
     if len(x) != n or len(y) != n:
         raise DimensionError("coordinate vectors must have length dim")
+    return _grid_bracket(dense(t), x, y)
+
+
+def _grid_bracket(f, x, y):
+    """Coordinates of [x, y] on the dense grid ``f`` of a bracket table."""
+    n = len(f)
     out = [Fraction(0)] * n
-    f = dense(t)
     for i, j in itertools.product(range(n), repeat=2):
         if x[i] and y[j]:
             c = x[i] * y[j]
@@ -281,7 +286,7 @@ def evaluate_quadratic(quadratic, assignment):
     for poly in quadratic.polynomials:
         total = Fraction(0)
         for mono, coeff in poly.terms.items():
-            prod = coeff
+            prod = Fraction(coeff, poly.den)
             for ix in mono:
                 prod *= vals[ix]
             total += prod
@@ -411,9 +416,10 @@ def leibniz_residual_by_brackets(t: StructureTensor, side: Side):
     """Defect of the Leibniz identity on (X_i, X_j, X_k), as [i][j][k][m]."""
     n = t.dim
     e = [tuple(Fraction(a == b) for a in range(n)) for b in range(n)]
+    f = dense(t)
 
     def br(x, y):
-        return bracket(t, x, y)
+        return _grid_bracket(f, x, y)
 
     def defect(x, y, z):
         if side is Side.RIGHT:  # [[Y,Z],X] - [[Y,X],Z] - [Y,[Z,X]]

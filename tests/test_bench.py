@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from leibnizalg import LeibnizAlgebra, StructureTensor, scenario, scenario_sweep
-from leibnizalg.solver import assemble_cocycle_system
+from leibnizalg import LeibnizAlgebra, Side, StructureTensor, scenario, scenario_sweep
+from leibnizalg.solver import assemble_cocycle_system, dual_leibniz_residual, nullspace
 
 from oracles import cocycle_residual_matrix, quadratic_by_polarization
+from test_cli import HALVES_THIRDS_BASIS, _in_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -66,12 +67,27 @@ def test_assemble_counts(tracing, corpus_algebras):
 
 
 def test_quadratic_counts(tracing, corpus_algebras):
+    # the corpus, the full family of ab_3 (all 27 dual entries free) under
+    # both sides, and NF_4 in a basis with halves and thirds, whose
+    # polynomials are numerators over a common denominator above 1
+    nf4 = StructureTensor.from_entries(
+        4, _in_basis({(1, i, i + 1): 1 for i in (1, 2, 3)}, HALVES_THIRDS_BASIS)
+    )
+    algebras = [*corpus_algebras.values(), LeibnizAlgebra.analyze(nf4)]
+    cases = [
+        (entry.family, entry.quadratic)
+        for alg in algebras
+        for entry in scenario_sweep(alg).values()
+    ]
+    ab3 = LeibnizAlgebra.analyze(StructureTensor.from_entries(3, {}))
+    full = nullspace(assemble_cocycle_system(ab3, scenario("lr-1-r")))
+    assert len(full) == 27
+    cases += [(full, dual_leibniz_residual(full, side)) for side in Side]
+    assert any(quad.polynomials[0].den > 1 for _, quad in cases)
     total = 0
-    for alg in corpus_algebras.values():
-        for entry in scenario_sweep(alg).values():
-            quad = entry.quadratic
-            counts = tracing.counts([tracing.Span("poly.quadratic", 0.0, result=quad)])
-            want = quadratic_by_polarization(entry.family, quad.side)
-            assert counts["poly.terms"] == sum(len(terms) for terms in want)
-            total += counts["poly.terms"]
+    for family, quad in cases:
+        counts = tracing.counts([tracing.Span("poly.quadratic", 0.0, result=quad)])
+        want = quadratic_by_polarization(family, quad.side)
+        assert counts["poly.terms"] == sum(len(terms) for terms in want)
+        total += counts["poly.terms"]
     assert total > 0

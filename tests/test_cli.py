@@ -360,13 +360,15 @@ def test_report_bytes_pinned_at_dimension_6(tmp_path, capsys, name):
 # integer matrix of determinant 3 in which every one of the 27 bracket
 # entries is nonzero, and thirds appear, so every row of every cocycle system
 # is nonzero and carries fractions: the dense case of the eliminator.
+# Two more inputs pin the quadratic stage's integer numerators and common
+# denominator.  ab_3 (every bracket zero) has full kernels in all six
+# scenarios, so every parameter appears and every coefficient is an integer.
+# NF_4 rewritten in the basis HALVES_THIRDS_BASIS (determinant -6, all 64
+# bracket entries nonzero) has halves and thirds in its kernels: the common
+# denominator of the quadratic stage is 12 under forms 1 and 4 and 54 under
+# form 3, and coefficients such as 22/9 are reduced from it.
 DENSE_BASIS = ((2, -1, 1), (-1, -1, 1), (0, -1, 0))
-DENSE_DUALS_DIGESTS = {
-    "NF_3": ({(1, 1, 2): 1, (1, 2, 3): 1},
-             "eb0293ce67f660bd31b333c107bbf4e122f7527f478cd1dbaf5bec015e1c1d8d"),
-    "NF_3^op": ({(1, 1, 2): 1, (2, 1, 3): 1},
-                "f7c6530115bc5aaa3327f549d3cde5d2f957993f37864afa78ceb054bbd5c5ee"),
-}
+HALVES_THIRDS_BASIS = ((-1, -2, 1, 2), (1, 1, -2, -2), (1, 2, 2, -1), (-1, -1, -1, -1))
 
 
 def _in_basis(table, g):
@@ -385,13 +387,23 @@ def _in_basis(table, g):
     return out
 
 
+DENSE_DUALS_DIGESTS = {
+    "NF_3": (3, _in_basis({(1, 1, 2): 1, (1, 2, 3): 1}, DENSE_BASIS),
+             "eb0293ce67f660bd31b333c107bbf4e122f7527f478cd1dbaf5bec015e1c1d8d"),
+    "NF_3^op": (3, _in_basis({(1, 1, 2): 1, (2, 1, 3): 1}, DENSE_BASIS),
+                "f7c6530115bc5aaa3327f549d3cde5d2f957993f37864afa78ceb054bbd5c5ee"),
+    "NF_4": (4, _in_basis({(1, i, i + 1): 1 for i in (1, 2, 3)}, HALVES_THIRDS_BASIS),
+             "58998b18e3679e7f7b3cff0ff3c2f114bfca16e5d597511331a609837e171961"),
+    "ab_3": (3, {}, "cda1e0e14ae6122c9e1a0ce86c285de98726d58eb6b7bcd78a5097d4c633a4a0"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(DENSE_DUALS_DIGESTS))
 def test_dense_duals_bytes_pinned(tmp_path, capsys, name):
-    table, digest = DENSE_DUALS_DIGESTS[name]
+    dim, table, digest = DENSE_DUALS_DIGESTS[name]
     path = tmp_path / "dense.leib"
-    entries = "".join(f"f {i} {j} {k} = {v}\n"
-                      for (i, j, k), v in _in_basis(table, DENSE_BASIS).items())
-    path.write_text(f"name: {name}\ndim: 3\n" + entries)
+    entries = "".join(f"f {i} {j} {k} = {v}\n" for (i, j, k), v in table.items())
+    path.write_text(f"name: {name}\ndim: {dim}\n" + entries)
     code, out, _ = run(capsys, "duals", str(path), "--scenario", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

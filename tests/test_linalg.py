@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,11 +20,20 @@ from oracles import dense_kernel_basis, dense_rref, dense_solve_affine, mat_vec
 F = Fraction
 
 
+def over_common_denominator(entries):
+    """(row, column, value) triples as integer numerators over the lcm of
+    their denominators, the input form of ``sparse_rows``."""
+    entries = [(r, c, F(x)) for r, c, x in entries]
+    den = lcm(*(x.denominator for _, _, x in entries))
+    return [(r, c, x.numerator * (den // x.denominator)) for r, c, x in entries], den
+
+
 def sparse(a):
     """The sparse rows of a dense matrix."""
-    return sparse_rows(
-        ((r, c, x) for r, row in enumerate(a) for c, x in enumerate(row)), len(a)
+    entries, den = over_common_denominator(
+        (r, c, x) for r, row in enumerate(a) for c, x in enumerate(row)
     )
+    return sparse_rows(entries, len(a), den)
 
 
 def test_sparse_rows_sum_sort_and_drop_zeros():
@@ -38,7 +48,8 @@ def test_sparse_rows_sum_sort_and_drop_zeros():
         (2, 0, F(1, big[0])), (2, 0, F(-1, big[1])), (2, 1, F(5, big[2])),
         (2, 1, F(-5, big[2])), (2, 3, F(-7, big[0] * big[1])),
     ]
-    rows = sparse_rows(entries, 4)
+    numerators, den = over_common_denominator(entries)
+    rows = sparse_rows(numerators, 4, den)
     assert rows == (
         ((0, F(1, 2)),),
         ((0, F(-1, 3)), (1, F(3, 2))),
@@ -46,7 +57,12 @@ def test_sparse_rows_sum_sort_and_drop_zeros():
         (),
     )
     assert all(type(x) is F for row in rows for _, x in row)
-    assert sparse_rows((), 2) == ((), ())
+    assert sparse_rows((), 2, 1) == ((), ())
+    # the denominator divides out: numerators over 6 reduce per entry
+    assert sparse_rows([(0, 1, 3), (0, 0, -4), (1, 1, 6)], 2, 6) == (
+        ((0, F(-2, 3)), (1, F(1, 2))),
+        ((1, F(1)),),
+    )
 
 
 def test_rref_pivots_and_normalization():

@@ -14,7 +14,9 @@ from leibnizalg import (
 from leibnizalg.poly import Poly
 from leibnizalg.solver import (
     SCENARIOS,
+    DualFamily,
     assemble_cocycle_system,
+    cocycle_system,
     dual_leibniz_residual,
     nullspace,
     unflatten_tensor,
@@ -36,6 +38,7 @@ from oracles import (
     quadratic_by_polarization,
     verify_bialgebra,
 )
+from test_cli import DENSE_BASIS, _in_basis
 
 F = Fraction
 
@@ -88,21 +91,35 @@ class TestScenarioTable:
 class TestAssemble:
     def test_rows_encode_the_residual(self, corpus_algebras):
         rng = random.Random(5)
-        for alg in corpus_algebras.values():
-            for sc in SCENARIOS:
-                if not sc.compatible(alg):
-                    continue
-                system = assemble_cocycle_system(alg, sc)
-                assert len(system.matrix) == alg.dim ** 4
-                g = rand_tensor(rng, alg.dim)
-                applied = apply_system(system, g)
-                # the adjoint-matrix route shares no code with the rows
-                grid = cocycle_residual_matrix(alg.tensor, g, sc.form)
-                oracle = [
-                    -grid[m - 1][n - 1][i - 1][j - 1]
-                    for (i, j, m, n) in system.row_provenance
-                ]
-                assert list(applied) == oracle
+        cases = [
+            (alg.tensor, assemble_cocycle_system(alg, sc))
+            for alg in corpus_algebras.values()
+            for sc in SCENARIOS
+            if sc.compatible(alg)
+        ]
+        # NF_3 and NF_3^op in a basis with thirds, under all four forms:
+        # every row is nonzero and the coefficients have denominators, so the
+        # sign and the common denominator of every coboundary term count
+        nf3 = StructureTensor.from_entries(
+            3, _in_basis({(1, 1, 2): 1, (1, 2, 3): 1}, DENSE_BASIS)
+        )
+        for t in (nf3, opposite(nf3)):
+            assert any(v.denominator > 1 for _, v in t.items())
+            for form in (1, 2, 3, 4):
+                system = cocycle_system(t, form)
+                assert all(system.matrix)
+                cases.append((t, system))
+        for t, system in cases:
+            assert len(system.matrix) == t.dim ** 4
+            g = rand_tensor(rng, t.dim)
+            applied = apply_system(system, g)
+            # the adjoint-matrix route shares no code with the rows
+            grid = cocycle_residual_matrix(t, g, system.form)
+            oracle = [
+                -grid[m - 1][n - 1][i - 1][j - 1]
+                for (i, j, m, n) in system.row_provenance
+            ]
+            assert list(applied) == oracle
 
     def test_zero_algebra_gives_zero_matrix(self, zero2):
         for sc in SCENARIOS:
@@ -181,9 +198,19 @@ class TestNullspace:
 
 class TestQuadraticResidual:
     def test_repr_names_every_parameter(self):
-        assert repr(Poly({(63,): F(1)})) == "Poly(t64)"
-        assert repr(Poly({(0, 63): F(1), (): F(-2)})) == "Poly(-2 + t1*t64)"
+        assert repr(Poly({(63,): 1})) == "Poly(t64)"
+        assert repr(Poly({(0, 63): 1, (): -2})) == "Poly(-2 + t1*t64)"
         assert repr(Poly()) == "Poly(0)"
+
+    def test_render_reduces_each_coefficient(self):
+        names = ["t1", "t2", "t3"]
+        # numerators over 12: -6/12 = -1/2 leads, 12/12 = 1 and 24/12 = 2
+        # reduce to integers, 8/12 = 2/3 and -9/12 = -3/4 keep a denominator
+        poly = Poly({(0, 2): 24, (1,): 8, (): -6, (0, 0): -9, (2,): 12, (1, 1): 7}, 12)
+        assert poly.render(names) == "-1/2 + 2/3*t2 + t3 - 3/4*t1*t1 + 2*t1*t3 + 7/12*t2*t2"
+        assert Poly({(1, 2): -12}, 12).render(names) == "-t2*t3"
+        assert Poly({(): 5}, 5).render(names) == "1"
+        assert Poly({(0,): -4, (): 3}, 1).render(names) == "3 - 4*t1"
 
     def test_family1_identically_left(self):
         quad = dual_leibniz_residual(EX1_FAMILIES[0].family(2), Side.LEFT)
@@ -226,7 +253,37 @@ class TestQuadraticResidual:
             assert family.basis
             got = dual_leibniz_residual(family, side)
             want = quadratic_by_polarization(family, side)
-            assert [p.terms for p in got.polynomials] == want
+            assert [
+                {mono: F(x, p.den) for mono, x in p.terms.items()} for p in got.polynomials
+            ] == want
+
+    def test_opposite_family_mirrors_components(self, corpus_algebras):
+        # L_{f^op}(X, Y, Z) = R_f(X, Z, Y): component (i, j, k, m) of the
+        # left-handed residual of the opposite family is component
+        # (i, k, j, m) of the right-handed residual of the family, and the
+        # same holds with the sides swapped
+        nf4 = StructureTensor.from_entries(4, {(1, i, i + 1): 1 for i in (1, 2, 3)})
+        algebras = [*corpus_algebras.values()]
+        algebras += [LeibnizAlgebra.analyze(t) for t in (nf4, opposite(nf4))]
+        families = [entry.family for alg in algebras for entry in scenario_sweep(alg).values()]
+        for n in (2, 3):
+            zero = LeibnizAlgebra.analyze(StructureTensor.from_entries(n, {}))
+            families.append(nullspace(assemble_cocycle_system(zero, scenario("lr-1-r"))))
+        assert len(families) == 28
+        nonzero = 0
+        for family in families:
+            mirror = DualFamily(
+                family.dim, tuple(opposite(b) for b in family.basis), family.parameters
+            )
+            for side, other in ((Side.LEFT, Side.RIGHT), (Side.RIGHT, Side.LEFT)):
+                got = dual_leibniz_residual(mirror, side)
+                want = dual_leibniz_residual(family, other)
+                by_component = dict(zip(want.provenance, want.polynomials))
+                nonzero += not want.is_identically_zero()
+                for (i, j, k, m), p in zip(got.provenance, got.polynomials):
+                    q = by_component[i, k, j, m]
+                    assert (p.terms, p.den) == (q.terms, q.den)
+        assert nonzero > 28
 
     def test_generic_quadratic_system_detects_non_leibniz(self, zero2):
         system = assemble_cocycle_system(zero2, scenario("lr-1-r"))
