@@ -471,3 +471,64 @@ def test_rmatrix_commands_bytes_pinned_at_dimension_6(tmp_path, capsys, name, co
     code, out, _ = run(capsys, command, str(alg), *args[command], "--format", "json")
     assert code == code_want
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Every command-line path that meets a missing handedness, and the commands
+# that still run on a `neither` algebra: argv (with {left} example1, {right}
+# example2, {neither} a two-dimensional `neither` tensor, {r} an r-matrix and
+# {claims_*} files whose declared side does not hold) -> (exit code, stdout
+# or the SHA-256 of a long stdout, stderr).
+CLAIMS = {
+    "claims_right": "dim: 2\nside: right\nf 1 1 2 = 1\nf 1 2 2 = 1\n",
+    "claims_left": "dim: 2\nside: left\nf 1 1 2 = 1\nf 2 1 2 = 1\n",
+    "claims_both": "dim: 2\nside: both\nf 1 1 2 = 1\nf 1 2 2 = 1\n",
+}
+HANDEDNESS = {
+    'duals {neither} --scenario lr-1-r': (2, '', 'error: scenario lr-1-r needs a any-handed algebra; got neither\n'),
+    'duals {neither} --scenario lr-4-l': (2, '', 'error: scenario lr-4-l needs a any-handed algebra; got neither\n'),
+    'duals {left} --scenario r-2-r': (2, '', 'error: scenario r-2-r needs a right-handed algebra; got left\n'),
+    'duals {left} --scenario r-2-l': (2, '', 'error: scenario r-2-l needs a right-handed algebra; got left\n'),
+    'duals {right} --scenario l-3-r': (2, '', 'error: scenario l-3-r needs a left-handed algebra; got right\n'),
+    'duals {right} --scenario l-3-l': (2, '', 'error: scenario l-3-l needs a left-handed algebra; got right\n'),
+    'duals {neither} --scenario r-2-r': (2, '', 'error: scenario r-2-r needs a right-handed algebra; got neither\n'),
+    'coboundary {left} --case right1 --r {r}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got left\n'),
+    'rmatrix {left} --case right1 --dual {left}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got left\n'),
+    'coboundary {left} --case right4 --r {r}': (2, '', 'error: coboundary case right4 needs a right-handed algebra; got left\n'),
+    'rmatrix {left} --case right4 --dual {left}': (2, '', 'error: coboundary case right4 needs a right-handed algebra; got left\n'),
+    'coboundary {right} --case left1 --r {r}': (2, '', 'error: coboundary case left1 needs a left-handed algebra; got right\n'),
+    'rmatrix {right} --case left1 --dual {right}': (2, '', 'error: coboundary case left1 needs a left-handed algebra; got right\n'),
+    'coboundary {right} --case left4 --r {r}': (2, '', 'error: coboundary case left4 needs a left-handed algebra; got right\n'),
+    'rmatrix {right} --case left4 --dual {right}': (2, '', 'error: coboundary case left4 needs a left-handed algebra; got right\n'),
+    'coboundary {neither} --case right1 --r {r}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got neither\n'),
+    'rmatrix {neither} --case right1 --dual {neither}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got neither\n'),
+    'ybe {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
+    'ybe {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
+    'ybe {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
+    'gybe {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
+    'gybe {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
+    'gybe {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
+    'schouten {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
+    'schouten {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
+    'schouten {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
+    'check {claims_right}': (1, '', "verification failed: declared side 'right' does not hold; tensor classifies as left\n"),
+    'check {claims_left}': (1, '', "verification failed: declared side 'left' does not hold; tensor classifies as right\n"),
+    'check {claims_both}': (1, '', "verification failed: declared side 'both' does not hold; tensor classifies as left\n"),
+    'actions {neither} --format text': (0, '', ''),
+    'duals {neither} --format text': (0, '', ''),
+    'actions {neither} --format json': (0, '{\n  "case1": {},\n  "case4": {}\n}\n', ''),
+    'duals {neither} --format json': (0, '{}\n', ''),
+    'report {neither} --seed 0': (1, 'sha256:865a2a51ae8db0ca8b8f64d92131f1bb54ea05824953242b5908cde2bb33db56', ''),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HANDEDNESS))
+def test_handedness_paths_pinned(corpus_files, tmp_path, capsys, argv):
+    files = {"left": corpus_files["example1"], "right": corpus_files["example2"]}
+    for name, text in {"neither": "dim: 2\nf 1 1 1 = 1\nf 1 1 2 = 1\nf 2 1 1 = 1\n",
+                       "r": "dim: 2\nr 1 2 = 1\nr 2 1 = -1\n", **CLAIMS}.items():
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv.split()))
+    if len(out) > 80:
+        out = "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, out, err) == HANDEDNESS[argv]
