@@ -18,6 +18,12 @@ turns it into one sparse operator per basis element; the module axioms
 here, the coboundaries of ``cohomology``, the compatibility rows of
 ``solver`` and delta(r) in ``rmatrix`` are all built from those operators.
 
+What a case needs is decided in one place: ``ActionCase.required_side``
+(case 2 a right-handed algebra, case 3 a left-handed one), from which
+``ActionCase.complexes`` derives the handednesses the case acts with on a
+given algebra.  The module-axiom sets checked here, the complexes of the
+report's selfcheck and the scenarios of ``solver`` all read it.
+
 Each case makes the tensor square a module over a compatible algebra, for
 the module-axiom set matching the case's handedness.  The verdict of each
 axiom is exposed so that claim is checkable rather than assumed.
@@ -26,8 +32,8 @@ the right-handed axiom set on right-compatible algebras and the left-handed
 set on left-compatible ones; case 2 satisfies the right-handed set only and
 case 3 the left-handed set only.  On a two-sided algebra the crossed sets
 (case 2 with the left-handed axioms, case 3 with the right-handed ones) do
-fail; the tests probe them through the ``sides`` argument of
-``_sparse_residuals``.
+fail; the library does not compute them, and the tests measure them through
+``tests/oracles.module_axiom_residuals``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import itertools
 from fractions import Fraction
 
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
-from .errors import ChiralityError
 from .linalg import Matrix
 
 # A sparse operator on the tensor square: one column dict per basis element
@@ -54,19 +59,31 @@ class ActionCase(enum.Enum):
 
     @property
     def required_side(self) -> Side | None:
+        """The handedness the case needs of the algebra; None for cases 1
+        and 4, which act with either.  The one table of what a case needs."""
         if self is ActionCase.CASE2:
             return Side.RIGHT
         if self is ActionCase.CASE3:
             return Side.LEFT
         return None
 
-    def require(self, alg: LeibnizAlgebra) -> None:
+    @property
+    def sides(self) -> tuple[Side, ...]:
+        """The handednesses the case acts with on a two-sided algebra: its
+        required side, or both."""
         need = self.required_side
-        if need is not None and not alg.admits(need):
-            raise ChiralityError(
-                f"action case {self.value} needs a {need.value}-handed algebra; "
-                f"got {alg.chirality.value}"
-            )
+        return (need,) if need else tuple(Side)
+
+    def complexes(self, alg: LeibnizAlgebra) -> tuple[Side, ...]:
+        """The handednesses, in ``Side`` order, of the complexes and
+        module-axiom sets the case has over ``alg``: those of ``sides`` that
+        ``alg`` admits.  Empty when there are none, as for cases 1 and 4 on
+        a ``neither`` algebra."""
+        return tuple(side for side in self.sides if alg.admits(side))
+
+    def require(self, alg: LeibnizAlgebra) -> None:
+        if self.required_side:
+            alg.require(f"action case {self.value}", self.required_side)
 
 
 # The one table of the four actions: the tensor factors (0 = first,
@@ -140,13 +157,12 @@ def lin(size: int, terms) -> Operator:
     return [{r: c for r, c in acc.items() if c} for acc in out]
 
 
-def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra, sides):
-    """Yields (label, defects): defects[x][y] is the axiom's defect on the
-    basis pair (X_x, X_y), 0-based, as a sparse operator."""
+def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra):
+    """Yields (label, defects) for the axiom sets of ``case.complexes``:
+    defects[x][y] is the axiom's defect on the basis pair (X_x, X_y),
+    0-based, as a sparse operator."""
     case.require(alg)
-    if sides is None:
-        need = case.required_side
-        sides = (need,) if need else tuple(s for s in Side if alg.admits(s))
+    sides = case.complexes(alg)
     n = alg.dim
     rows = bracket_rows(alg.tensor)
     L = action_operators(alg.tensor, case, Side.LEFT)
@@ -182,14 +198,4 @@ def _vanish(defects) -> bool:
 
 def axiom_report(case: ActionCase, alg: LeibnizAlgebra) -> dict[str, bool]:
     """Per-axiom verdicts for the case's claimed axiom sets."""
-    return {label: _vanish(d) for label, d in _sparse_residuals(case, alg, None)}
-
-
-def complex_compatible(case: ActionCase, side: Side) -> bool:
-    """Whether the case's actions form a complex for the given handedness.
-
-    Cases 1 and 4 pair with either complex; case 2 only with the
-    right-handed one and case 3 only with the left-handed one (the crossed
-    pairings fail the matching module axioms, see module notes).
-    """
-    return case.required_side in (None, side)
+    return {label: _vanish(d) for label, d in _sparse_residuals(case, alg)}

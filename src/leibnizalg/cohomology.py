@@ -15,6 +15,13 @@ once per term.
 Those are the degrees the bialgebra constructions use.  The degree-2
 coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
 action case, is a test oracle in ``tests/oracles.py``.
+
+A coboundary of handedness ``side`` under action case ``case`` needs an
+algebra that admits ``side`` (``LeibnizAlgebra.require``) and what the case
+needs (``ActionCase.require``).  The complexes proper are the sides of
+``ActionCase.complexes``; a crossed pairing (case 2 with the left-handed
+complex, case 3 with the right-handed one) on a two-sided algebra passes
+both checks and is computed all the same, but it is no complex (see below).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from math import lcm
 
 from .actions import ActionCase, action_operators, to_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
-from .errors import ChiralityError, DimensionError
+from .errors import DimensionError
 from .linalg import Matrix
 from .record import Frozen, set_field
 
@@ -35,7 +42,7 @@ from .record import Frozen, set_field
 # both composites d1 . d0 and d2 . d1 (d2 from tests/oracles.py)
 # vanish identically for cases 1 and 4 on either complex, for case 2 on the
 # right-handed complex and for case 3 on the left-handed complex
-# (``actions.complex_compatible``).  The crossed pairings (case 2 + left
+# (``ActionCase.complexes``).  The crossed pairings (case 2 + left
 # complex, case 3 + right complex) violate the matching module axioms on a
 # two-sided algebra and neither composite vanishes there.
 
@@ -63,14 +70,6 @@ class CochainMap(Frozen):
             return all(walk(c, depth - 1) for c in v)
 
         return walk(self.values, self.arity)
-
-
-def _check(alg: LeibnizAlgebra, side: Side) -> None:
-    if not alg.admits(side):
-        raise ChiralityError(
-            f"the {side.value}-handed complex needs a {side.value}-compatible "
-            f"algebra; got {alg.chirality.value}"
-        )
 
 
 def _terms(rows, L, R, side: Side, point):
@@ -134,7 +133,7 @@ def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree:
 
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
-    _check(alg, side)
+    alg.require(f"the {side.value}-handed complex", side)
     n = alg.dim
     if degree:
         if w.arity != degree:

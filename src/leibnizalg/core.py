@@ -184,11 +184,16 @@ class LeibnizAlgebra(Frozen):
     def admits(self, side: Side) -> bool:
         return self.chirality.admits(side)
 
-    def require(self, side: Side) -> None:
-        if not self.admits(side):
+    def require(self, operation: str, *sides: Side) -> None:
+        """Raise ChiralityError unless the algebra admits one of ``sides``.
+
+        The one check of a missing handedness in the package: every
+        operation that needs one calls it with its own name.
+        """
+        if not any(self.admits(side) for side in sides):
+            need = " or ".join(f"{side.value}-handed" for side in sides)
             raise ChiralityError(
-                f"algebra {self.name or '<anonymous>'} is {self.chirality.value}; "
-                f"operation needs the {side.value}-handed identity"
+                f"{operation} needs a {need} algebra; got {self.chirality.value}"
             )
 
 

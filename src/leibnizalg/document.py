@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import MAX_DIM, Chirality, LeibnizAlgebra, StructureTensor, classify
+from .core import MAX_DIM, LeibnizAlgebra, Side, StructureTensor, classify
 from .errors import ChiralityError, ParseError, quote
 from .linalg import Matrix
 from .record import Record
@@ -63,12 +63,8 @@ class AlgebraDocument(Record):
         want = self.declared_side
         if want == "auto":
             return alg
-        ok = {
-            "left": chir in (Chirality.LEFT, Chirality.BOTH, Chirality.LIE),
-            "right": chir in (Chirality.RIGHT, Chirality.BOTH, Chirality.LIE),
-            "both": chir in (Chirality.BOTH, Chirality.LIE),
-        }[want]
-        if not ok:
+        sides = tuple(Side) if want == "both" else (Side(want),)
+        if not all(chir.admits(side) for side in sides):
             raise ChiralityError(
                 f"declared side {want!r} does not hold; tensor classifies as "
                 f"{chir.value}"

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import __version__ as _version
-from .actions import ActionCase, axiom_report, complex_compatible
+from .actions import ActionCase, axiom_report
 from .cohomology import coboundary0, coboundary1
 from .core import (
     LeibnizAlgebra,
@@ -25,7 +25,8 @@ from .core import (
 )
 from .document import AlgebraDocument
 from .rmatrix import (
-    CoboundaryCase,
+    BRACKET_CASE,
+    COMPLEX,
     coboundary_cocommutator,
     cocommutator_matrix_route,
     crosscheck_dual_defect,
@@ -79,8 +80,8 @@ def adjoint_section(alg: LeibnizAlgebra):
 def actions_section(alg: LeibnizAlgebra):
     out = {}
     for case in ActionCase:
-        need = case.required_side
-        if need is not None and not alg.admits(need):
+        # cases 1 and 4 keep their key, empty, on a `neither` algebra
+        if case.required_side and not case.complexes(alg):
             continue
         out[f"case{case.value}"] = {
             label: ("pass" if ok else "fail")
@@ -120,20 +121,19 @@ def _random_matrix(rng: random.Random, n: int):
     )
 
 
-def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
+# Random draws per identity and side in the selfcheck.
+SELFCHECK_TRIALS = 5
+
+
+def selfcheck_section(alg: LeibnizAlgebra, seed: int):
     """Seeded randomized identity battery recorded inside the report."""
     rng = random.Random(seed)
     n = alg.dim
     results = {}
     complex_ok = True
     for case in ActionCase:
-        need = case.required_side
-        if need is not None and not alg.admits(need):
-            continue
-        for side in (Side.LEFT, Side.RIGHT):
-            if not alg.admits(side) or not complex_compatible(case, side):
-                continue
-            for _ in range(trials):
+        for side in case.complexes(alg):
+            for _ in range(SELFCHECK_TRIALS):
                 m = _random_matrix(rng, n)
                 d0 = coboundary0(alg, case, side, m)
                 if not coboundary1(alg, case, side, d0).is_zero():
@@ -145,13 +145,8 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
     for side in (Side.LEFT, Side.RIGHT):
         if not alg.admits(side):
             continue
-        cases = (
-            (CoboundaryCase.RIGHT_1, CoboundaryCase.RIGHT_4)
-            if side is Side.RIGHT
-            else (CoboundaryCase.LEFT_1, CoboundaryCase.LEFT_4)
-        )
-        bracket_case = cases[0] if side is Side.RIGHT else cases[1]
-        for _ in range(trials):
+        cases = [case for case, pair in COMPLEX.items() if pair and pair[1] is side]
+        for _ in range(SELFCHECK_TRIALS):
             r = _random_matrix(rng, n)
             for case in cases:
                 if coboundary_cocommutator(alg, r, case) != cocommutator_matrix_route(
@@ -159,14 +154,14 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
                 ):
                     route_ok = False
             if dual_bracket_from_r(alg, r, side) != coboundary_cocommutator(
-                alg, r, bracket_case
+                alg, r, BRACKET_CASE[side]
             ):
                 route_ok = False
             if not crosscheck_dual_defect(alg, r, side):
                 defect_ok = False
             p1, p2, _ = triple_products(alg, r, side)
-            total = dict(p1.entries)
-            for c, v in p2.entries:
+            total = dict(p1)
+            for c, v in p2:
                 total[c] = total.get(c, 0) + v
             total = {c: v for c, v in total.items() if v}
             if total != dict(schouten(alg, r, side).entries):
@@ -175,7 +170,7 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int, trials: int = 5):
     results["dual_defect_identity"] = defect_ok
     results["schouten_decomposition"] = decomp_ok
     results["seed"] = seed
-    results["trials"] = trials
+    results["trials"] = SELFCHECK_TRIALS
     return results
 
 

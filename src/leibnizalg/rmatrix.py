@@ -9,7 +9,11 @@ caller cares).
 The coboundary cocommutator delta(r) is the degree-0 coboundary of r
 (``cohomology.coboundary_entries``) under action case 1 or 4 on the right-
 or left-handed complex; ``cocommutator_matrix_route`` and
-``dual_bracket_from_r`` compute it by independent routes.
+``dual_bracket_from_r`` compute it by independent routes.  The table
+``COMPLEX`` gives each coboundary case its action case and complex side,
+and with the side what it needs: a complex of side s needs an algebra that
+admits s.  ``BRACKET_CASE`` names, per side, the case whose cocommutator is
+the dual bracket that r induces.
 
 The Schouten bracket, the three triple products and the generalized
 Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
@@ -49,7 +53,7 @@ from .core import (
     coadjoint_matrices,
     leibniz_residual,
 )
-from .errors import ChiralityError, DimensionError, quote
+from .errors import DimensionError, quote
 from .linalg import (
     Matrix,
     mat,
@@ -65,9 +69,9 @@ class CoboundaryCase(enum.Enum):
     """Which coboundary formula turns r into a cocommutator.
 
     RIGHT_1 / RIGHT_4 need a right-handed algebra, LEFT_1 / LEFT_4 a
-    left-handed one.  For the two remaining action cases only the zero
-    cocommutator is a coboundary; they are kept as explicit markers so a
-    report can say so instead of omitting them.
+    left-handed one (``COMPLEX``).  For the two remaining action cases only
+    the zero cocommutator is a coboundary; they are kept as explicit
+    markers so a report can say so instead of omitting them.
     """
 
     RIGHT_1 = "right1"
@@ -77,35 +81,22 @@ class CoboundaryCase(enum.Enum):
     TRIVIAL_2 = "trivial2"
     TRIVIAL_3 = "trivial3"
 
-    @property
-    def trivial(self) -> bool:
-        return self in (CoboundaryCase.TRIVIAL_2, CoboundaryCase.TRIVIAL_3)
 
-    @property
-    def required_side(self) -> Side | None:
-        if self in (CoboundaryCase.RIGHT_1, CoboundaryCase.RIGHT_4):
-            return Side.RIGHT
-        if self in (CoboundaryCase.LEFT_1, CoboundaryCase.LEFT_4):
-            return Side.LEFT
-        return None
+# Each coboundary case as the degree-0 coboundary under an action case (the
+# matching compatibility form) on the complex of one side; None for the two
+# trivial cases.
+COMPLEX = {
+    CoboundaryCase.RIGHT_1: (ActionCase.CASE1, Side.RIGHT),
+    CoboundaryCase.LEFT_1: (ActionCase.CASE1, Side.LEFT),
+    CoboundaryCase.RIGHT_4: (ActionCase.CASE4, Side.RIGHT),
+    CoboundaryCase.LEFT_4: (ActionCase.CASE4, Side.LEFT),
+    CoboundaryCase.TRIVIAL_2: None,
+    CoboundaryCase.TRIVIAL_3: None,
+}
 
-    @property
-    def dual_side(self) -> Side | None:
-        """Handedness the induced dual bracket is expected to satisfy."""
-        if self in (CoboundaryCase.RIGHT_1, CoboundaryCase.LEFT_1):
-            return Side.RIGHT
-        if self in (CoboundaryCase.RIGHT_4, CoboundaryCase.LEFT_4):
-            return Side.LEFT
-        return None
-
-    @property
-    def form(self) -> int | None:
-        """Matching first-order compatibility form."""
-        if self in (CoboundaryCase.RIGHT_1, CoboundaryCase.LEFT_1):
-            return 1
-        if self in (CoboundaryCase.RIGHT_4, CoboundaryCase.LEFT_4):
-            return 4
-        return None
+# Per side, the coboundary case whose cocommutator is the dual bracket of
+# ``dual_bracket_from_r``; ``crosscheck_dual_defect`` measures its defect.
+BRACKET_CASE = {Side.RIGHT: CoboundaryCase.RIGHT_1, Side.LEFT: CoboundaryCase.LEFT_4}
 
 
 def coboundary_case(name: str) -> CoboundaryCase:
@@ -118,13 +109,12 @@ def coboundary_case(name: str) -> CoboundaryCase:
         ) from None
 
 
-def _require(alg: LeibnizAlgebra, case: CoboundaryCase) -> None:
-    need = case.required_side
-    if need is not None and not alg.admits(need):
-        raise ChiralityError(
-            f"coboundary case {case.value} needs a {need.value}-handed algebra; "
-            f"got {alg.chirality.value}"
-        )
+def _complex(alg: LeibnizAlgebra, case: CoboundaryCase):
+    """``COMPLEX[case]``, after checking that ``alg`` admits its side."""
+    pair = COMPLEX[case]
+    if pair:
+        alg.require(f"coboundary case {case.value}", pair[1])
+    return pair
 
 
 def _check_r(alg: LeibnizAlgebra, r: Matrix) -> Matrix:
@@ -139,21 +129,21 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
     return all(r[i][j] == -r[j][i] for i in range(n) for j in range(n))
 
 
-def _cocommutator_terms(alg: LeibnizAlgebra, case: CoboundaryCase):
+def _cocommutator_terms(alg: LeibnizAlgebra, pair):
     """Term table of the linear map r -> delta(r): the degree-0 coboundary
-    under action case ``case.form`` on the complex of ``case.required_side``,
-    read as the cochain X_m -> sum delta(r)(a, b, m) X_a (x) X_b; a trivial
-    case has no terms, since only the zero cocommutator is a coboundary
-    there.
+    under the action case and on the complex of ``pair``, an entry of
+    ``COMPLEX``, read as the cochain X_m -> sum delta(r)(a, b, m) X_a (x)
+    X_b; a trivial case (None) has no terms, since only the zero
+    cocommutator is a coboundary there.
 
     Returns (den, terms), with integer coefficients over the common
     denominator den: ``terms`` yields ((a, b, m), (i, j), c), 0-based, for
     every nonzero integer c of delta(r)[a][b][m] = sum c/den * r[i][j].
     """
-    if case.trivial:
+    if pair is None:
         return 1, ()
     n = alg.dim
-    den, entries = coboundary_entries(alg.tensor, ActionCase(case.form), case.required_side, 0)
+    den, entries = coboundary_entries(alg.tensor, *pair, 0)
     return den, (((q // n, q % n, m), divmod(p, n), c) for (m,), q, _, p, c in entries)
 
 
@@ -161,9 +151,9 @@ def coboundary_cocommutator(
     alg: LeibnizAlgebra, r: Matrix, case: CoboundaryCase
 ) -> StructureTensor:
     """Dual bracket table induced by r under the chosen coboundary case."""
-    _require(alg, case)
+    pair = _complex(alg, case)
     r = _check_r(alg, r)
-    den, terms = _cocommutator_terms(alg, case)
+    den, terms = _cocommutator_terms(alg, pair)
     r = [[x / den for x in row] for row in r]
     out = {}
     for (a, b, m), (i, j), c in terms:
@@ -176,12 +166,12 @@ def cocommutator_matrix_route(
     alg: LeibnizAlgebra, r: Matrix, case: CoboundaryCase
 ) -> StructureTensor:
     """Same cocommutator through adjoint-matrix products (route crosscheck)."""
-    _require(alg, case)
+    pair = _complex(alg, case)
     r = _check_r(alg, r)
     n = alg.dim
     adj = adjoint_matrices(alg.tensor)
     out = {}
-    for m in range(0 if case.trivial else n):
+    for m in range(n if pair else 0):
         if case is CoboundaryCase.RIGHT_1:
             y = mat_mul(transpose(adj.first_slot[m]), r)
         elif case is CoboundaryCase.LEFT_1:
@@ -231,12 +221,12 @@ def solve_rmatrix(
 ) -> RMatrixFamily | None:
     """Exact affine family of r with coboundary_cocommutator(r) == ftilde,
     or None when the linear system is inconsistent."""
-    _require(alg, case)
+    pair = _complex(alg, case)
     if ftilde.dim != alg.dim:
         raise DimensionError("dual tensor dimension does not match the algebra")
     n = alg.dim
     # Unknowns r[i][j] flattened as i*n + j; one equation per (m, a, b).
-    den, terms = _cocommutator_terms(alg, case)
+    den, terms = _cocommutator_terms(alg, pair)
     rows = sparse_rows(
         (((m * n + a) * n + b, i * n + j, c) for (a, b, m), (i, j), c in terms),
         n ** 3,
@@ -275,9 +265,9 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
     Right-handed: [u, v]^r = -(coadjoint right action of the image of v
     under the transposed contraction map) applied to u.  Left-handed:
     [u, v]^r = +(coadjoint left action of the image of u) applied to v.
-    Must agree entrywise with the matching coboundary cocommutator.
+    Must agree entrywise with the cocommutator of ``BRACKET_CASE[side]``.
     """
-    alg.require(side)
+    alg.require("the dual bracket of r", side)
     r = _check_r(alg, r)
     n = alg.dim
     coad = coadjoint_matrices(adjoint_matrices(alg.tensor))
@@ -311,14 +301,6 @@ class SchoutenTensor(Frozen):
         return not self.entries
 
 
-class TripleProduct(Frozen):
-    __slots__ = ("which", "entries")
-
-    def __init__(self, which: str, entries: tuple):
-        set_field(self, "which", which)
-        set_field(self, "entries", entries)
-
-
 # The three triple products as a term table, per side.  Product (m, n, p)
 # sums sign * f(i, j, k) * r(A) * r(B) over the nonzero entries of f: r(A)
 # holds i in slot ``sa`` (0: r[i][x], 1: r[x][i]), r(B) holds j in slot
@@ -329,16 +311,11 @@ TRIPLE = {
     Side.LEFT: ((-1, 1, 1, (2, 1, 0)), (1, 1, 0, (1, 0, 2)), (1, 0, 0, (0, 1, 2))),
 }
 
-_WHICH = {
-    Side.RIGHT: ("r12r13", "r12r23", "r13r23"),
-    Side.LEFT: ("r21r31", "r21r32", "r31r32"),
-}
-
 
 def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> tuple:
     """The sum of the ``terms`` of TRIPLE as its nonzero entries
     ((m, n, p), value), 1-based and sorted, like ``StructureTensor.items``."""
-    alg.require(side)
+    alg.require("the Schouten bracket of r", side)
     r = _check_r(alg, r)
     # lines[0][i] holds the nonzero r[i][x] as (x, value), lines[1][i] the r[x][i]
     lines = tuple(
@@ -363,17 +340,14 @@ def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:
     return SchoutenTensor(_triple_sums(alg, r, side, TRIPLE[side][:2]))
 
 
-def triple_products(
-    alg: LeibnizAlgebra, r: Matrix, side: Side
-) -> tuple[TripleProduct, TripleProduct, TripleProduct]:
-    """The three slot-pairing products for the chosen handedness.
+def triple_products(alg: LeibnizAlgebra, r: Matrix, side: Side) -> tuple[tuple, tuple, tuple]:
+    """The three slot-pairing products for the chosen handedness, each as
+    its sorted nonzero entries ((m, n, p), value), 1-based: r12r13, r12r23
+    and r13r23 right-handed, r21r31, r21r32 and r31r32 left-handed.
 
     The Schouten tensor equals the sum of the first two, exactly.
     """
-    return tuple(
-        TripleProduct(w, _triple_sums(alg, r, side, (term,)))
-        for w, term in zip(_WHICH[side], TRIPLE[side])
-    )
+    return tuple(_triple_sums(alg, r, side, (term,)) for term in TRIPLE[side])
 
 
 def cybe_check(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
@@ -416,12 +390,11 @@ def crosscheck_dual_defect(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
 
     Right-handed: defect[c][a][b][x] == gybe[x][a][b][c] with the dual table
     from RIGHT_1.  Left-handed: defect[a][b][c][x] == gybe[x][a][b][c] with
-    the dual table from LEFT_4.
+    the dual table from LEFT_4 (``BRACKET_CASE``).
     """
-    alg.require(side)
+    alg.require("the dual defect identity", side)
     r = _check_r(alg, r)
-    case = CoboundaryCase.RIGHT_1 if side is Side.RIGHT else CoboundaryCase.LEFT_4
-    defect = leibniz_residual(coboundary_cocommutator(alg, r, case), side)
+    defect = leibniz_residual(coboundary_cocommutator(alg, r, BRACKET_CASE[side]), side)
     if side is Side.RIGHT:
         moved = {(x, a, b, c): v for (c, a, b, x), v in defect.items()}
     else:

@@ -8,10 +8,13 @@ read on the cochain X_k -> sum ftilde(a, b, k) X_a (x) X_b.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
-below in the order their defining systems are conventionally listed.  The
-solver handles the linear stage exactly and exposes the quadratic stage as
-polynomials in the family parameters; it never attempts to solve the
-quadratic variety.
+below in the order their defining systems are conventionally listed.  A
+scenario of form k applies to an algebra when action case k has a complex
+over it (``ActionCase.complexes``): forms 1 and 4 need a left- or
+right-handed algebra, form 2 a right-handed one and form 3 a left-handed
+one.  The solver handles the linear stage exactly and exposes the quadratic
+stage as polynomials in the family parameters; it never attempts to solve
+the quadratic variety.
 
 Both stages run on integers over one common denominator and build no
 ``Fraction`` per term.  The cocycle rows sum the integer coboundary
@@ -34,44 +37,35 @@ from fractions import Fraction
 
 from .actions import ActionCase
 from .cohomology import coboundary_entries
-from .core import Chirality, LeibnizAlgebra, Side, StructureTensor, leibniz_terms
-from .errors import ChiralityError, DimensionError, quote
+from .core import LeibnizAlgebra, Side, StructureTensor, leibniz_terms
+from .errors import DimensionError, quote
 from .linalg import Row, kernel_basis, sparse_rows
 from .poly import Poly
 from .record import Frozen, set_field
 
 
 class Scenario(Frozen):
-    __slots__ = ("key", "form", "primal", "dual_side")
+    __slots__ = ("key", "form", "dual_side")
 
-    def __init__(self, key: str, form: int, primal: str, dual_side: Side):
+    def __init__(self, key: str, form: int, dual_side: Side):
         set_field(self, "key", key)
         set_field(self, "form", form)
-        set_field(self, "primal", primal)  # "any" | "right" | "left"
         set_field(self, "dual_side", dual_side)
 
     def compatible(self, alg: LeibnizAlgebra) -> bool:
-        if alg.chirality is Chirality.NEITHER:
-            return False
-        if self.primal == "any":
-            return True
-        return alg.admits(Side.RIGHT if self.primal == "right" else Side.LEFT)
+        return bool(ActionCase(self.form).complexes(alg))
 
     def require(self, alg: LeibnizAlgebra) -> None:
-        if not self.compatible(alg):
-            raise ChiralityError(
-                f"scenario {self.key} needs a {self.primal}-handed algebra; "
-                f"got {alg.chirality.value}"
-            )
+        alg.require(f"scenario {self.key}", *ActionCase(self.form).sides)
 
 
 SCENARIOS: tuple[Scenario, ...] = (
-    Scenario("lr-1-r", 1, "any", Side.RIGHT),
-    Scenario("r-2-r", 2, "right", Side.RIGHT),
-    Scenario("r-2-l", 2, "right", Side.LEFT),
-    Scenario("lr-4-l", 4, "any", Side.LEFT),
-    Scenario("l-3-r", 3, "left", Side.RIGHT),
-    Scenario("l-3-l", 3, "left", Side.LEFT),
+    Scenario("lr-1-r", 1, Side.RIGHT),
+    Scenario("r-2-r", 2, Side.RIGHT),
+    Scenario("r-2-l", 2, Side.LEFT),
+    Scenario("lr-4-l", 4, Side.LEFT),
+    Scenario("l-3-r", 3, Side.RIGHT),
+    Scenario("l-3-l", 3, Side.LEFT),
 )
 
 SCENARIO_BY_KEY = {sc.key: sc for sc in SCENARIOS}
@@ -88,14 +82,12 @@ def scenario(key: str) -> Scenario:
 
 
 class LinearSystem(Frozen):
-    __slots__ = ("dim", "form", "matrix", "row_provenance")
+    __slots__ = ("dim", "form", "matrix")
 
-    def __init__(self, dim: int, form: int, matrix: tuple[Row, ...],
-                 row_provenance: tuple[tuple[int, int, int, int], ...]):
+    def __init__(self, dim: int, form: int, matrix: tuple[Row, ...]):
         set_field(self, "dim", dim)
         set_field(self, "form", form)
         set_field(self, "matrix", matrix)  # n^4 sparse rows over n^3 columns
-        set_field(self, "row_provenance", row_provenance)  # (i, j, m, n), 1-based
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
@@ -126,11 +118,7 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
         n ** 4,
         den,
     )
-    provenance = tuple(
-        (i + 1, j + 1, m + 1, ncol + 1)
-        for i, j, m, ncol in itertools.product(range(n), repeat=4)
-    )
-    return LinearSystem(n, form, rows, provenance)
+    return LinearSystem(n, form, rows)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
@@ -175,11 +163,10 @@ class QuadraticResidual(Frozen):
     the corresponding member tensor.
     """
 
-    __slots__ = ("side", "parameters", "polynomials", "provenance")
+    __slots__ = ("parameters", "polynomials", "provenance")
 
-    def __init__(self, side: Side, parameters: tuple[str, ...], polynomials: tuple[Poly, ...],
+    def __init__(self, parameters: tuple[str, ...], polynomials: tuple[Poly, ...],
                  provenance: tuple[tuple[int, int, int, int], ...]):
-        set_field(self, "side", side)
         set_field(self, "parameters", parameters)
         set_field(self, "polynomials", polynomials)
         set_field(self, "provenance", provenance)
@@ -197,7 +184,7 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     empty polynomial list.
     """
     if not family.basis:
-        return QuadraticResidual(side, (), (), ())
+        return QuadraticResidual((), (), ())
     n, d = family.dim, len(family.basis)
     # integer coefficients over a common denominator, so the products below
     # need no Fraction arithmetic
@@ -231,7 +218,7 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
         for c in components
     )
     provenance = tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
-    return QuadraticResidual(side, family.parameters, polys, provenance)
+    return QuadraticResidual(family.parameters, polys, provenance)
 
 
 class SweepEntry(Frozen):

@@ -24,7 +24,8 @@ routes: ``apply_system`` applies the rows of a linear system to a tensor
 flattened in the solver's column order (``flatten_tensor``,
 ``column_index``), ``evaluate_quadratic`` evaluates a quadratic residual at
 parameter values, ``cocycle_residual_tensor`` applies the rows of
-``solver.cocycle_system`` to a tensor, ``verify_bialgebra`` checks one
+``solver.cocycle_system`` to a tensor and ``row_provenance`` names the
+residual component of each row, ``verify_bialgebra`` checks one
 candidate dual table against a scenario and ``family_verdict`` a whole
 family; ``act`` and ``axioms_hold`` apply the library's action operators
 and module-axiom defects, ``family_member``, ``opposite`` and
@@ -39,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from leibnizalg.actions import _sparse_residuals, _vanish, action_operators, compose, to_matrix
+from leibnizalg.actions import action_operators, axiom_report, compose, to_matrix
 from leibnizalg.cohomology import CochainMap
 from leibnizalg.core import (
     Side,
@@ -182,12 +183,11 @@ def act(case, side: Side, alg, x: int, u):
     return to_matrix(compose(action_operators(alg.tensor, case, side)[x - 1], [u_col])[0], n)
 
 
-def axioms_hold(case, alg, sides=None) -> bool:
-    """Whether every axiom of the library's module-axiom defects holds for
-    the checked sets: by default the sets the case claims (its required
-    handedness for cases 2 and 3, every handedness the algebra admits for
-    cases 1 and 4); pass ``sides`` to probe other combinations."""
-    return all(_vanish(d) for _, d in _sparse_residuals(case, alg, sides))
+def axioms_hold(case, alg) -> bool:
+    """Whether every axiom the library checks for the case holds: the sets
+    of ``ActionCase.complexes``.  The crossed sets are measured through
+    ``module_axiom_residuals`` only."""
+    return all(axiom_report(case, alg).values())
 
 
 def cochain_at(w: CochainMap, *indices: int):
@@ -272,6 +272,14 @@ def apply_system(system, ftilde: StructureTensor):
     flat = flatten_tensor(ftilde)
     return tuple(
         sum((c * flat[col] for col, c in row), Fraction(0)) for row in system.matrix
+    )
+
+
+def row_provenance(dim: int):
+    """The residual component (i, j, m, n), 1-based, of each row of
+    ``solver.cocycle_system``, in row order."""
+    return tuple(
+        (i + 1, j + 1, m + 1, n + 1) for i, j, m, n in itertools.product(range(dim), repeat=4)
     )
 
 

@@ -13,10 +13,11 @@ from leibnizalg import (
     coboundary_cocommutator,
     solve_rmatrix,
 )
-from leibnizalg.actions import ActionCase, complex_compatible
+from leibnizalg.actions import ActionCase
 from leibnizalg.cohomology import coboundary0, coboundary1
 from leibnizalg.core import first_nonzero
 from leibnizalg.rmatrix import (
+    COMPLEX,
     cocommutator_matrix_route,
     crosscheck_dual_defect,
     dual_bracket_from_r,
@@ -58,15 +59,7 @@ def rand_tensor(rng, n):
 
 
 def _compatible_complex_pairs(alg):
-    out = []
-    for case in ActionCase:
-        need = case.required_side
-        if need is not None and not alg.admits(need):
-            continue
-        for side in Side:
-            if alg.admits(side) and complex_compatible(case, side):
-                out.append((case, side))
-    return out
+    return [(case, side) for case in ActionCase for side in case.complexes(alg)]
 
 
 def _coboundary_cases(alg):
@@ -119,7 +112,7 @@ def check_coboundary_is_cocycle(algebras, seed, trials):
         alg, case = pool[rng.randrange(len(pool))]
         r = rand_matrix(rng, alg.dim)
         ftilde = coboundary_cocommutator(alg, r, case)
-        if first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, case.form))):
+        if first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, COMPLEX[case][0].value))):
             failures += 1
     return failures
 
@@ -159,7 +152,7 @@ def check_schouten_decomposition(algebras, seed, trials):
         s = schouten_dense(alg, r, side)
         p1, p2, _ = triple_products(alg, r, side)
         n = alg.dim
-        p1, p2 = grid3(p1.entries, n), grid3(p2.entries, n)
+        p1, p2 = grid3(p1, n), grid3(p2, n)
         ok = all(
             p1[a][b][c] + p2[a][b][c] == s[a][b][c]
             for a, b, c in itertools.product(range(n), repeat=3)

@@ -75,19 +75,19 @@ def test_quadratic_counts(tracing, corpus_algebras):
     )
     algebras = [*corpus_algebras.values(), LeibnizAlgebra.analyze(nf4)]
     cases = [
-        (entry.family, entry.quadratic)
+        (entry.family, entry.scenario.dual_side, entry.quadratic)
         for alg in algebras
         for entry in scenario_sweep(alg).values()
     ]
     ab3 = LeibnizAlgebra.analyze(StructureTensor.from_entries(3, {}))
     full = nullspace(assemble_cocycle_system(ab3, scenario("lr-1-r")))
     assert len(full) == 27
-    cases += [(full, dual_leibniz_residual(full, side)) for side in Side]
-    assert any(quad.polynomials[0].den > 1 for _, quad in cases)
+    cases += [(full, side, dual_leibniz_residual(full, side)) for side in Side]
+    assert any(quad.polynomials[0].den > 1 for _, _, quad in cases)
     total = 0
-    for family, quad in cases:
+    for family, side, quad in cases:
         counts = tracing.counts([tracing.Span("poly.quadratic", 0.0, result=quad)])
-        want = quadratic_by_polarization(family, quad.side)
+        want = quadratic_by_polarization(family, side)
         assert counts["poly.terms"] == sum(len(terms) for terms in want)
         total += counts["poly.terms"]
     assert total > 0

@@ -484,8 +484,8 @@ CLAIMS = {
     "claims_both": "dim: 2\nside: both\nf 1 1 2 = 1\nf 1 2 2 = 1\n",
 }
 HANDEDNESS = {
-    'duals {neither} --scenario lr-1-r': (2, '', 'error: scenario lr-1-r needs a any-handed algebra; got neither\n'),
-    'duals {neither} --scenario lr-4-l': (2, '', 'error: scenario lr-4-l needs a any-handed algebra; got neither\n'),
+    'duals {neither} --scenario lr-1-r': (2, '', 'error: scenario lr-1-r needs a left-handed or right-handed algebra; got neither\n'),
+    'duals {neither} --scenario lr-4-l': (2, '', 'error: scenario lr-4-l needs a left-handed or right-handed algebra; got neither\n'),
     'duals {left} --scenario r-2-r': (2, '', 'error: scenario r-2-r needs a right-handed algebra; got left\n'),
     'duals {left} --scenario r-2-l': (2, '', 'error: scenario r-2-l needs a right-handed algebra; got left\n'),
     'duals {right} --scenario l-3-r': (2, '', 'error: scenario l-3-r needs a left-handed algebra; got right\n'),
@@ -501,15 +501,15 @@ HANDEDNESS = {
     'rmatrix {right} --case left4 --dual {right}': (2, '', 'error: coboundary case left4 needs a left-handed algebra; got right\n'),
     'coboundary {neither} --case right1 --r {r}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got neither\n'),
     'rmatrix {neither} --case right1 --dual {neither}': (2, '', 'error: coboundary case right1 needs a right-handed algebra; got neither\n'),
-    'ybe {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
-    'ybe {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
-    'ybe {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
-    'gybe {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
-    'gybe {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
-    'gybe {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
-    'schouten {left} --side r --r {r}': (2, '', 'error: algebra example1 is left; operation needs the right-handed identity\n'),
-    'schouten {right} --side l --r {r}': (2, '', 'error: algebra example2 is right; operation needs the left-handed identity\n'),
-    'schouten {neither} --side r --r {r}': (2, '', 'error: algebra <anonymous> is neither; operation needs the right-handed identity\n'),
+    'ybe {left} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got left\n'),
+    'ybe {right} --side l --r {r}': (2, '', 'error: the Schouten bracket of r needs a left-handed algebra; got right\n'),
+    'ybe {neither} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got neither\n'),
+    'gybe {left} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got left\n'),
+    'gybe {right} --side l --r {r}': (2, '', 'error: the Schouten bracket of r needs a left-handed algebra; got right\n'),
+    'gybe {neither} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got neither\n'),
+    'schouten {left} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got left\n'),
+    'schouten {right} --side l --r {r}': (2, '', 'error: the Schouten bracket of r needs a left-handed algebra; got right\n'),
+    'schouten {neither} --side r --r {r}': (2, '', 'error: the Schouten bracket of r needs a right-handed algebra; got neither\n'),
     'check {claims_right}': (1, '', "verification failed: declared side 'right' does not hold; tensor classifies as left\n"),
     'check {claims_left}': (1, '', "verification failed: declared side 'left' does not hold; tensor classifies as right\n"),
     'check {claims_both}': (1, '', "verification failed: declared side 'both' does not hold; tensor classifies as left\n"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import Side, StructureTensor
-from leibnizalg.actions import ActionCase, complex_compatible
+from leibnizalg.actions import ActionCase
 from leibnizalg.cohomology import CochainMap, coboundary0, coboundary1
 from leibnizalg.linalg import mat
 
@@ -45,12 +45,8 @@ def rand_tensor(rng, n):
 
 def compatible_pairs(alg):
     for case in ActionCase:
-        need = case.required_side
-        if need is not None and not alg.admits(need):
-            continue
-        for side in Side:
-            if alg.admits(side) and complex_compatible(case, side):
-                yield case, side
+        for side in case.complexes(alg):
+            yield case, side
 
 
 class TestCoboundary0:
@@ -105,7 +101,7 @@ class TestComplexProperty:
             (ActionCase.CASE2, Side.LEFT, False),
             (ActionCase.CASE3, Side.RIGHT, False),
         ):
-            assert complex_compatible(case, side) is expect
+            assert (side in case.complexes(ex3)) is expect
             broken = False
             for _ in range(20):
                 m = rand_matrix(rng, ex3.dim)

@@ -1,10 +1,28 @@
-"""The library holds no code without a library or command-line caller.
+"""The library holds no code or data without a library or command-line caller.
 
-Every module-level function and class of ``src/leibnizalg``, and every
-method whose name is not a dunder, must be referenced somewhere in
-``src/leibnizalg`` outside its own definition.  Exempt are the names the
-package exports in ``__all__`` and the README's "Library use" methods in
-``ALLOWED``.  A helper that only tests need belongs in ``tests/oracles.py``.
+Three checks over ``src/leibnizalg``, each matching names only:
+
+* every module-level function and class, and every method whose name is not
+  a dunder, is referenced somewhere outside its own definition;
+* every ``__slots__`` field is read (``obj.field``) somewhere outside the
+  ``__init__`` of its own class;
+* every parameter with a default value is passed, by position or by
+  keyword, by some call in the package.
+
+Exempt are the names the package exports in ``__all__``, the README's
+"Library use" methods in ``ALLOWED`` and the parameters in
+``ALLOWED_DEFAULTS``.  A helper or a field that only tests need belongs in
+``tests/oracles.py``.
+
+What the checks cannot see, because they match names and not objects: a
+method or field passes when a different class has a member of the same
+name that is read (``CoboundaryCase.dual_side`` passed because
+``Scenario.dual_side`` is read, and a slot named ``side`` would pass because
+the CLI reads ``args.side``); a default counts as passed when any call to a
+function of the same name passes that position or keyword, or passes
+``*args`` or ``**kwargs``; reads through ``getattr`` with a computed name
+(``record.Record`` reads every slot that way for equality and repr) do not
+count; and callers in ``tests/`` and ``bench/`` do not count.
 """
 
 import ast
@@ -15,6 +33,15 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibnizalg"
 
 # README "Library use" methods with no caller inside the package.
 ALLOWED = {"LeibnizAlgebra.analyze", "RMatrixFamily.member"}
+
+# Defaults that no call in the package passes: the console script calls
+# ``main()`` with no arguments, and ``LeibnizAlgebra.analyze`` is README
+# "Library use".
+ALLOWED_DEFAULTS = {"main.argv", "LeibnizAlgebra.analyze.name"}
+
+
+def _trees(package: Path):
+    return [ast.parse(p.read_text("utf-8")) for p in sorted(package.glob("*.py"))]
 
 
 def _references(node) -> Counter:
@@ -56,7 +83,7 @@ def _exported(trees) -> set:
 
 
 def unreferenced(package: Path = PACKAGE) -> list:
-    trees = [ast.parse(p.read_text("utf-8")) for p in sorted(package.glob("*.py"))]
+    trees = _trees(package)
     total = Counter()
     for tree in trees:
         total += _references(tree)
@@ -70,18 +97,114 @@ def unreferenced(package: Path = PACKAGE) -> list:
     )
 
 
+def _attribute_reads(node) -> Counter:
+    """Attribute names that ``node`` loads."""
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unread_slots(package: Path = PACKAGE) -> list:
+    """``Class.field`` of every slot read nowhere outside its class's ``__init__``."""
+    trees = _trees(package)
+    total = Counter()
+    for tree in trees:
+        total += _attribute_reads(tree)
+    out = []
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        own = Counter()
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                own += _attribute_reads(item)
+        out += [
+            f"{cls.name}.{field}"
+            for item in cls.body
+            if isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+            for field in ast.literal_eval(item.value)
+            if total[field] - own[field] <= 0
+        ]
+    return sorted(out)
+
+
+def _functions(tree):
+    """(qualified name, name a call uses, node, leading self/cls) of every
+    function; a class's ``__init__`` is called by the class name."""
+    methods = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                methods.add(item)
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list
+                )
+                called = cls.name if item.name == "__init__" else item.name
+                yield f"{cls.name}.{item.name}", called, item, 0 if static else 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node not in methods:
+            yield node.name, node.name, node, 0
+
+
+def unpassed_defaults(package: Path = PACKAGE) -> list:
+    """``function.parameter`` of every defaulted parameter no call passes."""
+    trees = _trees(package)
+    calls = Counter()  # (called name, position or keyword); "*" for *args / **kwargs
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            calls[name, "*"] += 1
+        calls.update((name, i) for i in range(len(call.args)))
+        calls.update((name, k.arg) for k in call.keywords)
+    out = []
+    for tree in trees:
+        for qualified, called, node, skip in _functions(tree):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (i - skip, p.arg)
+                for i, p in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ] + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for position, param in defaulted:
+                key = f"{qualified.replace('.__init__', '')}.{param}"
+                if key in ALLOWED_DEFAULTS or calls[called, "*"] or calls[called, param]:
+                    continue
+                if position is None or not calls[called, position]:
+                    out.append(key)
+    return sorted(out)
+
+
 def test_every_definition_has_a_library_caller():
     assert unreferenced() == []
+
+
+def test_every_slot_is_read():
+    assert unread_slots() == []
+
+
+def test_every_default_is_passed():
+    assert unpassed_defaults() == []
 
 
 def test_detects_an_unreferenced_definition(tmp_path):
     (tmp_path / "mod.py").write_text(
         "__all__ = ['exported']\n"
-        "def exported():\n    return used()\n"
-        "def used():\n    return 1\n"
+        "def exported(x=0):\n    return used(1) + Pair(1).left\n"
+        "def used(y, z=2):\n    return y + z\n"
         "def orphan():\n    return orphan()\n"
         "class Box:\n"
         "    def __init__(self):\n        self.size = 0\n"
         "    def unused_method(self):\n        return self.size\n"
+        "class Pair:\n"
+        "    __slots__ = ('left', 'right')\n"
+        "    def __init__(self, left, right=0):\n"
+        "        self.left = left\n        self.right = right\n"
     )
     assert unreferenced(tmp_path) == ["Box", "Box.unused_method", "orphan"]
+    assert unread_slots(tmp_path) == ["Pair.right"]
+    assert unpassed_defaults(tmp_path) == ["Pair.right", "exported.x", "used.z"]

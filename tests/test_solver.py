@@ -36,6 +36,7 @@ from oracles import (
     leibniz_residual_by_brackets,
     opposite,
     quadratic_by_polarization,
+    row_provenance,
     verify_bialgebra,
 )
 from test_cli import DENSE_BASIS, _in_basis
@@ -117,7 +118,7 @@ class TestAssemble:
             grid = cocycle_residual_matrix(t, g, system.form)
             oracle = [
                 -grid[m - 1][n - 1][i - 1][j - 1]
-                for (i, j, m, n) in system.row_provenance
+                for (i, j, m, n) in row_provenance(system.dim)
             ]
             assert list(applied) == oracle
 
@@ -187,7 +188,7 @@ class TestNullspace:
 
         n = 8  # identity over the 2**3 unknowns of a dim-2 tensor
         rows = tuple(((r, F(1)),) for r in range(n))
-        system = LinearSystem(2, 1, rows, tuple((1, 1, 1, 1) for _ in range(n)))
+        system = LinearSystem(2, 1, rows)
         family = nullspace(system)
         assert len(family) == 0
         assert family.parameters == ()
@@ -228,7 +229,7 @@ class TestQuadraticResidual:
                 for _ in range(3):
                     values = [F(rng.randint(-2, 2)) for _ in entry.family.parameters]
                     member = family_member(entry.family, values)
-                    direct = leibniz_residual_by_brackets(member, entry.quadratic.side)
+                    direct = leibniz_residual_by_brackets(member, entry.scenario.dual_side)
                     flat_direct = [
                         direct[i - 1][j - 1][k - 1][m - 1]
                         for (i, j, k, m) in entry.quadratic.provenance
@@ -240,7 +241,7 @@ class TestQuadraticResidual:
         algebras = [*corpus_algebras.values()]
         algebras += [LeibnizAlgebra.analyze(t) for t in (nf4, opposite(nf4))]
         cases = [
-            (entry.family, entry.quadratic.side)
+            (entry.family, entry.scenario.dual_side)
             for alg in algebras
             for entry in scenario_sweep(alg).values()
         ]
@@ -349,3 +350,32 @@ class TestVerifyAndSweep:
             if all(family_verdict(ex3, sc, ref.family(2)))
         }
         assert admitted == ref.admitted
+
+
+# The opposite algebra f^op (the two argument slots swapped) mirrors the
+# scenarios: form k on f becomes form 5 - k on f^op, with the dual side
+# flipped.
+MIRROR = {
+    "lr-1-r": "lr-4-l", "lr-4-l": "lr-1-r",
+    "r-2-r": "l-3-l", "l-3-l": "r-2-r",
+    "r-2-l": "l-3-r", "l-3-r": "r-2-l",
+}
+
+
+class TestOppositeMirror:
+    def test_scenarios_mirror_on_the_opposite_algebra(self, corpus_algebras):
+        tensors = [alg.tensor for alg in corpus_algebras.values()]
+        for n in (2, 3, 4, 5):
+            nf = StructureTensor.from_entries(n, {(1, i, i + 1): 1 for i in range(1, n)})
+            tensors += [nf, opposite(nf)]
+        tensors += [StructureTensor.from_entries(n, {}) for n in (2, 3)]
+        for f in tensors:
+            sweep = scenario_sweep(LeibnizAlgebra.analyze(f))
+            mirrored = scenario_sweep(LeibnizAlgebra.analyze(opposite(f)))
+            # a wrong compatibility rule breaks this key mapping
+            assert {MIRROR[key] for key in sweep} == set(mirrored), f
+            for key, entry in sweep.items():
+                assert len(entry.family) == len(mirrored[MIRROR[key]].family), (f, key)
+                system = cocycle_system(opposite(f), scenario(MIRROR[key]).form)
+                for g in entry.family.basis:
+                    assert annihilates(system, opposite(g)), (f, key)
