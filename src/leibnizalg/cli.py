@@ -1,6 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 input/usage error.
+
+A call loads only the modules its command uses: ``check`` and ``adjoint``
+load the core, the parser and a light ``report``; the r-matrix commands bind
+the ``rmatrix`` names, and ``duals`` the ``solver`` names, on first use.
+Those names are called as ``_lazy.name``, looked up on this module at call
+time.
 """
 
 from __future__ import annotations
@@ -9,9 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import _on_first_use
 from . import corpus as corpus_mod
 from .core import Side
-from .document import parse_algebra, parse_rmatrix
+from .document import parse_algebra
 from .errors import ChiralityError, LeibnizError, ParseError, quote
 from .report import (
     actions_section,
@@ -24,16 +31,18 @@ from .report import (
     render_json,
     tensor_json,
 )
-from .rmatrix import (
-    coboundary_case,
-    coboundary_cocommutator,
-    cybe_check,
-    gybe_residual,
-    is_antisymmetric_matrix,
-    schouten,
-    solve_rmatrix,
-)
-from .solver import SCENARIOS, scenario
+
+__getattr__ = _on_first_use(globals(), [
+    # the r-matrix commands.  parse_rmatrix is in this group because
+    # bench/tracing.py looks it up before it wraps any rmatrix function, so
+    # the group binds the unwrapped functions and each wrapper runs once.
+    {".document": ("parse_rmatrix",),
+     ".rmatrix": ("coboundary_case", "coboundary_cocommutator", "cybe_check",
+                  "gybe_residual", "is_antisymmetric_matrix", "schouten",
+                  "solve_rmatrix")},
+    {".solver": ("SCENARIOS", "scenario")},
+])
+_lazy = sys.modules[__name__]
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -63,7 +72,7 @@ def _load_algebra(path: str):
 
 
 def _load_rmatrix(path: str, dim: int):
-    doc = parse_rmatrix(_read(path)[1])
+    doc = _lazy.parse_rmatrix(_read(path)[1])
     if doc.dim != dim:
         raise ParseError(
             f"r-matrix dimension {doc.dim} does not match algebra dimension {dim}"
@@ -128,15 +137,12 @@ def _cmd_actions(args) -> int:
 
 def _cmd_duals(args) -> int:
     _, alg, _ = _load_algebra(args.file)
+    key = None
     if args.scenario != "all":
-        sc = scenario(args.scenario)
+        sc = _lazy.scenario(args.scenario)
         sc.require(alg)
-        wanted = {sc.key}
-    else:
-        wanted = None
-    section = {
-        k: v for k, v in duals_section(alg).items() if wanted is None or k in wanted
-    }
+        key = sc.key
+    section = duals_section(alg, key=key)
     lines = []
     for key, entry in section.items():
         lines.append(
@@ -156,8 +162,8 @@ def _cmd_rmatrix(args) -> int:
     dual_doc = parse_algebra(_read(args.dual)[1])
     if dual_doc.dim != alg.dim:
         raise ParseError("dual tensor dimension does not match the algebra")
-    case = coboundary_case(args.case)
-    family = solve_rmatrix(alg, dual_doc.tensor(), case)
+    case = _lazy.coboundary_case(args.case)
+    family = _lazy.solve_rmatrix(alg, dual_doc.tensor(), case)
     if family is None:
         _emit(
             {"case": case.value, "solvable": False},
@@ -185,15 +191,15 @@ def _cmd_rmatrix(args) -> int:
 def _cmd_coboundary(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     r = _load_rmatrix(args.r, alg.dim)
-    case = coboundary_case(args.case)
-    ftilde = coboundary_cocommutator(alg, r, case)
+    case = _lazy.coboundary_case(args.case)
+    ftilde = _lazy.coboundary_cocommutator(alg, r, case)
     from .core import classify
 
     payload = {
         "case": case.value,
         "dual_tensor": tensor_json(ftilde),
         "dual_chirality": classify(ftilde).value,
-        "r_antisymmetric": is_antisymmetric_matrix(r),
+        "r_antisymmetric": _lazy.is_antisymmetric_matrix(r),
     }
     lines = [
         "dual tensor: "
@@ -209,11 +215,11 @@ def _cmd_ybe(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
-    ok = cybe_check(alg, r, side)
+    ok = _lazy.cybe_check(alg, r, side)
     payload = {
         "side": side.value,
         "cybe": "satisfied" if ok else "violated",
-        "r_antisymmetric": is_antisymmetric_matrix(r),
+        "r_antisymmetric": _lazy.is_antisymmetric_matrix(r),
     }
     _emit(payload, args.format, [f"CYBE: {payload['cybe']}"])
     return OK if ok else FAIL
@@ -223,7 +229,7 @@ def _cmd_gybe(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
-    ok = not gybe_residual(alg, r, side)
+    ok = not _lazy.gybe_residual(alg, r, side)
     payload = {"side": side.value, "gybe": "satisfied" if ok else "violated"}
     _emit(payload, args.format, [f"GYBE: {payload['gybe']}"])
     return OK if ok else FAIL
@@ -233,13 +239,13 @@ def _cmd_schouten(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
-    s = schouten(alg, r, side)
+    s = _lazy.schouten(alg, r, side)
     entries = [[m, p, q, rational_str(v)] for (m, p, q), v in s.entries]
     payload = {
         "side": side.value,
         "entries": entries,
         "zero": s.is_zero(),
-        "r_antisymmetric": is_antisymmetric_matrix(r),
+        "r_antisymmetric": _lazy.is_antisymmetric_matrix(r),
     }
     lines = (
         ["schouten: 0"]
@@ -277,6 +283,20 @@ def _cmd_corpus(args) -> int:
     return OK
 
 
+class _ScenarioOption(argparse.Action):
+    """``duals --scenario``: the help lists the solver's scenario keys and is
+    built only when it is printed, so that parsing loads no solver."""
+
+    help = property(
+        lambda self: "scenario key ("
+        + ", ".join(sc.key for sc in _lazy.SCENARIOS) + ") or 'all'",
+        lambda self, value: None,
+    )
+
+    def __call__(self, parser, namespace, values, option_string):
+        setattr(namespace, self.dest, values)
+
+
 _FILE = ("file", {"help": "algebra definition file"})
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 _SIDE = ("--side", {"required": True})
@@ -291,10 +311,7 @@ COMMANDS = (
      (_FILE, _FORMAT)),
     ("duals", "solve the dual-structure scenarios", _cmd_duals, (
         _FILE, _FORMAT,
-        ("--scenario", {
-            "default": "all",
-            "help": "scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'",
-        }),
+        ("--scenario", {"default": "all", "action": _ScenarioOption}),
     )),
     ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, (
         _FILE, _FORMAT,

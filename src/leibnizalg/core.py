@@ -166,16 +166,15 @@ def classify(t: StructureTensor) -> Chirality:
 
 
 class LeibnizAlgebra(Frozen):
-    __slots__ = ("tensor", "chirality", "name")
+    __slots__ = ("tensor", "chirality")
 
-    def __init__(self, tensor: StructureTensor, chirality: Chirality, name: str = ""):
+    def __init__(self, tensor: StructureTensor, chirality: Chirality):
         set_field(self, "tensor", tensor)
         set_field(self, "chirality", chirality)
-        set_field(self, "name", name)
 
     @classmethod
-    def analyze(cls, tensor: StructureTensor, name: str = "") -> "LeibnizAlgebra":
-        return cls(tensor, classify(tensor), name)
+    def analyze(cls, tensor: StructureTensor) -> "LeibnizAlgebra":
+        return cls(tensor, classify(tensor))
 
     @property
     def dim(self) -> int:

@@ -59,7 +59,7 @@ class AlgebraDocument(Record):
         """Build and, when a side is declared, verify it actually holds."""
         t = self.tensor()
         chir = classify(t)
-        alg = LeibnizAlgebra(t, chir, self.name)
+        alg = LeibnizAlgebra(t, chir)
         want = self.declared_side
         if want == "auto":
             return alg

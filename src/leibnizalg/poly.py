@@ -6,7 +6,9 @@ divided by ``den``.  Monomials are sorted tuples of variable indices (a
 variable appears once per power), so ``(0, 0, 2)`` is t1*t1*t3.  The solver
 builds its quadratic residuals directly in this form, over the square of
 the common denominator of the family; ``Poly`` only stores and renders
-them, reducing each coefficient by one ``gcd``.
+them, reducing each coefficient by one ``gcd``.  Nothing mutates a
+``Poly`` once built: the solver shares one empty polynomial among the
+components of a residual that have no terms.
 """
 
 from __future__ import annotations

@@ -3,17 +3,27 @@
 Reports are plain dicts serialized with sorted keys; every rational is a
 ``p`` or ``p/q`` string, never a float, so byte-identical inputs (and seed)
 give byte-identical reports.
+
+``render_json`` writes them in one recursive pass.  Its bytes are those of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, for the types
+a report holds: dicts with string keys, lists and tuples, strings, ints,
+booleans and None; any other type raises ``TypeError``.  (``json.dumps``
+with an indent runs the standard library's pure-Python encoder; the C
+encoder ignores ``indent``.)
+
+The module loads only what ``check`` and ``adjoint`` need.  The action,
+cohomology, r-matrix and solver layers and ``random`` are bound on first
+use and called as ``_lazy.name``, so ``duals`` loads no r-matrix code.
 """
 
 from __future__ import annotations
 
-import json
-import random
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__ as _version
-from .actions import ActionCase, axiom_report
-from .cohomology import coboundary0, coboundary1
+from . import _on_first_use
 from .core import (
     LeibnizAlgebra,
     Side,
@@ -24,17 +34,17 @@ from .core import (
     leibniz_residual,
 )
 from .document import AlgebraDocument
-from .rmatrix import (
-    BRACKET_CASE,
-    COMPLEX,
-    coboundary_cocommutator,
-    cocommutator_matrix_route,
-    crosscheck_dual_defect,
-    dual_bracket_from_r,
-    schouten,
-    triple_products,
-)
-from .solver import scenario_sweep
+
+__getattr__ = _on_first_use(globals(), [
+    {".actions": ("ActionCase", "axiom_report")},
+    {".cohomology": ("coboundary0", "coboundary1")},
+    {".rmatrix": ("BRACKET_CASE", "COMPLEX", "coboundary_cocommutator",
+                  "cocommutator_matrix_route", "crosscheck_dual_defect",
+                  "dual_bracket_from_r", "schouten", "triple_products")},
+    {".solver": ("scenario_sweep",)},
+    {"random": ("Random",)},
+])
+_lazy = sys.modules[__name__]
 
 
 def rational_str(x: Fraction) -> str:
@@ -79,20 +89,21 @@ def adjoint_section(alg: LeibnizAlgebra):
 
 def actions_section(alg: LeibnizAlgebra):
     out = {}
-    for case in ActionCase:
+    for case in _lazy.ActionCase:
         # cases 1 and 4 keep their key, empty, on a `neither` algebra
         if case.required_side and not case.complexes(alg):
             continue
         out[f"case{case.value}"] = {
             label: ("pass" if ok else "fail")
-            for label, ok in axiom_report(case, alg).items()
+            for label, ok in _lazy.axiom_report(case, alg).items()
         }
     return out
 
 
-def duals_section(alg: LeibnizAlgebra):
+def duals_section(alg: LeibnizAlgebra, key: str | None = None):
+    """Every compatible scenario's entry, or only scenario ``key``'s."""
     out = {}
-    for key, entry in scenario_sweep(alg).items():
+    for name, entry in _lazy.scenario_sweep(alg, key=key).items():
         quad = entry.quadratic
         nonzero = [
             {
@@ -102,7 +113,7 @@ def duals_section(alg: LeibnizAlgebra):
             for prov, poly in zip(quad.provenance, quad.polynomials)
             if not poly.is_zero()
         ]
-        out[key] = {
+        out[name] = {
             "form": entry.scenario.form,
             "dual_side": entry.scenario.dual_side.value,
             "kernel_dimension": len(entry.family),
@@ -114,7 +125,7 @@ def duals_section(alg: LeibnizAlgebra):
     return out
 
 
-def _random_matrix(rng: random.Random, n: int):
+def _random_matrix(rng, n: int):
     return tuple(
         tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
         for _ in range(n)
@@ -127,16 +138,16 @@ SELFCHECK_TRIALS = 5
 
 def selfcheck_section(alg: LeibnizAlgebra, seed: int):
     """Seeded randomized identity battery recorded inside the report."""
-    rng = random.Random(seed)
+    rng = _lazy.Random(seed)
     n = alg.dim
     results = {}
     complex_ok = True
-    for case in ActionCase:
+    for case in _lazy.ActionCase:
         for side in case.complexes(alg):
             for _ in range(SELFCHECK_TRIALS):
                 m = _random_matrix(rng, n)
-                d0 = coboundary0(alg, case, side, m)
-                if not coboundary1(alg, case, side, d0).is_zero():
+                d0 = _lazy.coboundary0(alg, case, side, m)
+                if not _lazy.coboundary1(alg, case, side, d0).is_zero():
                     complex_ok = False
     results["coboundary_squares_to_zero"] = complex_ok
     route_ok = True
@@ -145,26 +156,26 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int):
     for side in (Side.LEFT, Side.RIGHT):
         if not alg.admits(side):
             continue
-        cases = [case for case, pair in COMPLEX.items() if pair and pair[1] is side]
+        cases = [case for case, pair in _lazy.COMPLEX.items() if pair and pair[1] is side]
         for _ in range(SELFCHECK_TRIALS):
             r = _random_matrix(rng, n)
             for case in cases:
-                if coboundary_cocommutator(alg, r, case) != cocommutator_matrix_route(
+                if _lazy.coboundary_cocommutator(
                     alg, r, case
-                ):
+                ) != _lazy.cocommutator_matrix_route(alg, r, case):
                     route_ok = False
-            if dual_bracket_from_r(alg, r, side) != coboundary_cocommutator(
-                alg, r, BRACKET_CASE[side]
+            if _lazy.dual_bracket_from_r(alg, r, side) != _lazy.coboundary_cocommutator(
+                alg, r, _lazy.BRACKET_CASE[side]
             ):
                 route_ok = False
-            if not crosscheck_dual_defect(alg, r, side):
+            if not _lazy.crosscheck_dual_defect(alg, r, side):
                 defect_ok = False
-            p1, p2, _ = triple_products(alg, r, side)
+            p1, p2, _ = _lazy.triple_products(alg, r, side)
             total = dict(p1)
             for c, v in p2:
                 total[c] = total.get(c, 0) + v
             total = {c: v for c, v in total.items() if v}
-            if total != dict(schouten(alg, r, side).entries):
+            if total != dict(_lazy.schouten(alg, r, side).entries):
                 decomp_ok = False
     results["cocommutator_routes_agree"] = route_ok
     results["dual_defect_identity"] = defect_ok
@@ -194,4 +205,47 @@ def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: in
 
 
 def render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline (see the
+    module notes)."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit ``obj`` as indented JSON; ``newline`` is a newline followed by
+    the indent of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        emit(_quote(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(head + _quote(key) + ": ")
+            _write(obj[key], inner, emit)
+            head = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in obj:
+            emit(head)
+            _write(item, inner, emit)
+            head = "," + inner
+        emit(newline + "]")
+    elif obj is None or kind is bool:
+        emit("null" if obj is None else "true" if obj else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

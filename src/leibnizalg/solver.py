@@ -31,6 +31,7 @@ the free columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -175,13 +176,21 @@ class QuadraticResidual(Frozen):
         return all(p.is_zero() for p in self.polynomials)
 
 
+@functools.cache
+def _components(n: int):
+    """The n^4 residual components, 0-based, and their 1-based provenance."""
+    components = tuple(itertools.product(range(n), repeat=4))
+    return components, tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
+
+
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     """Quadratic polynomials whose simultaneous vanishing marks the members
     of the family whose bracket satisfies the requested identity; every
     polynomial is integer numerators over the same denominator.
 
-    An empty family (trivial kernel) has nothing to constrain and gets an
-    empty polynomial list.
+    The components with no terms share one empty ``Poly``; nothing mutates
+    a ``Poly``.  An empty family (trivial kernel) has nothing to constrain
+    and gets an empty polynomial list.
     """
     if not family.basis:
         return QuadraticResidual((), (), ())
@@ -194,30 +203,31 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
         for (i, j, k), v in b.items()
     ]
     scale = math.lcm(*(v.denominator for _, _, v in entries))
-    forms = {}  # entry (i, j, k), 0-based -> linear form {parameter: coefficient}
+    forms = {}  # entry (i, j, k), 0-based -> linear form [(parameter, coefficient)]
     for e, p, v in entries:
-        forms.setdefault(e, {})[p] = v.numerator * (scale // v.denominator)
+        forms.setdefault(e, []).append((p, v.numerator * (scale // v.denominator)))
     # component -> {u*d + v: coefficient of t_u*t_v}, u <= v
     quad = {}
     for c, s, a, b in leibniz_terms(forms, side):
         terms = quad.get(c)
         if terms is None:
             terms = quad[c] = {}
-        second = forms[b].items()
-        for u, x in forms[a].items():
+        second = forms[b]
+        for u, x in forms[a]:
             x *= s
             for v, y in second:
                 key = u * d + v if u <= v else v * d + u
                 terms[key] = terms.get(key, 0) + x * y
-    components = tuple(itertools.product(range(n), repeat=4))
+    components, provenance = _components(n)
     den = scale * scale
+    empty = Poly({}, den)
     # the key u*d + v with u <= v is the monomial (u, v); sorted keys are
     # monomials in ascending order
     polys = tuple(
-        Poly({divmod(key, d): x for key, x in sorted(quad.get(c, {}).items()) if x}, den)
+        Poly({divmod(key, d): x for key, x in sorted(terms.items()) if x}, den)
+        if (terms := quad.get(c)) else empty
         for c in components
     )
-    provenance = tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
     return QuadraticResidual(family.parameters, polys, provenance)
 
 
@@ -230,15 +240,16 @@ class SweepEntry(Frozen):
         set_field(self, "quadratic", quadratic)
 
 
-def scenario_sweep(alg: LeibnizAlgebra) -> dict[str, SweepEntry]:
-    """Solve the linear stage of every compatible scenario, in table order.
+def scenario_sweep(alg: LeibnizAlgebra, key: str | None = None) -> dict[str, SweepEntry]:
+    """Solve the linear stage of every compatible scenario, in table order,
+    or of scenario ``key`` alone.
 
     Scenarios of one form share one system, solved once.
     """
     out: dict[str, SweepEntry] = {}
     families: dict[int, DualFamily] = {}
     for sc in SCENARIOS:
-        if not sc.compatible(alg):
+        if key not in (None, sc.key) or not sc.compatible(alg):
             continue
         if sc.form not in families:
             families[sc.form] = nullspace(assemble_cocycle_system(alg, sc))

@@ -37,7 +37,7 @@ def corpus_algebras(ex1, ex2, ex3, ex4):
 
 @pytest.fixture(scope="session")
 def zero2():
-    return LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2")
+    return LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}))
 
 
 @pytest.fixture()

@@ -194,7 +194,7 @@ def test_adjoint_golden(corpus_algebras):
 def test_property_suite(corpus_algebras):
     failures = []
     pool = list(corpus_algebras.values())
-    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2"))
+    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {})))
     results = ps.run_all(pool, seed=20240809, trials=100)
     for name, count in results.items():
         if count:

@@ -75,7 +75,7 @@ class TestAct:
                     for x in range(1, n + 1):
                         for u in units:
                             want = act_by_brackets(case.value, side, alg.tensor, x, u)
-                            assert act(case, side, alg, x, u) == want, (alg.name, case, side, x)
+                            assert act(case, side, alg, x, u) == want, (alg.tensor, case, side, x)
 
     def test_chirality_requirements(self, ex1, ex2):
         with pytest.raises(ChiralityError):
@@ -88,7 +88,7 @@ class TestModuleAxioms:
     def test_hold_for_all_claimed_sets_on_corpus(self, corpus_algebras):
         for alg in corpus_algebras.values():
             for case in compatible_cases(alg):
-                assert axioms_hold(case, alg), (alg.name, case)
+                assert axioms_hold(case, alg), (alg.tensor, case)
 
     def test_zero_algebra(self, zero2):
         for case in ActionCase:
@@ -122,7 +122,7 @@ class TestModuleAxioms:
                 for side in case.complexes(alg):
                     verdict = all(ok for label, ok in report.items()
                                   if label.startswith(side.value))
-                    assert oracle_holds(case, alg, side) == verdict, (alg.name, case, side)
+                    assert oracle_holds(case, alg, side) == verdict, (alg.tensor, case, side)
 
 
 class TestComplexCompatibility:

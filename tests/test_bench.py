@@ -59,7 +59,7 @@ def nonzero_components(f: StructureTensor, form: int) -> int:
 
 def test_assemble_counts(tracing, corpus_algebras):
     # [e1, e2] = e2: under lr-1-r the row (1, 2, 2, 1) has one nonzero, in column 0
-    col0 = LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {(1, 2, 2): 1}), "col0")
+    col0 = LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {(1, 2, 2): 1}))
     rows = assemble_cocycle_system(col0, scenario("lr-1-r")).matrix
     assert any(len(row) == 1 and row[0][0] == 0 for row in rows)
     cases = [(col0, "lr-1-r")] + [
@@ -99,10 +99,11 @@ def test_quadratic_counts(tracing, corpus_algebras):
     assert total > 0
 
 
-# One call per command on corpus inputs, run in a fresh interpreter: the
-# wrappers are installed before the first call, the call runs traced, then
-# untraced, then traced again, and the two traced span lists must agree.
-# Every span is (span name, parent span name); "-" marks the root.
+# One call per command on corpus inputs, each command in a fresh
+# interpreter: the wrappers are installed before the first call, the call
+# runs traced, then untraced, then traced again, and the two traced span
+# lists must agree.  Every span is (span name, parent span name); "-" marks
+# the root.
 TRACE_ARGV = {
     "check": "check {example1} --format json",
     "adjoint": "adjoint {example1} --format json",
@@ -135,13 +136,11 @@ def traced(argv):
     return [[s.name, tracer.spans[s.parent].name if s.parent >= 0 else "-"]
             for s in tracer.spans]
 
-out = {}
-for name, argv in json.loads(sys.argv[2]).items():
-    first = traced(argv)
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(argv)
-    out[name] = [first, traced(argv)]
-print(json.dumps(out))
+argv = sys.argv[2:]
+first = traced(argv)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+print(json.dumps([first, traced(argv)]))
 """
 
 # Recorded before the package loaded its modules per command: each
@@ -258,15 +257,14 @@ def _span_counts(spans):
 def test_trace_spans_per_command_pinned(corpus_files, tmp_path):
     files = dict(corpus_files, r=tmp_path / "r.rmat")
     files["r"].write_text("dim: 2\nr 1 2 = 1\nr 2 1 = -1\n")
-    argv = {name: line.format(**files).split() for name, line in TRACE_ARGV.items()}
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", TRACE_CHILD, str(TRACING), json.dumps(argv)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    got = json.loads(proc.stdout)
-    assert sorted(got) == sorted(TRACE_ARGV)
-    for name, (first, again) in got.items():
+    assert sorted(TRACE_SPANS) == sorted(TRACE_ARGV)
+    for name, line in TRACE_ARGV.items():
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", TRACE_CHILD, str(TRACING), *line.format(**files).split()],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        first, again = json.loads(proc.stdout)
         assert first == again, name
         digest = hashlib.sha256(json.dumps(first).encode()).hexdigest()
         assert (_span_counts(map(tuple, first)), digest) == TRACE_SPANS[name], name

@@ -107,16 +107,55 @@ LONG_FLAGS = {
 }
 
 
-def test_import_skips_start_up_heavy_modules():
+# Runs one command through cli.main, then prints the package modules and
+# `random` that the call loaded.
+MODULES_CHILD = """
+import contextlib, io, sys
+from leibnizalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) in (0, 1)
+print(" ".join(m.removeprefix("leibnizalg.") for m in sorted(sys.modules)
+               if m.startswith("leibnizalg.") or m == "random"))
+"""
+
+# command line -> modules the command must load, modules it must not
+COMMAND_MODULES = {
+    "check {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
+    "adjoint {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
+    "rmatrix {example1} --case left4 --dual {example1}": ({"rmatrix"}, {"solver", "poly"}),
+    "coboundary {example1} --case left4 --r {r}": ({"rmatrix"}, {"solver", "poly"}),
+    "schouten {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
+    "ybe {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
+    "gybe {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
+    "duals {example3}": ({"solver", "poly"}, {"rmatrix", "random"}),
+    "duals {example3} --scenario l-3-l": ({"solver", "poly"}, {"rmatrix", "random"}),
+}
+
+
+def _child(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
+def test_import_skips_start_up_heavy_modules(corpus_files, tmp_path):
     # every CLI call imports the package; these cost milliseconds to load
     # (inspect and its parsers, OpenSSL) and no command needs them at import
     heavy = ("dataclasses", "inspect", "hashlib")
     probe = f"import sys, leibnizalg.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout == "[]\n"
+    assert _child("-c", probe) == "[]\n"
+    # the package alone loads none of its modules; each export loads on use
+    probe = ("import sys, leibnizalg; before = [m for m in sys.modules if '.' in m "
+             "and m.startswith('leibnizalg')]; "
+             "[getattr(leibnizalg, name) for name in leibnizalg.__all__]; print(before)")
+    assert _child("-c", probe) == "[]\n"
+    # each command loads only the modules it uses
+    files = dict(corpus_files, r=tmp_path / "r.rmat")
+    files["r"].write_text("dim: 2\nr 1 2 = 1\nr 2 1 = -1\n")
+    for line, (need, skip) in COMMAND_MODULES.items():
+        loaded = set(_child("-c", MODULES_CHILD, *line.format(**files).split()).split())
+        assert need <= loaded and not skip & loaded, (line, sorted(loaded))
 
 
 @pytest.mark.parametrize("flag", sorted(LONG_FLAGS))

@@ -97,8 +97,9 @@ class TestCorpus:
 
     def test_documents_parse_and_verify(self):
         for name in names():
-            alg = corpus_document(name).algebra()
-            assert alg.name == name
+            doc = corpus_document(name)
+            doc.algebra()
+            assert doc.name == name
 
     def test_declared_sides(self):
         sides = {name: corpus_document(name).declared_side for name in names()}

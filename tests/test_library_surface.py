@@ -35,9 +35,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibnizalg"
 ALLOWED = {"LeibnizAlgebra.analyze", "RMatrixFamily.member"}
 
 # Defaults that no call in the package passes: the console script calls
-# ``main()`` with no arguments, and ``LeibnizAlgebra.analyze`` is README
-# "Library use".
-ALLOWED_DEFAULTS = {"main.argv", "LeibnizAlgebra.analyze.name"}
+# ``main()`` with no arguments.
+ALLOWED_DEFAULTS = {"main.argv"}
 
 
 def _trees(package: Path):

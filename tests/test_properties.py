@@ -13,7 +13,7 @@ def algebras(request):
     from oracles import corpus_document
 
     pool = [corpus_document(n).algebra() for n in names()]
-    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {}), "zero2"))
+    pool.append(LeibnizAlgebra.analyze(StructureTensor.from_entries(2, {})))
     return pool
 
 

@@ -341,6 +341,31 @@ class TestVerifyAndSweep:
     def test_sweep_scenario_keys(self, ex1):
         assert list(scenario_sweep(ex1)) == ["lr-1-r", "lr-4-l", "l-3-r", "l-3-l"]
 
+    def test_one_scenario_solves_one_system(self, corpus_algebras, monkeypatch):
+        import leibnizalg.solver as solver_mod
+
+        assembled = []
+
+        def counting(alg, sc):
+            assembled.append(sc.form)
+            return assemble_cocycle_system(alg, sc)
+
+        for alg in corpus_algebras.values():
+            whole = scenario_sweep(alg)
+            for key, entry in whole.items():
+                assembled.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(solver_mod, "assemble_cocycle_system", counting)
+                    alone = scenario_sweep(alg, key=key)
+                assert assembled == [entry.scenario.form]
+                assert list(alone) == [key]
+                got = alone[key]
+                assert (got.scenario, got.family) == (entry.scenario, entry.family)
+                assert got.quadratic.provenance == entry.quadratic.provenance
+                assert [(p.terms, p.den) for p in got.quadratic.polynomials] == [
+                    (p.terms, p.den) for p in entry.quadratic.polynomials
+                ]
+
     def test_ex3_lie_family_admitted_by_four(self, ex3):
         ref = EX3_FAMILIES[0]
         assert ref.admitted == {"r-2-r", "r-2-l", "l-3-r", "l-3-l"}
