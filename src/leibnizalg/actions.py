@@ -17,6 +17,12 @@ The table ``REACH`` is the one encoding of this list.  ``action_operators``
 turns it into one sparse operator per basis element; the module axioms
 here, the coboundaries of ``cohomology``, the compatibility rows of
 ``solver`` and delta(r) in ``rmatrix`` are all built from those operators.
+They are the one action table: integer coefficients over one common
+denominator, the lcm of the bracket's denominators, built once per
+(tensor, case, side) in a bounded cache.  Every module axiom is of degree 2
+in the bracket, so its defect on the integer table is den^2 times the
+rational one and a verdict needs no division; ``to_matrix`` divides once
+per nonzero entry where a rational value is wanted.
 
 What a case needs is decided in one place: ``ActionCase.required_side``
 (case 2 a right-handed algebra, case 3 a left-handed one), from which
@@ -103,14 +109,18 @@ REACH = {
 
 
 @functools.lru_cache(maxsize=32)
-def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[Operator, ...]:
-    """The action of each basis element X_x (0-based x) as a sparse operator.
+def action_operators(
+    t: StructureTensor, case: ActionCase, side: Side
+) -> tuple[int, tuple[Operator, ...]]:
+    """The action of each basis element X_x (0-based x) as a sparse operator
+    with integer entries over den, the lcm of the denominators of t: (den,
+    ops), an entry c standing for c/den.
 
     Built once per (tensor, case, side) and shared between callers, which
     must not mutate it; ``compose`` and ``lin`` build new operators.
     """
     n = t.dim
-    rows = bracket_rows(t)
+    den, rows = bracket_rows(t)
     reach = REACH[case, side]
     ops = []
     for x in range(n):
@@ -125,13 +135,20 @@ def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[
                     col[q] = col.get(q, 0) + c
             op.append({q: c for q, c in col.items() if c})
         ops.append(op)
-    return tuple(ops)
+    return den, tuple(ops)
 
 
-def to_matrix(col: dict, n: int) -> Matrix:
-    """An operator column (or any sparse vector on the tensor square) as an
-    n x n coefficient matrix."""
-    return tuple(tuple(col.get(m * n + k, Fraction(0)) for k in range(n)) for m in range(n))
+_ZERO = Fraction(0)
+
+
+def to_matrix(col: dict, n: int, den: int) -> Matrix:
+    """A sparse vector on the tensor square with entries over ``den`` (an
+    operator column, say) as an n x n coefficient matrix: one division per
+    nonzero entry, and the zero entries share one ``Fraction``."""
+    return tuple(
+        tuple(Fraction(c, den) if (c := col.get(m * n + k)) else _ZERO for k in range(n))
+        for m in range(n)
+    )
 
 
 def compose(p: Operator, q: Operator) -> Operator:
@@ -164,9 +181,9 @@ def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra):
     case.require(alg)
     sides = case.complexes(alg)
     n = alg.dim
-    rows = bracket_rows(alg.tensor)
-    L = action_operators(alg.tensor, case, Side.LEFT)
-    R = action_operators(alg.tensor, case, Side.RIGHT)
+    _, rows = bracket_rows(alg.tensor)
+    _, L = action_operators(alg.tensor, case, Side.LEFT)
+    _, R = action_operators(alg.tensor, case, Side.RIGHT)
     o = compose
 
     def on(ops, x, y):  # the action of [X_x, X_y]

@@ -4,13 +4,15 @@
 coboundaries, written over the action operators of ``actions``: it gives
 ``coboundary0/1`` on cochains, the rows of ``solver.cocycle_system`` (minus
 the degree-1 coboundary of the cochain X_k -> sum ftilde(a, b, k) X_a (x)
-X_b) and the term table of ``rmatrix._cocommutator_terms`` (the degree-0
-coboundary of r).  Its coefficients are integers over one common
-denominator, the lcm of the bracket's denominators, taken from integer
-copies of the action operators that are built once per tensor and case.
-Its readers sum the integers (the cocycle rows) or multiply them into the
-rational cochain values, and divide by the denominator once per value, not
-once per term.
+X_b), the cocommutator delta(r) of ``rmatrix`` (``coboundary0`` of r) and
+the rows of ``rmatrix.solve_rmatrix``.  Its coefficients are integers over
+one common denominator, the lcm of the bracket's denominators, read off the
+integer action table; the table is built once per (tensor, case, side,
+degree) and kept in a cache of four entries, enough for the selfcheck,
+which applies d0 and d1 five times per complex.  Its readers sum the
+integers (the cocycle rows) or multiply them into the cochain's values
+scaled to integers over their own lcm, and build one ``Fraction`` per
+nonzero output entry, not one per term.
 
 Those are the degrees the bialgebra constructions use.  The degree-2
 coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
@@ -28,13 +30,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
-from math import lcm
 
 from .actions import ActionCase, action_operators, to_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
 from .errors import DimensionError
-from .linalg import Matrix
+from .linalg import Matrix, over_lcm
 from .record import Frozen, set_field
 
 # Observed mechanically on the bundled corpus with random cochains
@@ -66,7 +66,7 @@ class CochainMap(Frozen):
     def is_zero(self) -> bool:
         def walk(v, depth):
             if depth == 0:
-                return all(x == 0 for row in v for x in row)
+                return not any(map(any, v))
             return all(walk(c, depth - 1) for c in v)
 
         return walk(self.values, self.arity)
@@ -76,7 +76,9 @@ def _terms(rows, L, R, side: Side, point):
     """The coboundary at the basis arguments ``point`` (0-based; its length
     is the degree plus one) as terms (scalar, operator, arguments): the sum
     of scalar * operator(w(arguments)), None standing for the identity.
-    ``rows`` holds the bracket as ``core.bracket_rows`` does."""
+    ``rows``, ``L`` and ``R`` hold the bracket and the action operators as
+    ``core.bracket_rows`` and ``actions.action_operators`` do, over one
+    common denominator, and so do the scalars."""
     if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
         (x,) = point
         return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
@@ -86,50 +88,41 @@ def _terms(rows, L, R, side: Side, point):
     return [(1, L[x], (y,)), (1, R[y], (x,))] + minus_w_of_bracket
 
 
-@functools.lru_cache(maxsize=32)
-def _integer_tables(t: StructureTensor, case: ActionCase):
-    """The action operators of both sides (``actions.action_operators``) and
-    the bracket rows (``core.bracket_rows``) of t with integer coefficients
-    over den, the lcm of the denominators of t: (den, L, R, rows).  Built
-    once per tensor and case and shared; callers must not mutate them."""
-    den = lcm(*(v.denominator for _, v in t.items()))
-
-    def numerators(pairs):
-        return {key: c.numerator * (den // c.denominator) for key, c in pairs}
-
-    L, R = (
-        [[numerators(col.items()) for col in op] for op in action_operators(t, case, side)]
-        for side in (Side.LEFT, Side.RIGHT)
-    )
-    rows = {xy: list(numerators(line).items()) for xy, line in bracket_rows(t).items()}
-    return den, L, R, rows
-
-
+@functools.lru_cache(maxsize=4)
 def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
     """The coboundary of degree 0 or 1 as a sparse linear map with integer
     coefficients over one common denominator.
 
-    Returns (den, terms), den the lcm of the denominators of t.  ``terms``
-    yields (point, q, arguments, p, c), 0-based, c a nonzero integer:
-    component q = m*n + n' of the value at the basis arguments ``point``
-    gains c/den times component p of the cochain's value at ``arguments``.
-    No chirality check.
+    Returns (den, table), den the lcm of the denominators of t.  ``table``
+    holds one (point, columns) per basis argument tuple ``point``, 0-based,
+    and each column (arguments, p, entries) says: for every (q, c) of
+    ``entries``, c a nonzero integer, component q = m*n + n' of the value at
+    ``point`` gains c/den times component p of the cochain's value at
+    ``arguments``.  No chirality check.
+
+    Built once per (tensor, case, side, degree) and shared through a small
+    bounded cache; callers must not mutate it.  The selfcheck applies d0
+    and d1 five times per complex, and a degree-1 table of a dense
+    dimension-8 tensor holds about 98k terms.
     """
     n = t.dim
-    den, L, R, rows = _integer_tables(t, case)
-
-    def terms():
-        for point in itertools.product(range(n), repeat=degree + 1):
-            for s, op, args in _terms(rows, L, R, side, point):
-                if op is None:
-                    for q in range(n * n):
-                        yield point, q, args, q, s
-                else:
-                    for p, col in enumerate(op):
-                        for q, c in col.items():
-                            yield point, q, args, p, s * c
-
-    return den, terms()
+    den, rows = bracket_rows(t)
+    _, L = action_operators(t, case, Side.LEFT)
+    _, R = action_operators(t, case, Side.RIGHT)
+    table = []
+    for point in itertools.product(range(n), repeat=degree + 1):
+        columns = []
+        for s, op, args in _terms(rows, L, R, side, point):
+            if op is None:
+                columns += [(args, q, ((q, s),)) for q in range(n * n)]
+            else:
+                columns += [
+                    (args, p, tuple((q, s * c) for q, c in col.items()))
+                    for p, col in enumerate(op)
+                    if col
+                ]
+        table.append((point, tuple(columns)))
+    return den, tuple(table)
 
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
@@ -140,24 +133,31 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
             raise DimensionError(f"coboundary{degree} expects an arity-{degree} cochain")
         values, shape_ok = w.values, w.dim == n
     else:
-        values, shape_ok = w, len(w) == n and all(len(row) == n for row in w)
+        values, shape_ok = (w,), len(w) == n and all(len(row) == n for row in w)
     case.require(alg)
     if not shape_ok:
         raise DimensionError("tensor-square element has wrong shape")
-    den, terms = coboundary_entries(alg.tensor, case, side, degree)
+    den, table = coboundary_entries(alg.tensor, case, side, degree)
+    # the cochain's values as integers over their lcm, one flat list per
+    # argument tuple
+    scale, flat = over_lcm(x for m in values for row in m for x in row)
+    size = n * n
+    cochain = {
+        (a,) if degree else (): flat[a * size:(a + 1) * size] for a in range(len(values))
+    }
     out = {}
-    for point, q, args, p, c in terms:
-        v = values
-        for a in args:
-            v = v[a]
-        v = v[p // n][p % n]
-        if v:
-            acc = out.setdefault(point, {})
-            acc[q] = acc.get(q, 0) + c * v
+    for point, columns in table:
+        acc = out[point] = {}
+        for args, p, entries in columns:
+            v = cochain[args][p]
+            if v:
+                for q, c in entries:
+                    acc[q] = acc.get(q, 0) + c * v
+    den *= scale
 
     def nest(point):
         if len(point) > degree:
-            return to_matrix({q: Fraction(x, den) for q, x in out.get(point, {}).items() if x}, n)
+            return to_matrix(out[point], n, den)
         return tuple(nest(point + (k,)) for k in range(n))
 
     return CochainMap(n, degree + 1, nest(()))

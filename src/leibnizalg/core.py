@@ -18,6 +18,13 @@ Conventions frozen across the whole package:
   on its own.
 * Coadjoint matrices are the negated transposes of the matching adjoint
   matrices in those coordinates.
+* ``bracket_rows`` is the bracket with integer coefficients over one common
+  denominator, the lcm of its denominators; the Leibniz defect, the action
+  table of ``actions`` and the triple products of ``rmatrix`` read it.
+
+``bracket_rows``, ``adjoint_matrices`` and ``coadjoint_matrices`` are built
+once per tensor, behind bounded caches, and shared: callers must not mutate
+them.
 
 Supported dimensions are 1 through 8; everything is exact rational.
 """
@@ -25,12 +32,12 @@ Supported dimensions are 1 through 8; everything is exact rational.
 from __future__ import annotations
 
 import enum
-import math
+import functools
 import operator
 from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, frac, mat_neg, transpose
+from .linalg import Matrix, frac, mat_neg, over_lcm, transpose
 from .record import CachedHash, Frozen, set_field
 
 MAX_DIM = 8
@@ -84,12 +91,18 @@ class StructureTensor(CachedHash):
         return self.entries
 
 
-def bracket_rows(t: StructureTensor) -> dict:
-    """{(i, j): [(k, t(i,j,k)), ...]}, 0-based, over the nonzero entries."""
+@functools.lru_cache(maxsize=8)
+def bracket_rows(t: StructureTensor) -> tuple[int, dict]:
+    """The bracket with integer coefficients over one common denominator:
+    (den, {(i, j): [(k, c), ...]}), 0-based, over the nonzero entries, with
+    t(i,j,k) = c/den and den the lcm of the denominators of t.  Built once
+    per tensor and shared through a bounded cache; callers must not mutate
+    it."""
+    den, numerators = over_lcm(v for _, v in t.items())
     rows = {}
-    for (i, j, k), v in t.items():
-        rows.setdefault((i - 1, j - 1), []).append((k - 1, v))
-    return rows
+    for ((i, j, k), _), c in zip(t.items(), numerators):
+        rows.setdefault((i - 1, j - 1), []).append((k - 1, c))
+    return den, rows
 
 
 # The Leibniz identity as a term table, per side.  Component (i, j, k, m) of
@@ -124,9 +137,8 @@ def leibniz_terms(support, side: Side):
 def _defect(t: StructureTensor, side: Side):
     """The defect's components that have terms, in integers over a common
     denominator: ({(i, j, k, m): numerator}, denominator), 0-based."""
-    f = {(i - 1, j - 1, k - 1): v for (i, j, k), v in t.items()}
-    scale = math.lcm(*(v.denominator for v in f.values()))
-    f = {e: v.numerator * (scale // v.denominator) for e, v in f.items()}
+    scale, rows = bracket_rows(t)
+    f = {(i, j, k): c for (i, j), line in rows.items() for k, c in line}
     out = {}
     for c, s, a, b in leibniz_terms(f, side):
         out[c] = out.get(c, 0) + s * f[a] * f[b]
@@ -196,8 +208,9 @@ class LeibnizAlgebra(Frozen):
             )
 
 
-class AdjointMatrices(Frozen):
-    """The three families of slice matrices of one tensor (see module notes)."""
+class AdjointMatrices(CachedHash):
+    """The three families of slice matrices of one tensor (see module notes).
+    Hashed once, as the key of ``coadjoint_matrices``."""
 
     __slots__ = ("first_slot", "second_slot", "output_slot")
 
@@ -208,7 +221,10 @@ class AdjointMatrices(Frozen):
         set_field(self, "output_slot", output_slot)
 
 
+@functools.lru_cache(maxsize=8)
 def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
+    """Built once per tensor and shared through a bounded cache; callers
+    must not mutate it."""
     n = t.dim
     first, second, output = (
         [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(3)
@@ -232,7 +248,10 @@ class CoadjointMatrices(Frozen):
         set_field(self, "right", right)
 
 
+@functools.lru_cache(maxsize=8)
 def coadjoint_matrices(adj: AdjointMatrices) -> CoadjointMatrices:
+    """Built once per adjoint family and shared through a bounded cache;
+    callers must not mutate it."""
     left = tuple(mat_neg(transpose(m)) for m in adj.first_slot)
     right = tuple(mat_neg(transpose(m)) for m in adj.second_slot)
     return CoadjointMatrices(left, right)

@@ -41,6 +41,13 @@ def _parse_number(text: str, pattern, convert, what: str, line: int, hint=""):
     raise ParseError(f"bad {what} {quote(text)}{hint}", line)
 
 
+def _shown(x) -> str:
+    """A number or an index tuple read from the input, for a one-line error
+    message: cut as ``quote`` cuts text when it is long."""
+    text = str(x)
+    return text if len(text) <= 40 else quote(text)
+
+
 class AlgebraDocument(Record):
     __slots__ = ("name", "dim", "declared_side", "entries")
     __hash__ = None  # mutable
@@ -113,7 +120,7 @@ def _scan(text: str, kind: str):
                 doc_dim = _parse_number(value, _NATURAL, int, "dimension", ln)
                 if not 1 <= doc_dim <= MAX_DIM:
                     raise ParseError(
-                        f"dimension {doc_dim} outside 1..{MAX_DIM}", ln
+                        f"dimension {_shown(doc_dim)} outside 1..{MAX_DIM}", ln
                     )
             elif key == "side":
                 if kind != "f":
@@ -137,7 +144,7 @@ def _scan(text: str, kind: str):
             tokens[want + 2], _RAT, Fraction, "rational", ln, " (want p or p/q, q nonzero)"
         )
         if idx in entries:
-            raise ParseError(f"duplicate entry for {idx}", ln)
+            raise ParseError(f"duplicate entry for {_shown(idx)}", ln)
         entries[idx] = (ln, value)
     if doc_dim is None:
         raise ParseError("missing dim directive")
@@ -145,7 +152,7 @@ def _scan(text: str, kind: str):
         for component in idx:
             if not 1 <= component <= doc_dim:
                 raise ParseError(
-                    f"index {component} outside 1..{doc_dim}", ln
+                    f"index {_shown(component)} outside 1..{doc_dim}", ln
                 )
     clean = {idx: value for idx, (_, value) in entries.items()}
     return name, doc_dim, side, clean

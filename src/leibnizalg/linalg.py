@@ -13,7 +13,8 @@ from then on: a reduction step cross-multiplies two rows, a*v - b*p, and
 divides the result by its content (the gcd of its entries), which keeps the
 integers small.  ``Fraction``s appear only on output, one per entry of a
 reduced row.  ``sparse_rows`` likewise takes integer numerators over one
-common denominator and sums them as integers.
+common denominator and sums them as integers, and ``over_lcm`` is how the
+other layers put exact rationals on one common denominator.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def over_lcm(values) -> tuple[int, list[int]]:
+    """Exact rationals as integer numerators over one common denominator,
+    the lcm of theirs: (den, [numerator, ...]) in the order of ``values``."""
+    pairs = [(x.numerator, x.denominator) for x in values]
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
 
 
 def mat(rows) -> Matrix:

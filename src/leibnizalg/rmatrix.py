@@ -7,7 +7,7 @@ antisymmetric (``is_antisymmetric_matrix`` reports that property when a
 caller cares).
 
 The coboundary cocommutator delta(r) is the degree-0 coboundary of r
-(``cohomology.coboundary_entries``) under action case 1 or 4 on the right-
+(``cohomology.coboundary0``) under action case 1 or 4 on the right-
 or left-handed complex; ``cocommutator_matrix_route`` and
 ``dual_bracket_from_r`` compute it by independent routes.  The table
 ``COMPLEX`` gives each coboundary case its action case and complex side,
@@ -18,6 +18,12 @@ the dual bracket that r induces.
 The Schouten bracket, the three triple products and the generalized
 Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
 nonzero entries of the bracket only.
+
+The cocommutator (through ``cohomology``) and the triple products sum
+integers: r, and the bracket, are scaled to integer numerators over the lcm
+of their denominators (``linalg.over_lcm``, ``core.bracket_rows``), and one
+``Fraction`` is built per nonzero output entry.  The two second routes,
+through the cached adjoint and coadjoint matrices of ``core``, stay rational.
 
 Handedness conventions.  The right-handed component formulas follow the
 standard slot-by-slot contractions.  The left-handed Schouten bracket and
@@ -44,12 +50,13 @@ import operator
 from fractions import Fraction
 
 from .actions import ActionCase
-from .cohomology import coboundary_entries
+from .cohomology import coboundary0, coboundary_entries
 from .core import (
     LeibnizAlgebra,
     Side,
     StructureTensor,
     adjoint_matrices,
+    bracket_rows,
     coadjoint_matrices,
     leibniz_residual,
 )
@@ -59,6 +66,7 @@ from .linalg import (
     mat,
     mat_mul,
     mat_neg,
+    over_lcm,
     solve_affine,
     sparse_rows,
     transpose,
@@ -129,37 +137,24 @@ def is_antisymmetric_matrix(r: Matrix) -> bool:
     return all(r[i][j] == -r[j][i] for i in range(n) for j in range(n))
 
 
-def _cocommutator_terms(alg: LeibnizAlgebra, pair):
-    """Term table of the linear map r -> delta(r): the degree-0 coboundary
-    under the action case and on the complex of ``pair``, an entry of
-    ``COMPLEX``, read as the cochain X_m -> sum delta(r)(a, b, m) X_a (x)
-    X_b; a trivial case (None) has no terms, since only the zero
-    cocommutator is a coboundary there.
-
-    Returns (den, terms), with integer coefficients over the common
-    denominator den: ``terms`` yields ((a, b, m), (i, j), c), 0-based, for
-    every nonzero integer c of delta(r)[a][b][m] = sum c/den * r[i][j].
-    """
-    if pair is None:
-        return 1, ()
-    n = alg.dim
-    den, entries = coboundary_entries(alg.tensor, *pair, 0)
-    return den, (((q // n, q % n, m), divmod(p, n), c) for (m,), q, _, p, c in entries)
-
-
 def coboundary_cocommutator(
     alg: LeibnizAlgebra, r: Matrix, case: CoboundaryCase
 ) -> StructureTensor:
-    """Dual bracket table induced by r under the chosen coboundary case."""
+    """Dual bracket table induced by r under the chosen coboundary case: the
+    degree-0 coboundary of r under the action case and on the complex of
+    ``COMPLEX[case]``, read as the cochain X_m -> sum delta(r)(a, b, m)
+    X_a (x) X_b; zero for a trivial case, where only the zero cocommutator
+    is a coboundary."""
     pair = _complex(alg, case)
     r = _check_r(alg, r)
-    den, terms = _cocommutator_terms(alg, pair)
-    r = [[x / den for x in row] for row in r]
-    out = {}
-    for (a, b, m), (i, j), c in terms:
-        key = (a + 1, b + 1, m + 1)
-        out[key] = out.get(key, 0) + c * r[i][j]
-    return StructureTensor.from_entries(alg.dim, out)
+    values = coboundary0(alg, *pair, r).values if pair else ()
+    return StructureTensor.from_entries(alg.dim, {
+        (a + 1, b + 1, m + 1): v
+        for m, value in enumerate(values)
+        for a, row in enumerate(value)
+        for b, v in enumerate(row)
+        if v
+    })
 
 
 def cocommutator_matrix_route(
@@ -225,10 +220,13 @@ def solve_rmatrix(
     if ftilde.dim != alg.dim:
         raise DimensionError("dual tensor dimension does not match the algebra")
     n = alg.dim
-    # Unknowns r[i][j] flattened as i*n + j; one equation per (m, a, b).
-    den, terms = _cocommutator_terms(alg, pair)
+    # Unknowns r[i][j] flattened as i*n + j = p; one equation per (m, a, b),
+    # row m*n*n + q with q = a*n + b: the degree-0 coboundary of r (see
+    # ``coboundary_cocommutator``)
+    den, table = coboundary_entries(alg.tensor, *pair, 0) if pair else (1, ())
     rows = sparse_rows(
-        (((m * n + a) * n + b, i * n + j, c) for (a, b, m), (i, j), c in terms),
+        ((m * n * n + q, p, c)
+         for (m,), columns in table for _, p, entries in columns for q, c in entries),
         n ** 3,
         den,
     )
@@ -317,21 +315,28 @@ def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> tuple:
     ((m, n, p), value), 1-based and sorted, like ``StructureTensor.items``."""
     alg.require("the Schouten bracket of r", side)
     r = _check_r(alg, r)
+    n = alg.dim
+    # f and r as integers over their lcms, so a term is a product of ints
+    fden, rows = bracket_rows(alg.tensor)
+    scale, flat = over_lcm(x for row in r for x in row)
+    grid = [flat[i * n:(i + 1) * n] for i in range(n)]
     # lines[0][i] holds the nonzero r[i][x] as (x, value), lines[1][i] the r[x][i]
     lines = tuple(
-        tuple(tuple((x, v) for x, v in enumerate(row) if v) for row in grid)
-        for grid in (r, transpose(r))
+        tuple(tuple((x, v) for x, v in enumerate(row) if v) for row in g)
+        for g in (grid, zip(*grid))
     )
     out = {}
     for sign, sa, sb, pick in terms:
         component = operator.itemgetter(*pick)
-        for (i, j, k), v in alg.tensor.items():
-            for x, ra in lines[sa][i - 1]:
-                c = sign * v * ra
-                for y, rb in lines[sb][j - 1]:
-                    key = component((k, x + 1, y + 1))
-                    out[key] = out.get(key, 0) + c * rb
-    return tuple(sorted((key, v) for key, v in out.items() if v))
+        for (i, j), line in rows.items():
+            for k, v in line:
+                for x, ra in lines[sa][i]:
+                    c = sign * v * ra
+                    for y, rb in lines[sb][j]:
+                        key = component((k + 1, x + 1, y + 1))
+                        out[key] = out.get(key, 0) + c * rb
+    den = fden * scale * scale
+    return tuple(sorted((key, Fraction(x, den)) for key, x in out.items() if x))
 
 
 def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:

@@ -113,9 +113,10 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
         raise DimensionError(f"unknown form {form}")
     n = t.dim
     # the degree-1 coboundary has one formula on both complexes
-    den, entries = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
+    den, table = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
     rows = sparse_rows(
-        (((i * n + j) * n * n + q, p * n + k, -c) for (i, j), q, (k,), p, c in entries),
+        (((i * n + j) * n * n + q, p * n + k, -c)
+         for (i, j), columns in table for (k,), p, entries in columns for q, c in entries),
         n ** 4,
         den,
     )

@@ -15,9 +15,10 @@ reference to the sparse eliminator of ``linalg``; ``schouten_dense``,
 ``triple_products_dense`` and ``gybe_residual_dense`` sum the r-matrix
 triple products over every index pair, with no reference to the term table
 ``rmatrix.TRIPLE``, and ``dual_bracket_by_units`` applies the coadjoint
-operators to unit covectors.  ``coboundary2`` and
-``module_axiom_residuals`` are the degree-2 coboundary and the module-axiom
-defects through the bracket-evaluation actions of ``act_by_brackets``.
+operators to unit covectors.  ``coboundary0_dense``,
+``coboundary1_dense``, ``coboundary2`` and ``module_axiom_residuals`` are
+the coboundaries and the module-axiom defects through the
+bracket-evaluation actions of ``act_by_brackets``.
 
 The rest are checks that only tests use, written on the library's own
 routes: ``apply_system`` applies the rows of a linear system to a tensor
@@ -180,7 +181,8 @@ def act(case, side: Side, alg, x: int, u):
     if len(u) != n or any(len(row) != n for row in u):
         raise DimensionError("tensor-square element has wrong shape")
     u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
-    return to_matrix(compose(action_operators(alg.tensor, case, side)[x - 1], [u_col])[0], n)
+    den, ops = action_operators(alg.tensor, case, side)
+    return to_matrix(compose(ops[x - 1], [u_col])[0], n, den)
 
 
 def axioms_hold(case, alg) -> bool:
@@ -646,6 +648,33 @@ def _actions_by_brackets(case, t: StructureTensor):
         lambda x, u: act_by_brackets(case.value, Side.LEFT, t, x + 1, u),
         lambda x, u: act_by_brackets(case.value, Side.RIGHT, t, x + 1, u),
     )
+
+
+def coboundary0_dense(alg, case, side: Side, m) -> CochainMap:
+    """Degree-0 coboundary through the bracket-evaluation actions: X maps to
+    [X, m]_L on the right-handed complex and to -[m, X]_R on the left."""
+    n = alg.dim
+    L, R = _actions_by_brackets(case, alg.tensor)
+    return CochainMap(n, 1, tuple(
+        L(x, m) if side is Side.RIGHT else mat_scale(-1, R(x, m)) for x in range(n)
+    ))
+
+
+def coboundary1_dense(alg, case, side: Side, w) -> CochainMap:
+    """Degree-1 coboundary through the bracket-evaluation actions:
+    (X, Y) maps to [X, w(Y)]_L + [w(X), Y]_R - w([X, Y])."""
+    n = alg.dim
+    f = dense(alg.tensor)
+    L, R = _actions_by_brackets(case, alg.tensor)
+    v = w.values
+    return CochainMap(n, 2, tuple(
+        tuple(
+            _combo(n, [(1, L(x, v[y])), (1, R(y, v[x]))]
+                   + [(-c, v[k]) for k, c in enumerate(f[x][y])])
+            for y in range(n)
+        )
+        for x in range(n)
+    ))
 
 
 def coboundary2(alg, case, side: Side, w) -> CochainMap:

@@ -71,6 +71,10 @@ BAD_FILES = {
     "long-side": ("dim: 2\nside: " + "q" * 5000 + "\n", 2),
     "long-directive": ("dim: 2\n" + "k" * 5000 + ": 1\n", 2),
     "long-line": ("dim: 2\n" + "z" * 5000 + "\n", 2),
+    # one long number per place that shows a number read from the input
+    "long-dimension": ("dim: " + "9" * 400 + "\n", 1),
+    "long-index-number": ("dim: 2\n{e} " + "1" * 400 + " = 1\n", 2),
+    "long-duplicate": ("dim: 2\n{e} " + "1" * 400 + " = 1\n{e} " + "1" * 400 + " = 2\n", 3),
 }
 
 

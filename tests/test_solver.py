@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from oracles import (
     annihilates,
     apply_system,
     cocycle_residual_matrix,
+    cocycle_residual_tensor,
     column_index,
     evaluate_quadratic,
     family_member,
@@ -37,8 +39,10 @@ from oracles import (
     opposite,
     quadratic_by_polarization,
     row_provenance,
+    sparse4,
     verify_bialgebra,
 )
+from property_suite import rand_tensor
 from test_cli import DENSE_BASIS, _in_basis
 
 F = Fraction
@@ -404,3 +408,30 @@ class TestOppositeMirror:
                 system = cocycle_system(opposite(f), scenario(MIRROR[key]).form)
                 for g in entry.family.basis:
                     assert annihilates(system, opposite(g)), (f, key)
+
+
+# The paper's dual correspondence on the compatibility forms: with B_k(f, g)
+# the residual [i][j][m][n] of form k, primal bracket f and dual bracket g,
+#   dual swap:  B_k(f, g)[i, j, m, n] = B_s(k)(g, f)[m, n, i, j],
+#   opposite:   B_k(f, g)[i, j, m, n] = B_o(k)(f^op, g^op)[j, i, n, m],
+# with s = (1 2)(3 4) and o = (1 4)(2 3): the four forms are one form under
+# a Klein four-group.  The identities are bilinear and need no Leibniz
+# identity, so random dense pairs test them.
+SWAP = {1: 2, 2: 1, 3: 4, 4: 3}
+OPPOSITE = {1: 4, 4: 1, 2: 3, 3: 2}
+
+
+class TestKleinFour:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dual_swap_and_opposite(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            f, g = rand_tensor(rng, n), rand_tensor(rng, n)
+            for k in (1, 2, 3, 4):
+                b = cocycle_residual_tensor(f, g, k)
+                assert sparse4(b), (n, k)  # not a vacuous identity
+                swapped = cocycle_residual_tensor(g, f, SWAP[k])
+                mirrored = cocycle_residual_tensor(opposite(f), opposite(g), OPPOSITE[k])
+                for i, j, m, q in itertools.product(range(n), repeat=4):
+                    assert b[i][j][m][q] == swapped[m][q][i][j], (n, k)
+                    assert b[i][j][m][q] == mirrored[j][i][q][m], (n, k)
