@@ -21,8 +21,9 @@ They are the one action table: integer coefficients over one common
 denominator, the lcm of the bracket's denominators, built once per
 (tensor, case, side) in a bounded cache.  Every module axiom is of degree 2
 in the bracket, so its defect on the integer table is den^2 times the
-rational one and a verdict needs no division; ``to_matrix`` divides once
-per nonzero entry where a rational value is wanted.
+rational one and a verdict needs no division.  The readers that return
+rational values (the coboundaries, delta(r)) divide once per nonzero
+output entry.
 
 What a case needs is decided in one place: ``ActionCase.required_side``
 (case 2 a right-handed algebra, case 3 a left-handed one), from which
@@ -47,10 +48,8 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from fractions import Fraction
 
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
-from .linalg import Matrix
 
 # A sparse operator on the tensor square: one column dict per basis element
 # X_a (x) X_b, at index a*n + b, mapping an output index to its coefficient.
@@ -136,19 +135,6 @@ def action_operators(
             op.append({q: c for q, c in col.items() if c})
         ops.append(op)
     return den, tuple(ops)
-
-
-_ZERO = Fraction(0)
-
-
-def to_matrix(col: dict, n: int, den: int) -> Matrix:
-    """A sparse vector on the tensor square with entries over ``den`` (an
-    operator column, say) as an n x n coefficient matrix: one division per
-    nonzero entry, and the zero entries share one ``Fraction``."""
-    return tuple(
-        tuple(Fraction(c, den) if (c := col.get(m * n + k)) else _ZERO for k in range(n))
-        for m in range(n)
-    )
 
 
 def compose(p: Operator, q: Operator) -> Operator:

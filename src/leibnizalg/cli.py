@@ -240,16 +240,16 @@ def _cmd_schouten(args) -> int:
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
     s = _lazy.schouten(alg, r, side)
-    entries = [[m, p, q, rational_str(v)] for (m, p, q), v in s.entries]
+    entries = [[m, p, q, rational_str(v)] for (m, p, q), v in s]
     payload = {
         "side": side.value,
         "entries": entries,
-        "zero": s.is_zero(),
+        "zero": not s,
         "r_antisymmetric": _lazy.is_antisymmetric_matrix(r),
     }
     lines = (
         ["schouten: 0"]
-        if s.is_zero()
+        if not s
         else ["schouten: " + " ".join(f"({a},{b},{c})={v}" for a, b, c, v in entries)]
     )
     _emit(payload, args.format, lines)

@@ -14,6 +14,12 @@ integers (the cocycle rows) or multiply them into the cochain's values
 scaled to integers over their own lcm, and build one ``Fraction`` per
 nonzero output entry, not one per term.
 
+A cochain is its nonzero components, in the format of
+``core.leibniz_residual``: ``coboundary0`` returns {(x, a, b): value},
+0-based, the coefficient of X_a (x) X_b in the value at X_x, and
+``coboundary1`` takes such a dict and returns {(x, y, a, b): value}.  An
+empty dict is the zero cochain.
+
 Those are the degrees the bialgebra constructions use.  The degree-2
 coboundary, and with it the composite ``d2(d1(w))`` that the tests probe per
 action case, is a test oracle in ``tests/oracles.py``.
@@ -30,12 +36,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
-from .actions import ActionCase, action_operators, to_matrix
+from .actions import ActionCase, action_operators
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
 from .errors import DimensionError
 from .linalg import Matrix, over_lcm
-from .record import Frozen, set_field
 
 # Observed mechanically on the bundled corpus with random cochains
 # (see tests/test_cohomology.py).  Recorded as measurement, not as theorem:
@@ -45,31 +51,6 @@ from .record import Frozen, set_field
 # (``ActionCase.complexes``).  The crossed pairings (case 2 + left
 # complex, case 3 + right complex) violate the matching module axioms on a
 # two-sided algebra and neither composite vanishes there.
-
-
-class CochainMap(Frozen):
-    """Multilinear map from basis tuples into the tensor square.
-
-    ``values`` is a Matrix for arity 0, and nests one tuple layer per
-    argument for arities 1..3.
-    """
-
-    __slots__ = ("dim", "arity", "values")
-
-    def __init__(self, dim: int, arity: int, values):
-        if arity not in (0, 1, 2, 3):
-            raise DimensionError("only arities 0..3 are supported")
-        set_field(self, "dim", dim)
-        set_field(self, "arity", arity)
-        set_field(self, "values", values)
-
-    def is_zero(self) -> bool:
-        def walk(v, depth):
-            if depth == 0:
-                return not any(map(any, v))
-            return all(walk(c, depth - 1) for c in v)
-
-        return walk(self.values, self.arity)
 
 
 def _terms(rows, L, R, side: Side, point):
@@ -127,51 +108,49 @@ def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree:
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
     alg.require(f"the {side.value}-handed complex", side)
+    case.require(alg)
     n = alg.dim
     if degree:
-        if w.arity != degree:
-            raise DimensionError(f"coboundary{degree} expects an arity-{degree} cochain")
-        values, shape_ok = w.values, w.dim == n
-    else:
-        values, shape_ok = (w,), len(w) == n and all(len(row) == n for row in w)
-    case.require(alg)
-    if not shape_ok:
+        indices = range(n)
+        if any(len(key) != 3 or not all(i in indices for i in key) for key in w):
+            raise DimensionError(f"coboundary1 expects components (x, a, b) in 0..{n - 1}")
+    elif len(w) != n or any(len(row) != n for row in w):
         raise DimensionError("tensor-square element has wrong shape")
+    else:
+        w = {(a, b): v for a, row in enumerate(w) for b, v in enumerate(row) if v}
     den, table = coboundary_entries(alg.tensor, case, side, degree)
-    # the cochain's values as integers over their lcm, one flat list per
-    # argument tuple
-    scale, flat = over_lcm(x for m in values for row in m for x in row)
-    size = n * n
-    cochain = {
-        (a,) if degree else (): flat[a * size:(a + 1) * size] for a in range(len(values))
-    }
+    # the cochain's values as integers over their lcm, keyed by the argument
+    # tuple and the component a*n + b
+    scale, nums = over_lcm(w.values())
+    cochain = {(key[:-2], key[-2] * n + key[-1]): v for key, v in zip(w, nums) if v}
+    den *= scale
     out = {}
     for point, columns in table:
-        acc = out[point] = {}
+        acc = {}
         for args, p, entries in columns:
-            v = cochain[args][p]
+            v = cochain.get((args, p))
             if v:
                 for q, c in entries:
                     acc[q] = acc.get(q, 0) + c * v
-    den *= scale
-
-    def nest(point):
-        if len(point) > degree:
-            return to_matrix(out[point], n, den)
-        return tuple(nest(point + (k,)) for k in range(n))
-
-    return CochainMap(n, degree + 1, nest(()))
+        for q, x in acc.items():
+            if x:
+                out[point + divmod(q, n)] = Fraction(x, den)
+    return out
 
 
-def coboundary0(alg: LeibnizAlgebra, case: ActionCase, side: Side, m: Matrix) -> CochainMap:
-    """Degree-0 coboundary of a tensor-square element.
+def coboundary0(alg: LeibnizAlgebra, case: ActionCase, side: Side, m: Matrix) -> dict:
+    """Degree-0 coboundary of a tensor-square element, as {(x, a, b): value}
+    of its nonzero components, 0-based: the coefficient of X_a (x) X_b in
+    the value at X_x.
 
     Right complex: X maps to [X, m]_L.  Left complex: X maps to -[m, X]_R.
     """
     return _coboundary(alg, case, side, 0, m)
 
 
-def coboundary1(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: CochainMap) -> CochainMap:
+def coboundary1(alg: LeibnizAlgebra, case: ActionCase, side: Side, w: dict) -> dict:
     """(X, Y) maps to [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]); same formula on
-    both complexes."""
+    both complexes.  ``w`` and the result are in the format of
+    ``coboundary0``: {(x, a, b): value} in, {(x, y, a, b): value} out, each
+    key 0-based; a component missing from ``w`` is zero."""
     return _coboundary(alg, case, side, 1, w)

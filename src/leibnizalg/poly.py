@@ -7,8 +7,8 @@ variable appears once per power), so ``(0, 0, 2)`` is t1*t1*t3.  The solver
 builds its quadratic residuals directly in this form, over the square of
 the common denominator of the family; ``Poly`` only stores and renders
 them, reducing each coefficient by one ``gcd``.  Nothing mutates a
-``Poly`` once built: the solver shares one empty polynomial among the
-components of a residual that have no terms.
+``Poly`` once built, and the solver builds none without terms: a residual
+lists only its nonzero components.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ class Poly:
         the positive denominator ``den``."""
         self.terms: dict[tuple[int, ...], int] = terms or {}
         self.den = den
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def render(self, names) -> str:
         """Deterministic human/JSON form, e.g. ``t1*t2 - 2*t3``: constant

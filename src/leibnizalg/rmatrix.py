@@ -8,16 +8,21 @@ caller cares).
 
 The coboundary cocommutator delta(r) is the degree-0 coboundary of r
 (``cohomology.coboundary0``) under action case 1 or 4 on the right-
-or left-handed complex; ``cocommutator_matrix_route`` and
-``dual_bracket_from_r`` compute it by independent routes.  The table
-``COMPLEX`` gives each coboundary case its action case and complex side,
-and with the side what it needs: a complex of side s needs an algebra that
-admits s.  ``BRACKET_CASE`` names, per side, the case whose cocommutator is
+or left-handed complex: its nonzero component (m, a, b) is the dual entry
+(a+1, b+1, m+1), read straight into ``StructureTensor.from_entries``.
+``cocommutator_matrix_route`` and ``dual_bracket_from_r`` compute it by
+independent routes.  The table ``COMPLEX`` gives each coboundary case its
+action case and complex side, and with the side what it needs: a complex
+of side s needs an algebra that admits s.  ``BRACKET_CASE`` names, per side, the case whose cocommutator is
 the dual bracket that r induces.
 
 The Schouten bracket, the three triple products and the generalized
 Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
-nonzero entries of the bracket only.
+nonzero entries of the bracket only.  Each holds only its nonzero
+components: the Schouten bracket and the triple products as sorted
+entries ((m, n, p), value), 1-based, like ``StructureTensor.items``, and
+the residual as {(x, m, n, p): value}, 0-based, like
+``core.leibniz_residual``; empty means zero.
 
 The cocommutator (through ``cohomology``) and the triple products sum
 integers: r, and the bracket, are scaled to integer numerators over the lcm
@@ -147,14 +152,10 @@ def coboundary_cocommutator(
     is a coboundary."""
     pair = _complex(alg, case)
     r = _check_r(alg, r)
-    values = coboundary0(alg, *pair, r).values if pair else ()
-    return StructureTensor.from_entries(alg.dim, {
-        (a + 1, b + 1, m + 1): v
-        for m, value in enumerate(values)
-        for a, row in enumerate(value)
-        for b, v in enumerate(row)
-        if v
-    })
+    d0 = coboundary0(alg, *pair, r) if pair else {}
+    return StructureTensor.from_entries(
+        alg.dim, {(a + 1, b + 1, m + 1): v for (m, a, b), v in d0.items()}
+    )
 
 
 def cocommutator_matrix_route(
@@ -289,16 +290,6 @@ def dual_bracket_from_r(alg: LeibnizAlgebra, r: Matrix, side: Side) -> Structure
     return StructureTensor.from_entries(n, out)
 
 
-class SchoutenTensor(Frozen):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):  # ((m, n, p), value), 1-based, nonzero
-        set_field(self, "entries", entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
 # The three triple products as a term table, per side.  Product (m, n, p)
 # sums sign * f(i, j, k) * r(A) * r(B) over the nonzero entries of f: r(A)
 # holds i in slot ``sa`` (0: r[i][x], 1: r[x][i]), r(B) holds j in slot
@@ -339,10 +330,12 @@ def _triple_sums(alg: LeibnizAlgebra, r: Matrix, side: Side, terms) -> tuple:
     return tuple(sorted((key, Fraction(x, den)) for key, x in out.items() if x))
 
 
-def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> SchoutenTensor:
-    """Quadratic obstruction tensor of r; its vanishing is the classical
-    Yang-Baxter condition for the chosen handedness."""
-    return SchoutenTensor(_triple_sums(alg, r, side, TRIPLE[side][:2]))
+def schouten(alg: LeibnizAlgebra, r: Matrix, side: Side) -> tuple:
+    """Quadratic obstruction tensor of r as its sorted nonzero entries
+    ((m, n, p), value), 1-based, like ``triple_products``; its vanishing
+    (an empty tuple) is the classical Yang-Baxter condition for the chosen
+    handedness."""
+    return _triple_sums(alg, r, side, TRIPLE[side][:2])
 
 
 def triple_products(alg: LeibnizAlgebra, r: Matrix, side: Side) -> tuple[tuple, tuple, tuple]:
@@ -357,7 +350,7 @@ def triple_products(alg: LeibnizAlgebra, r: Matrix, side: Side) -> tuple[tuple, 
 
 def cybe_check(alg: LeibnizAlgebra, r: Matrix, side: Side) -> bool:
     """True iff the Schouten tensor vanishes identically."""
-    return schouten(alg, r, side).is_zero()
+    return not schouten(alg, r, side)
 
 
 # Where the Schouten tensor S meets f in ``gybe_residual``, per side: S at
@@ -379,7 +372,7 @@ def gybe_residual(alg: LeibnizAlgebra, r: Matrix, side: Side) -> dict:
     s_slot, f_slot, pick = _GYBE[side]
     component = operator.itemgetter(*pick)
     meet = {}  # meet[q]: the nonzero S entries whose index s_slot is q
-    for e, w in schouten(alg, r, side).entries:
+    for e, w in schouten(alg, r, side):
         meet.setdefault(e[s_slot], []).append((e, w))
     out = {}
     for a, v in alg.tensor.items():

@@ -21,8 +21,11 @@ Both stages run on integers over one common denominator and build no
 coefficients into ``linalg.sparse_rows``, which builds one ``Fraction`` per
 nonzero entry for ``rref``.  The quadratic stage scales the family's basis
 to integers, accumulates each coefficient of t_u*t_v under the integer key
-u*d + v, and hands every component to ``Poly`` as sorted monomials with
-integer numerators over the square of that scale.
+u*d + v, and hands every nonzero component to ``Poly`` as sorted
+monomials with integer numerators over the square of that scale.  A
+``QuadraticResidual`` lists those components only, like the residual dicts
+of ``core.leibniz_residual``: an empty list means the family satisfies the
+identity.
 
 Column contract: the unknown dual entries are flattened in lexicographic
 (m, n, k) order, 1-based, and parameters are named t1..td in the order of
@@ -159,10 +162,12 @@ def nullspace(system: LinearSystem) -> DualFamily:
 class QuadraticResidual(Frozen):
     """Dual-handedness defect of a family, componentwise in the parameters.
 
+    Only the nonzero components are listed, in lexicographic order:
     ``polynomials[x]`` is the residual component with 1-based provenance
-    ``provenance[x] = (i, j, k, m)``; evaluating every polynomial at an
-    assignment agrees entry for entry with running ``leibniz_residual`` on
-    the corresponding member tensor.
+    ``provenance[x] = (i, j, k, m)``, and a component not listed is zero.
+    Evaluating the polynomials at an assignment agrees component for
+    component with running ``leibniz_residual`` on the corresponding member
+    tensor.
     """
 
     __slots__ = ("parameters", "polynomials", "provenance")
@@ -174,7 +179,7 @@ class QuadraticResidual(Frozen):
         set_field(self, "provenance", provenance)
 
     def is_identically_zero(self) -> bool:
-        return all(p.is_zero() for p in self.polynomials)
+        return not self.polynomials
 
 
 @functools.cache
@@ -189,9 +194,9 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     of the family whose bracket satisfies the requested identity; every
     polynomial is integer numerators over the same denominator.
 
-    The components with no terms share one empty ``Poly``; nothing mutates
-    a ``Poly``.  An empty family (trivial kernel) has nothing to constrain
-    and gets an empty polynomial list.
+    A component whose terms all cancel, or that has none, is left out.  An
+    empty family (trivial kernel) has nothing to constrain and gets an
+    empty polynomial list.
     """
     if not family.basis:
         return QuadraticResidual((), (), ())
@@ -219,17 +224,17 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
             for v, y in second:
                 key = u * d + v if u <= v else v * d + u
                 terms[key] = terms.get(key, 0) + x * y
-    components, provenance = _components(n)
     den = scale * scale
-    empty = Poly({}, den)
-    # the key u*d + v with u <= v is the monomial (u, v); sorted keys are
-    # monomials in ascending order
-    polys = tuple(
-        Poly({divmod(key, d): x for key, x in sorted(terms.items()) if x}, den)
-        if (terms := quad.get(c)) else empty
-        for c in components
-    )
-    return QuadraticResidual(family.parameters, polys, provenance)
+    polys, provenance = [], []
+    for c, label in zip(*_components(n)):
+        # the key u*d + v with u <= v is the monomial (u, v); sorted keys are
+        # monomials in ascending order
+        terms = quad.get(c)
+        monos = terms and {divmod(key, d): x for key, x in sorted(terms.items()) if x}
+        if monos:
+            polys.append(Poly(monos, den))
+            provenance.append(label)
+    return QuadraticResidual(family.parameters, tuple(polys), tuple(provenance))
 
 
 class SweepEntry(Frozen):

@@ -34,15 +34,18 @@ and module-axiom defects, ``family_member``, ``opposite`` and
 ``cocommutator_cochain`` handle cochains, and the serializers write
 definition files back.  ``dense``/``grid3`` and ``grid4`` spread the
 library's sparse tensors and residuals into dense grids for comparison
-with the dense routes above (``from_dense`` and ``sparse4`` go back).
+with the dense routes above (``from_dense`` and ``sparse4`` go back);
+``dense_cochain`` and ``dense_quadratic`` do the same for cochains and
+quadratic residuals, with every component the library leaves out read as
+zero, and ``sparse_cochain`` goes back.  The dense routes take and return
+the dense ``CochainMap`` of this module.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from leibnizalg.actions import action_operators, axiom_report, compose, to_matrix
-from leibnizalg.cohomology import CochainMap
+from leibnizalg.actions import action_operators, axiom_report, compose
 from leibnizalg.core import (
     Side,
     StructureTensor,
@@ -142,6 +145,60 @@ def family_member(family: DualFamily, assignment) -> StructureTensor:
     return StructureTensor.from_entries(family.dim, out)
 
 
+@dataclass(frozen=True)
+class CochainMap:
+    """A dense cochain for the dense routes: ``values`` is an n x n
+    coefficient matrix for arity 0 and nests one tuple layer per argument
+    for arities 1..3.  The library's cochains are dicts of their nonzero
+    components (``sparse_cochain`` and ``dense_cochain`` convert)."""
+
+    dim: int
+    arity: int
+    values: tuple
+
+    def is_zero(self) -> bool:
+        return not sparse_cochain(self)
+
+
+def sparse_cochain(w: CochainMap) -> dict:
+    """The nonzero components {(x, ..., a, b): value}, 0-based, of a dense
+    cochain, in the library's format."""
+    out = {}
+    for args in itertools.product(range(w.dim), repeat=w.arity):
+        m = w.values
+        for x in args:
+            m = m[x]
+        out.update({args + (a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v})
+    return out
+
+
+def dense_cochain(d: dict, n: int, arity: int) -> CochainMap:
+    """A library cochain {(x, ..., a, b): value} as a dense cochain; every
+    component missing from ``d`` is zero."""
+    def nest(args):
+        if len(args) == arity:
+            return tuple(
+                tuple(d.get(args + (a, b), Fraction(0)) for b in range(n)) for a in range(n)
+            )
+        return tuple(nest(args + (x,)) for x in range(n))
+
+    return CochainMap(n, arity, nest(()))
+
+
+def dense_quadratic(quadratic, n: int):
+    """A ``QuadraticResidual`` as one term dict {monomial: coefficient} per
+    component [i][j][k][m] (flattened), in the form of
+    ``quadratic_by_polarization``; a component it does not list is {}."""
+    listed = {
+        prov: {mono: Fraction(x, p.den) for mono, x in p.terms.items()}
+        for prov, p in zip(quadratic.provenance, quadratic.polynomials)
+    }
+    return [
+        listed.get(tuple(x + 1 for x in c), {})
+        for c in itertools.product(range(n), repeat=4)
+    ]
+
+
 def corpus_document(name: str):
     return parse_algebra(text(name))
 
@@ -182,7 +239,10 @@ def act(case, side: Side, alg, x: int, u):
         raise DimensionError("tensor-square element has wrong shape")
     u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
     den, ops = action_operators(alg.tensor, case, side)
-    return to_matrix(compose(ops[x - 1], [u_col])[0], n, den)
+    col = compose(ops[x - 1], [u_col])[0]
+    return tuple(
+        tuple(Fraction(col.get(a * n + b, 0), den) for b in range(n)) for a in range(n)
+    )
 
 
 def axioms_hold(case, alg) -> bool:
@@ -213,13 +273,10 @@ def zero_cochain(dim: int, arity: int) -> CochainMap:
     return CochainMap(dim, arity, nest(arity))
 
 
-def cocommutator_cochain(ftilde: StructureTensor) -> CochainMap:
-    """The arity-1 cochain X_k -> sum ftilde(i, j, k) X_i (x) X_j."""
-    n = ftilde.dim
-    f = dense(ftilde)
-    return CochainMap(n, 1, tuple(
-        tuple(tuple(f[a][b][k] for b in range(n)) for a in range(n)) for k in range(n)
-    ))
+def cocommutator_cochain(ftilde: StructureTensor) -> dict:
+    """The arity-1 cochain X_k -> sum ftilde(i, j, k) X_i (x) X_j, in the
+    library's format {(k, i, j): value}, 0-based."""
+    return {(k - 1, i - 1, j - 1): v for (i, j, k), v in ftilde.items()}
 
 
 def bracket(t: StructureTensor, x, y):

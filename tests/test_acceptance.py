@@ -13,7 +13,6 @@ from leibnizalg import (
     LeibnizAlgebra,
     Side,
     StructureTensor,
-    coboundary_cocommutator,
     cybe_check,
     solve_rmatrix,
 )
@@ -21,6 +20,7 @@ from leibnizalg.cli import main
 from leibnizalg.core import adjoint_matrices
 from leibnizalg.corpus import names
 from leibnizalg.linalg import mat
+from leibnizalg.rmatrix import coboundary_cocommutator
 from leibnizalg.solver import SCENARIOS
 
 import property_suite as ps

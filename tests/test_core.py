@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import Side, StructureTensor, classify
+from leibnizalg import Side, StructureTensor
 from leibnizalg.core import (
     Chirality,
     adjoint_matrices,
+    classify,
     coadjoint_matrices,
     first_nonzero,
     leibniz_residual,

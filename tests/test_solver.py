@@ -30,12 +30,14 @@ from oracles import (
     cocycle_residual_matrix,
     cocycle_residual_tensor,
     column_index,
+    dense_quadratic,
     evaluate_quadratic,
     family_member,
     family_verdict,
     flatten_tensor,
     from_dense,
     leibniz_residual_by_brackets,
+    nest4,
     opposite,
     quadratic_by_polarization,
     row_provenance,
@@ -55,6 +57,14 @@ def rand_tensor(rng, n):
             for _ in range(n)
         ),
     )
+
+
+def every_component(quadratic, values, n):
+    """The residual at parameter ``values`` as a dense grid [i][j][k][m],
+    0-based: the listed polynomials evaluated, every other component zero."""
+    got = dict(zip(quadratic.provenance, evaluate_quadratic(quadratic, values)))
+    components = itertools.product(range(n), repeat=4)
+    return nest4((got.get(tuple(x + 1 for x in c), 0) for c in components), n)
 
 
 class TestScenarioTable:
@@ -234,11 +244,7 @@ class TestQuadraticResidual:
                     values = [F(rng.randint(-2, 2)) for _ in entry.family.parameters]
                     member = family_member(entry.family, values)
                     direct = leibniz_residual_by_brackets(member, entry.scenario.dual_side)
-                    flat_direct = [
-                        direct[i - 1][j - 1][k - 1][m - 1]
-                        for (i, j, k, m) in entry.quadratic.provenance
-                    ]
-                    assert list(evaluate_quadratic(entry.quadratic, values)) == flat_direct
+                    assert every_component(entry.quadratic, values, alg.dim) == direct
 
     def test_matches_polarization_oracle(self, corpus_algebras):
         nf4 = StructureTensor.from_entries(4, {(1, i, i + 1): 1 for i in (1, 2, 3)})
@@ -258,9 +264,7 @@ class TestQuadraticResidual:
             assert family.basis
             got = dual_leibniz_residual(family, side)
             want = quadratic_by_polarization(family, side)
-            assert [
-                {mono: F(x, p.den) for mono, x in p.terms.items()} for p in got.polynomials
-            ] == want
+            assert dense_quadratic(got, family.dim) == want
 
     def test_opposite_family_mirrors_components(self, corpus_algebras):
         # L_{f^op}(X, Y, Z) = R_f(X, Z, Y): component (i, j, k, m) of the
@@ -283,11 +287,11 @@ class TestQuadraticResidual:
             for side, other in ((Side.LEFT, Side.RIGHT), (Side.RIGHT, Side.LEFT)):
                 got = dual_leibniz_residual(mirror, side)
                 want = dual_leibniz_residual(family, other)
-                by_component = dict(zip(want.provenance, want.polynomials))
                 nonzero += not want.is_identically_zero()
-                for (i, j, k, m), p in zip(got.provenance, got.polynomials):
-                    q = by_component[i, k, j, m]
-                    assert (p.terms, p.den) == (q.terms, q.den)
+                assert {
+                    (i, k, j, m): (p.terms, p.den)
+                    for (i, j, k, m), p in zip(got.provenance, got.polynomials)
+                } == {c: (q.terms, q.den) for c, q in zip(want.provenance, want.polynomials)}
         assert nonzero > 28
 
     def test_generic_quadratic_system_detects_non_leibniz(self, zero2):
@@ -301,10 +305,7 @@ class TestQuadraticResidual:
         evaluated = evaluate_quadratic(quad, values)
         assert any(v != 0 for v in evaluated)
         direct = leibniz_residual_by_brackets(bad, Side.RIGHT)
-        flat_direct = [
-            direct[i - 1][j - 1][k - 1][m - 1] for (i, j, k, m) in quad.provenance
-        ]
-        assert list(evaluated) == flat_direct
+        assert every_component(quad, values, 2) == direct
 
 
 class TestVerifyAndSweep:
