@@ -40,7 +40,7 @@ __getattr__ = _on_first_use(globals(), [
      ".rmatrix": ("coboundary_case", "coboundary_cocommutator", "cybe_check",
                   "gybe_residual", "is_antisymmetric_matrix", "schouten",
                   "solve_rmatrix")},
-    {".solver": ("SCENARIOS", "scenario")},
+    {".solver": ("scenario",)},
 ])
 _lazy = sys.modules[__name__]
 
@@ -138,7 +138,7 @@ def _cmd_actions(args) -> int:
 def _cmd_duals(args) -> int:
     _, alg, _ = _load_algebra(args.file)
     key = None
-    if args.scenario != "all":
+    if args.scenario.lower() != "all":
         sc = _lazy.scenario(args.scenario)
         sc.require(alg)
         key = sc.key
@@ -283,60 +283,58 @@ def _cmd_corpus(args) -> int:
     return OK
 
 
-class _ScenarioOption(argparse.Action):
-    """``duals --scenario``: the help lists the solver's scenario keys and is
-    built only when it is printed, so that parsing loads no solver."""
-
-    help = property(
-        lambda self: "scenario key ("
-        + ", ".join(sc.key for sc in _lazy.SCENARIOS) + ") or 'all'",
-        lambda self, value: None,
-    )
-
-    def __call__(self, parser, namespace, values, option_string):
-        setattr(namespace, self.dest, values)
-
-
 _FILE = ("file", {"help": "algebra definition file"})
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 _SIDE = ("--side", {"required": True})
 _R = ("--r", {"required": True})
 
-# The commands: name, help, handler and arguments, in help order.
+
+def _scenario_help() -> str:
+    from .solver import SCENARIOS
+
+    return "scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'"
+
+
+# The commands: name, help, handler and a function that returns the
+# arguments, in help order.
 COMMANDS = (
     ("check", "classify the bracket and verify the declared side", _cmd_check,
-     (_FILE, _FORMAT)),
-    ("adjoint", "print the adjoint slice matrices", _cmd_adjoint, (_FILE, _FORMAT)),
+     lambda: (_FILE, _FORMAT)),
+    ("adjoint", "print the adjoint slice matrices", _cmd_adjoint, lambda: (_FILE, _FORMAT)),
     ("actions", "verify the module axioms per action case", _cmd_actions,
-     (_FILE, _FORMAT)),
-    ("duals", "solve the dual-structure scenarios", _cmd_duals, (
-        _FILE, _FORMAT,
-        ("--scenario", {"default": "all", "action": _ScenarioOption}),
+     lambda: (_FILE, _FORMAT)),
+    ("duals", "solve the dual-structure scenarios", _cmd_duals, lambda: (
+        _FILE, _FORMAT, ("--scenario", {"default": "all", "help": _scenario_help()}),
     )),
-    ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, (
+    ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, lambda: (
         _FILE, _FORMAT,
         ("--case", {"required": True, "help": "coboundary case (right1|left1|right4|left4)"}),
         ("--dual", {"required": True, "help": "dual tensor definition file"}),
     )),
-    ("coboundary", "cocommutator induced by an r-matrix", _cmd_coboundary, (
+    ("coboundary", "cocommutator induced by an r-matrix", _cmd_coboundary, lambda: (
         _FILE, _FORMAT, ("--case", {"required": True}),
         ("--r", {"required": True, "help": "r-matrix definition file"}),
     )),
     ("ybe", "classical Yang-Baxter check", _cmd_ybe,
-     (_FILE, _FORMAT, ("--side", {"required": True, "help": "l|r"}), _R)),
-    ("gybe", "generalized Yang-Baxter check", _cmd_gybe, (_FILE, _FORMAT, _SIDE, _R)),
+     lambda: (_FILE, _FORMAT, ("--side", {"required": True, "help": "l|r"}), _R)),
+    ("gybe", "generalized Yang-Baxter check", _cmd_gybe, lambda: (_FILE, _FORMAT, _SIDE, _R)),
     ("schouten", "Schouten bracket of an r-matrix with itself", _cmd_schouten,
-     (_FILE, _FORMAT, _SIDE, _R)),
+     lambda: (_FILE, _FORMAT, _SIDE, _R)),
     ("report", "run everything and emit the JSON report", _cmd_report,
-     (("file", {}), ("--seed", {"type": int, "default": 0}))),
-    ("corpus", "list or extract the bundled examples", _cmd_corpus, (
+     lambda: (("file", {}), ("--seed", {"type": int, "default": 0}))),
+    ("corpus", "list or extract the bundled examples", _cmd_corpus, lambda: (
         ("name", {"nargs": "?", "default": ""}),
         ("--dest", {"default": "", "help": "directory to extract into"}),
     )),
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser with every command, but the arguments of only the one
+    that ``argv`` names, its first token that is a command name: the help,
+    usage and error texts are those of a parser with every argument."""
+    names = {name for name, *_ in COMMANDS}
+    command = next((a for a in argv if a in names), None)
     parser = argparse.ArgumentParser(
         prog="leibnizalg",
         description="Exact verification toolkit for Leibniz algebras, their "
@@ -345,16 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
+        for flag, options in arguments() if name == command else ():
             p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else BAD_INPUT
     try:

@@ -1,22 +1,39 @@
 """Coboundary operators on tensor-square-valued cochains.
 
-``coboundary_entries`` is the one encoding of the degree-0 and degree-1
-coboundaries, written over the action operators of ``actions``: it gives
-``coboundary0/1`` on cochains, the rows of ``solver.cocycle_system`` (minus
-the degree-1 coboundary of the cochain X_k -> sum ftilde(a, b, k) X_a (x)
-X_b), the cocommutator delta(r) of ``rmatrix`` (``coboundary0`` of r) and
-the rows of ``rmatrix.solve_rmatrix``.  Its coefficients are integers over
-one common denominator, the lcm of the bracket's denominators, read off the
-integer action table; the table is built once per (tensor, case, side,
-degree) and kept in a cache of four entries, enough for the selfcheck,
-which applies d0 and d1 five times per complex.  Its readers sum the
-integers (the cocycle rows) or multiply them into the cochain's values
-scaled to integers over their own lcm, and build one ``Fraction`` per
-nonzero output entry, not one per term.
+``coboundary_matrix`` is the one encoding of the degree-0 and degree-1
+coboundaries, written over the action operators of ``actions``: one sparse
+integer matrix per (tensor, action case, side, degree), read by every
+linear stage of the bialgebra constructions.
+
+* ``coboundary0/1`` apply it to a cochain: each nonzero component adds its
+  column, scaled to an integer over the cochain's lcm, and one ``Fraction``
+  is built per nonzero output component.
+* ``solver.cocycle_system`` is minus the degree-1 matrix: the cochain
+  X_k -> sum ftilde(a, b, k) X_a (x) X_b of a candidate dual bracket is a
+  1-cocycle exactly when the dual entries lie in its kernel.
+* ``rmatrix.solve_rmatrix`` is the degree-0 matrix: the cocommutator
+  delta(r) of ``rmatrix`` is ``coboundary0`` of r, and recovering r from a
+  dual bracket inverts it.
+
+The layout, 0-based, with n the dimension:
+
+* a column is one cochain component: component (a, b) of a tensor-square
+  element (degree 0) at column a*n + b; component (x, a, b) of a 1-cochain,
+  the coefficient of X_a (x) X_b in the value at X_x, at column
+  (a*n + b)*n + x.  Read as dual entries (a+1, b+1, x+1), these are the
+  lexicographic columns of the linear systems;
+* a row is one component of the coboundary: the coefficient of
+  X_a (x) X_b in the value at the basis arguments ``point`` at row
+  point*n*n + a*n + b, with point = x in degree 0 and x*n + y at (X_x, X_y)
+  in degree 1.
+
+Its coefficients are integers over one common denominator, the lcm of the
+bracket's denominators, read off the integer action table.  The matrix is
+kept in a cache of four entries, enough for the selfcheck, which applies d0
+and d1 five times per complex.
 
 A cochain is its nonzero components, in the format of
-``core.leibniz_residual``: ``coboundary0`` returns {(x, a, b): value},
-0-based, the coefficient of X_a (x) X_b in the value at X_x, and
+``core.leibniz_residual``: ``coboundary0`` returns {(x, a, b): value} and
 ``coboundary1`` takes such a dict and returns {(x, y, a, b): value}.  An
 empty dict is the zero cochain.
 
@@ -53,57 +70,40 @@ from .linalg import Matrix, over_lcm
 # two-sided algebra and neither composite vanishes there.
 
 
-def _terms(rows, L, R, side: Side, point):
-    """The coboundary at the basis arguments ``point`` (0-based; its length
-    is the degree plus one) as terms (scalar, operator, arguments): the sum
-    of scalar * operator(w(arguments)), None standing for the identity.
-    ``rows``, ``L`` and ``R`` hold the bracket and the action operators as
-    ``core.bracket_rows`` and ``actions.action_operators`` do, over one
-    common denominator, and so do the scalars."""
-    if len(point) == 1:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
-        (x,) = point
-        return [(1, L[x], ())] if side is Side.RIGHT else [(-1, R[x], ())]
-    # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
-    x, y = point
-    minus_w_of_bracket = [(-c, None, (k,)) for k, c in rows.get((x, y), ())]
-    return [(1, L[x], (y,)), (1, R[y], (x,))] + minus_w_of_bracket
-
-
 @functools.lru_cache(maxsize=4)
-def coboundary_entries(t: StructureTensor, case: ActionCase, side: Side, degree: int):
-    """The coboundary of degree 0 or 1 as a sparse linear map with integer
-    coefficients over one common denominator.
+def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side, degree: int):
+    """The coboundary of degree 0 or 1 as one sparse integer matrix in the
+    layout of the module docstring: (den, columns), den the lcm of the
+    denominators of t and ``columns[c]`` the (row, coefficient) pairs of
+    cochain component c, each coefficient a nonzero integer standing for
+    coefficient/den.  No chirality check.
 
-    Returns (den, table), den the lcm of the denominators of t.  ``table``
-    holds one (point, columns) per basis argument tuple ``point``, 0-based,
-    and each column (arguments, p, entries) says: for every (q, c) of
-    ``entries``, c a nonzero integer, component q = m*n + n' of the value at
-    ``point`` gains c/den times component p of the cochain's value at
-    ``arguments``.  No chirality check.
-
-    Built once per (tensor, case, side, degree) and shared through a small
-    bounded cache; callers must not mutate it.  The selfcheck applies d0
-    and d1 five times per complex, and a degree-1 table of a dense
-    dimension-8 tensor holds about 98k terms.
+    Shared through a small bounded cache; callers must not mutate it.  A
+    degree-1 matrix of a dimension-8 tensor holds up to about 98k entries.
     """
     n = t.dim
+    nn = n * n
     den, rows = bracket_rows(t)
     _, L = action_operators(t, case, Side.LEFT)
     _, R = action_operators(t, case, Side.RIGHT)
-    table = []
-    for point in itertools.product(range(n), repeat=degree + 1):
-        columns = []
-        for s, op, args in _terms(rows, L, R, side, point):
-            if op is None:
-                columns += [(args, q, ((q, s),)) for q in range(n * n)]
-            else:
-                columns += [
-                    (args, p, tuple((q, s * c) for q, c in col.items()))
-                    for p, col in enumerate(op)
-                    if col
-                ]
-        table.append((point, tuple(columns)))
-    return den, tuple(table)
+    columns = [{} for _ in range(nn * n ** degree)]
+    if degree == 0:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
+        sign, ops = (1, L) if side is Side.RIGHT else (-1, R)
+        for x, op in enumerate(ops):
+            for p, col in enumerate(op):
+                columns[p].update((x * nn + q, sign * c) for q, c in col.items())
+    else:  # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
+        for x, y in itertools.product(range(n), repeat=2):
+            point = (x * n + y) * nn
+            # (column, its (q, coefficient) pairs at this point), per term
+            terms = [(p * n + y, col.items()) for p, col in enumerate(L[x])]
+            terms += [(p * n + x, col.items()) for p, col in enumerate(R[y])]
+            terms += [(q * n + k, ((q, -c),)) for k, c in rows.get((x, y), ()) for q in range(nn)]
+            for column, pairs in terms:
+                entries = columns[column]
+                for q, c in pairs:
+                    entries[point + q] = entries.get(point + q, 0) + c
+    return den, tuple(tuple((r, c) for r, c in col.items() if c) for col in columns)
 
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
@@ -114,27 +114,25 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
         indices = range(n)
         if any(len(key) != 3 or not all(i in indices for i in key) for key in w):
             raise DimensionError(f"coboundary1 expects components (x, a, b) in 0..{n - 1}")
+        w = {(a * n + b) * n + x: v for (x, a, b), v in w.items()}
     elif len(w) != n or any(len(row) != n for row in w):
         raise DimensionError("tensor-square element has wrong shape")
     else:
-        w = {(a, b): v for a, row in enumerate(w) for b, v in enumerate(row) if v}
-    den, table = coboundary_entries(alg.tensor, case, side, degree)
-    # the cochain's values as integers over their lcm, keyed by the argument
-    # tuple and the component a*n + b
+        w = {a * n + b: v for a, row in enumerate(w) for b, v in enumerate(row) if v}
+    den, columns = coboundary_matrix(alg.tensor, case, side, degree)
+    # the cochain's values as integers over their lcm, each adding its column
     scale, nums = over_lcm(w.values())
-    cochain = {(key[:-2], key[-2] * n + key[-1]): v for key, v in zip(w, nums) if v}
     den *= scale
+    acc = {}
+    for column, v in zip(w, nums):
+        if v:
+            for r, c in columns[column]:
+                acc[r] = acc.get(r, 0) + c * v
     out = {}
-    for point, columns in table:
-        acc = {}
-        for args, p, entries in columns:
-            v = cochain.get((args, p))
-            if v:
-                for q, c in entries:
-                    acc[q] = acc.get(q, 0) + c * v
-        for q, x in acc.items():
-            if x:
-                out[point + divmod(q, n)] = Fraction(x, den)
+    for r, x in acc.items():
+        if x:
+            point, q = divmod(r, n * n)
+            out[(divmod(point, n) if degree else (point,)) + divmod(q, n)] = Fraction(x, den)
     return out
 
 

@@ -7,8 +7,8 @@ variable appears once per power), so ``(0, 0, 2)`` is t1*t1*t3.  The solver
 builds its quadratic residuals directly in this form, over the square of
 the common denominator of the family; ``Poly`` only stores and renders
 them, reducing each coefficient by one ``gcd``.  Nothing mutates a
-``Poly`` once built, and the solver builds none without terms: a residual
-lists only its nonzero components.
+``Poly`` once built, and every ``Poly`` has terms: a residual lists only
+its nonzero components.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ from math import gcd
 class Poly:
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None, den: int = 1):
-        """``terms`` maps sorted monomials to nonzero integer numerators over
-        the positive denominator ``den``."""
-        self.terms: dict[tuple[int, ...], int] = terms or {}
+    def __init__(self, terms: dict[tuple[int, ...], int], den: int):
+        """``terms``, not empty, maps sorted monomials to nonzero integer
+        numerators over the positive denominator ``den``."""
+        self.terms = terms
         self.den = den
 
     def render(self, names) -> str:
         """Deterministic human/JSON form, e.g. ``t1*t2 - 2*t3``: constant
         first, then by degree and monomial; each coefficient as ``p`` or
         ``p/q`` in lowest terms."""
-        if not self.terms:
-            return "0"
         den = self.den
         parts = []
         # two stable sorts: by monomial, then by degree

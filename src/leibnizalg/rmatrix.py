@@ -7,14 +7,18 @@ antisymmetric (``is_antisymmetric_matrix`` reports that property when a
 caller cares).
 
 The coboundary cocommutator delta(r) is the degree-0 coboundary of r
-(``cohomology.coboundary0``) under action case 1 or 4 on the right-
-or left-handed complex: its nonzero component (m, a, b) is the dual entry
-(a+1, b+1, m+1), read straight into ``StructureTensor.from_entries``.
-``cocommutator_matrix_route`` and ``dual_bracket_from_r`` compute it by
-independent routes.  The table ``COMPLEX`` gives each coboundary case its
-action case and complex side, and with the side what it needs: a complex
-of side s needs an algebra that admits s.  ``BRACKET_CASE`` names, per side, the case whose cocommutator is
-the dual bracket that r induces.
+under action case 1 or 4 on the right- or left-handed complex, one matrix
+``cohomology.coboundary_matrix`` with two readers: ``coboundary_cocommutator``
+applies it to r (``cohomology.coboundary0``), its nonzero component
+(m, a, b) being the dual entry (a+1, b+1, m+1), read straight into
+``StructureTensor.from_entries``; ``solve_rmatrix`` inverts it, reading the
+matrix with one ``linalg.sparse_rows`` call as equations in the unknowns
+r[i][j].  ``cocommutator_matrix_route`` and ``dual_bracket_from_r`` compute
+delta(r) by independent routes.  The table ``COMPLEX`` gives each
+coboundary case its action case and complex side, and with the side what
+it needs: a complex of side s needs an algebra that admits s.
+``BRACKET_CASE`` names, per side, the case whose cocommutator is the dual
+bracket that r induces.
 
 The Schouten bracket, the three triple products and the generalized
 Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
@@ -55,7 +59,7 @@ import operator
 from fractions import Fraction
 
 from .actions import ActionCase
-from .cohomology import coboundary0, coboundary_entries
+from .cohomology import coboundary0, coboundary_matrix
 from .core import (
     LeibnizAlgebra,
     Side,
@@ -221,16 +225,10 @@ def solve_rmatrix(
     if ftilde.dim != alg.dim:
         raise DimensionError("dual tensor dimension does not match the algebra")
     n = alg.dim
-    # Unknowns r[i][j] flattened as i*n + j = p; one equation per (m, a, b),
-    # row m*n*n + q with q = a*n + b: the degree-0 coboundary of r (see
-    # ``coboundary_cocommutator``)
-    den, table = coboundary_entries(alg.tensor, *pair, 0) if pair else (1, ())
-    rows = sparse_rows(
-        ((m * n * n + q, p, c)
-         for (m,), columns in table for _, p, entries in columns for q, c in entries),
-        n ** 3,
-        den,
-    )
+    # the degree-0 coboundary of r (``coboundary_cocommutator``), rows and
+    # columns laid out as ``cohomology`` says
+    den, columns = coboundary_matrix(alg.tensor, *pair, 0) if pair else (1, ())
+    rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3, den)
     rhs = [Fraction(0)] * n ** 3
     for (a, b, m), v in ftilde.items():
         rhs[((m - 1) * n + a - 1) * n + b - 1] = v

@@ -2,9 +2,12 @@
 quadratic residuals that sit on top of them.
 
 Compatibility form k linking a bracket table to a candidate dual table is
-the degree-1 cocycle condition under action case k: the rows built by
-``cocycle_system`` are minus ``cohomology.coboundary_entries`` of degree 1,
-read on the cochain X_k -> sum ftilde(a, b, k) X_a (x) X_b.
+the degree-1 cocycle condition under action case k: ``cocycle_system`` is
+minus the degree-1 ``cohomology.coboundary_matrix``, read with one
+``linalg.sparse_rows`` call.  Its columns are the dual entries, since the
+dual entry (a, b, k) is the component (k, a, b) of the cochain
+X_k -> sum ftilde(a, b, k) X_a (x) X_b, and its rows the components
+(i, j, m, n) of the coboundary, both in lexicographic order.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
@@ -17,12 +20,12 @@ stage as polynomials in the family parameters; it never attempts to solve
 the quadratic variety.
 
 Both stages run on integers over one common denominator and build no
-``Fraction`` per term.  The cocycle rows sum the integer coboundary
-coefficients into ``linalg.sparse_rows``, which builds one ``Fraction`` per
-nonzero entry for ``rref``.  The quadratic stage scales the family's basis
-to integers, accumulates each coefficient of t_u*t_v under the integer key
-u*d + v, and hands every nonzero component to ``Poly`` as sorted
-monomials with integer numerators over the square of that scale.  A
+``Fraction`` per term.  ``linalg.sparse_rows`` turns the integer matrix
+into rows with one ``Fraction`` per nonzero entry for ``rref``.  The
+quadratic stage scales the family's basis to integers, accumulates each
+coefficient of t_u*t_v under the integer key u*d + v, and hands every
+nonzero component to ``Poly`` as sorted monomials with integer numerators
+over the square of that scale.  A
 ``QuadraticResidual`` lists those components only, like the residual dicts
 of ``core.leibniz_residual``: an empty list means the family satisfies the
 identity.
@@ -40,7 +43,7 @@ import math
 from fractions import Fraction
 
 from .actions import ActionCase
-from .cohomology import coboundary_entries
+from .cohomology import coboundary_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, leibniz_terms
 from .errors import DimensionError, quote
 from .linalg import Row, kernel_basis, sparse_rows
@@ -114,16 +117,12 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     """
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
-    n = t.dim
     # the degree-1 coboundary has one formula on both complexes
-    den, table = coboundary_entries(t, ActionCase(form), Side.RIGHT, 1)
+    den, columns = coboundary_matrix(t, ActionCase(form), Side.RIGHT, 1)
     rows = sparse_rows(
-        (((i * n + j) * n * n + q, p * n + k, -c)
-         for (i, j), columns in table for (k,), p, entries in columns for q, c in entries),
-        n ** 4,
-        den,
+        ((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4, den
     )
-    return LinearSystem(n, form, rows)
+    return LinearSystem(t.dim, form, rows)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:

@@ -175,6 +175,46 @@ def test_long_flag_value_is_one_short_line_exit_two(corpus_files, tmp_path, caps
     assert len(err) < 300
 
 
+# Exit code and SHA-256 of stdout, a NUL and stderr, for help, usage and
+# error texts, recorded while the parser built every command's arguments on
+# every call (argparse of Python 3.11, COLUMNS=80).  Now it builds only the
+# named command's, and the texts must not change.
+PARSER_TEXTS = {
+    "": (2, "22c5c20ec5573a2a37e899f7bcade9165a3b5f817b61230dd76f99cf153f918a"),
+    "--help": (0, "faa7c7845db16214e2ecc9546f99a87f5fc67c267eb3f5f51bfba77d4dada392"),
+    "-h": (0, "faa7c7845db16214e2ecc9546f99a87f5fc67c267eb3f5f51bfba77d4dada392"),
+    "bogus": (2, "4dfbe98f0b10631b2f911e8039def5a1a0a6f446696f813c74917980c6292d7a"),
+    "duals": (2, "09da10bb804d324e0bad846ac973f99a8d0590c71ed039a29bf5bc30c2168b56"),
+    "check x.leib --format xml": (2, "5063337d62051281515c0b00188b316d6d3507bf4e58dcc29dadf92534fc1996"),
+    "report x.leib --format json": (2, "8e9b4af261b75fbdc02cf59b584ff70018ebc8de62ab2952ebe4a304bad6cac2"),
+    "corpus --format json": (2, "8bff04e8e43f4474c7bf3eff1edcc527965676ace842d2165e981195d0668d99"),
+    "ybe x.leib": (2, "af265b423be23e5ce4c5dd99f2539c409ecd783226cee5144e22316a41d7df6a"),
+    "--format json check": (2, "04a67ef6c8961870cd8ea074e9f8374147f39cd2d51e25037ccabcb1b1229ad0"),
+    "duals x.leib --scenario": (2, "272c9e1fecfa455497135492c97c16b0c2adf50677652aa1c6f9ef61c435221d"),
+    "check --help": (0, "100820d1fb58671c35ab48506fb9a05098c42b00621c017a31a860aebf4470c6"),
+    "adjoint --help": (0, "69d014b077179ccbd1ea1e50be571530378203ddb76b237547e794ed7a087144"),
+    "actions --help": (0, "955dd8637d06694004efa540157d43dc1d59efaf97ee8609bab82c58f0e52778"),
+    "duals --help": (0, "f896be12a4ec9f04e1c514372a755ba4003c9b0780b55701818ce3f664a53d2f"),
+    "rmatrix --help": (0, "bca96987a5f119f93a43dc28128f32693d884f20b3232117cfc4592cc35511e3"),
+    "coboundary --help": (0, "df7afa3df010720eb7d25467f22e6875c336fbd9ac9f13928355053a5f0d9f78"),
+    "ybe --help": (0, "162206b0b6af00c34e1d2609ac229529180cb21c5f34687f4b202047710f59e4"),
+    "gybe --help": (0, "50ae2d340b529abc1f1d1c36d7cf9eb68b0a5d14e4687bd30d17573545ebd431"),
+    "schouten --help": (0, "67ae6d1697abc91a5f8eefed414333378c432bd858d7d2bfe64bc1d76c7903be"),
+    "report --help": (0, "76dccf664fc2209130ea8c2d03594d6116fb07c37b21ab131f770c9956d4c38a"),
+    "corpus --help": (0, "1f92824193165fde73e06588d075e98ae39c81a74f8d49eeee4ae02a63f74c7e"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python versions")
+@pytest.mark.parametrize("line", sorted(PARSER_TEXTS))
+def test_parser_texts_pinned(monkeypatch, capsys, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *line.split())
+    digest = hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
+    assert (code, digest) == PARSER_TEXTS[line]
+
+
 class TestDuals:
     def test_all_scenarios(self, corpus_files, capsys):
         code, out, _ = run(
@@ -191,6 +231,13 @@ class TestDuals:
         )
         assert code == 0
         assert "lr-1-r" in out
+
+    def test_scenario_all_in_any_case(self, corpus_files, capsys):
+        path = str(corpus_files["example1"])
+        want = run(capsys, "duals", path, "--scenario", "all")
+        assert want[0] == 0
+        for key in ("ALL", "All"):
+            assert run(capsys, "duals", path, "--scenario", key) == want
 
     def test_incompatible_scenario_is_input_error(self, corpus_files, capsys):
         code, _, err = run(

@@ -11,11 +11,13 @@ from leibnizalg import (
     Side,
     StructureTensor,
     cybe_check,
+    scenario_sweep,
     solve_rmatrix,
 )
-from leibnizalg.core import first_nonzero
+from leibnizalg.core import first_nonzero, leibniz_residual
 from leibnizalg.linalg import mat
 from leibnizalg.rmatrix import (
+    BRACKET_CASE,
     COMPLEX,
     coboundary_cocommutator,
     cocommutator_matrix_route,
@@ -32,6 +34,9 @@ from test_cli import DENSE_BASIS, _in_basis
 from oracles import (
     cocycle_residual_tensor,
     dual_bracket_by_units,
+    evaluate_quadratic,
+    family_member,
+    flatten_tensor,
     grid3,
     grid4,
     gybe_residual_dense,
@@ -411,3 +416,40 @@ def test_cancelling_terms_leave_no_zero_component():
     for entries in [s] + list(triple_products(alg, r, Side.LEFT)):
         assert all(v for _, v in entries)
     assert crosscheck_dual_defect(alg, r, Side.LEFT)
+
+
+def test_coboundary_bialgebra_lies_in_the_matching_kernel(corpus_algebras):
+    # delta(r), the degree-0 coboundary of r, is a 1-cocycle: it lies in the
+    # kernel of the degree-1 coboundary of the matching form, lr-1-r on the
+    # right and lr-4-l on the left (BRACKET_CASE).  Its coordinates in the
+    # kernel basis are its values at the free columns, the last nonzero
+    # column of each basis vector, and the scenario's quadratic residual
+    # there is the dual defect of delta(r).
+    algebras = list(corpus_algebras.values())
+    for n in range(2, 6):
+        nf = StructureTensor.from_entries(n, {(1, i, i + 1): 1 for i in range(1, n)})
+        algebras += [LeibnizAlgebra.analyze(t) for t in (nf, opposite(nf))]
+    algebras += [LeibnizAlgebra.analyze(StructureTensor.from_entries(n, {})) for n in (2, 3)]
+    rng = random.Random(16)
+    checked = 0
+    for alg in algebras:
+        for side, key in ((Side.RIGHT, "lr-1-r"), (Side.LEFT, "lr-4-l")):
+            if not alg.admits(side):
+                continue
+            entry = scenario_sweep(alg, key)[key]
+            free = [max(c for c, v in enumerate(flatten_tensor(b)) if v)
+                    for b in entry.family.basis]
+            for _ in range(3):
+                r = rand_matrix(rng, alg.dim)
+                delta = coboundary_cocommutator(alg, r, BRACKET_CASE[side])
+                flat = flatten_tensor(delta)
+                coordinates = [flat[c] for c in free]
+                assert family_member(entry.family, coordinates) == delta
+                values = evaluate_quadratic(entry.quadratic, coordinates)
+                defect = dict(zip(entry.quadratic.provenance, values))
+                assert {c: v for c, v in defect.items() if v} == {
+                    tuple(x + 1 for x in c): v for c, v in leibniz_residual(delta, side).items()
+                }
+                assert crosscheck_dual_defect(alg, r, side)
+                checked += 1
+    assert checked == 57  # 19 (algebra, side) pairs, three r each

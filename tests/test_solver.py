@@ -213,9 +213,9 @@ class TestNullspace:
 
 class TestQuadraticResidual:
     def test_repr_names_every_parameter(self):
-        assert repr(Poly({(63,): 1})) == "Poly(t64)"
-        assert repr(Poly({(0, 63): 1, (): -2})) == "Poly(-2 + t1*t64)"
-        assert repr(Poly()) == "Poly(0)"
+        assert repr(Poly({(63,): 1}, 1)) == "Poly(t64)"
+        assert repr(Poly({(0, 63): 1, (): -2}, 1)) == "Poly(-2 + t1*t64)"
+        assert repr(Poly({(): 3}, 6)) == "Poly(1/2)"
 
     def test_render_reduces_each_coefficient(self):
         names = ["t1", "t2", "t3"]
