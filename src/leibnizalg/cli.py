@@ -284,7 +284,7 @@ def _cmd_corpus(args) -> int:
 
 
 _FILE = ("file", {"help": "algebra definition file"})
-_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_FORMAT = ("--format", {"type": str.lower, "choices": ("json", "text"), "default": "text"})
 _SIDE = ("--side", {"required": True})
 _R = ("--r", {"required": True})
 
@@ -329,13 +329,24 @@ COMMANDS = (
 )
 
 
+def _usage_error(message: str):
+    """Raise an argparse usage error as ParseError, on one short line:
+    argparse echoes rejected tokens whole, newlines included."""
+    line = " ".join(w if len(w) <= 40 else w[:40] + "..." for w in message.split())
+    raise ParseError(line if len(line) <= 280 else line[:280] + "...")
+
+
+class _Parser(argparse.ArgumentParser):
+    error = staticmethod(_usage_error)  # the subparsers are built with this class too
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser with every command, but the arguments of only the one
     that ``argv`` names, its first token that is a command name: the help,
     usage and error texts are those of a parser with every argument."""
     names = {name for name, *_ in COMMANDS}
     command = next((a for a in argv if a in names), None)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leibnizalg",
         description="Exact verification toolkit for Leibniz algebras, their "
         "dual (bialgebra) structures and classical r-matrices.",
@@ -353,10 +364,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else BAD_INPUT
-    try:
         return args.fn(args)
+    except SystemExit:  # --help; usage errors raise ParseError
+        return OK
     except _Verification as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL

@@ -22,9 +22,9 @@ Conventions frozen across the whole package:
   denominator, the lcm of its denominators; the Leibniz defect, the action
   table of ``actions`` and the triple products of ``rmatrix`` read it.
 
-``bracket_rows``, ``adjoint_matrices`` and ``coadjoint_matrices`` are built
-once per tensor, behind bounded caches, and shared: callers must not mutate
-them.
+``bracket_rows`` and ``adjoint_matrices`` are built once per tensor, behind
+bounded caches, and shared: callers must not mutate them.  The coadjoint
+matrices are not cached: a call builds them afresh, 2n negated transposes.
 
 Supported dimensions are 1 through 8; everything is exact rational.
 """
@@ -37,8 +37,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
-from .linalg import Matrix, frac, mat_neg, over_lcm, transpose
-from .record import CachedHash, Frozen, set_field
+from .linalg import frac, mat_neg, over_lcm, transpose
+from .record import CachedHash, Frozen
 
 MAX_DIM = 8
 
@@ -69,10 +69,6 @@ class StructureTensor(CachedHash):
     it with ``from_entries``."""
 
     __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: tuple):
-        set_field(self, "dim", dim)
-        set_field(self, "entries", entries)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "StructureTensor":
@@ -180,10 +176,6 @@ def classify(t: StructureTensor) -> Chirality:
 class LeibnizAlgebra(Frozen):
     __slots__ = ("tensor", "chirality")
 
-    def __init__(self, tensor: StructureTensor, chirality: Chirality):
-        set_field(self, "tensor", tensor)
-        set_field(self, "chirality", chirality)
-
     @classmethod
     def analyze(cls, tensor: StructureTensor) -> "LeibnizAlgebra":
         return cls(tensor, classify(tensor))
@@ -208,17 +200,10 @@ class LeibnizAlgebra(Frozen):
             )
 
 
-class AdjointMatrices(CachedHash):
-    """The three families of slice matrices of one tensor (see module notes).
-    Hashed once, as the key of ``coadjoint_matrices``."""
+class AdjointMatrices(Frozen):
+    """The three families of slice matrices of one tensor (see module notes)."""
 
     __slots__ = ("first_slot", "second_slot", "output_slot")
-
-    def __init__(self, first_slot: tuple[Matrix, ...], second_slot: tuple[Matrix, ...],
-                 output_slot: tuple[Matrix, ...]):
-        set_field(self, "first_slot", first_slot)
-        set_field(self, "second_slot", second_slot)
-        set_field(self, "output_slot", output_slot)
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,15 +228,8 @@ class CoadjointMatrices(Frozen):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: tuple[Matrix, ...], right: tuple[Matrix, ...]):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
-
-@functools.lru_cache(maxsize=8)
 def coadjoint_matrices(adj: AdjointMatrices) -> CoadjointMatrices:
-    """Built once per adjoint family and shared through a bounded cache;
-    callers must not mutate it."""
     left = tuple(mat_neg(transpose(m)) for m in adj.first_slot)
     right = tuple(mat_neg(transpose(m)) for m in adj.second_slot)
     return CoadjointMatrices(left, right)

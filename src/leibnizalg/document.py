@@ -22,7 +22,7 @@ from fractions import Fraction
 from .core import MAX_DIM, LeibnizAlgebra, Side, StructureTensor, classify
 from .errors import ChiralityError, ParseError, quote
 from .linalg import Matrix
-from .record import Record
+from .record import Frozen
 
 SIDES = ("left", "right", "both", "auto")
 
@@ -48,16 +48,8 @@ def _shown(x) -> str:
     return text if len(text) <= 40 else quote(text)
 
 
-class AlgebraDocument(Record):
+class AlgebraDocument(Frozen):
     __slots__ = ("name", "dim", "declared_side", "entries")
-    __hash__ = None  # mutable
-
-    def __init__(self, name: str = "", dim: int = 0, declared_side: str = "auto",
-                 entries: dict[tuple[int, int, int], Fraction] | None = None):
-        self.name = name
-        self.dim = dim
-        self.declared_side = declared_side
-        self.entries = {} if entries is None else entries
 
     def tensor(self) -> StructureTensor:
         return StructureTensor.from_entries(self.dim, self.entries)
@@ -79,15 +71,8 @@ class AlgebraDocument(Record):
         return alg
 
 
-class RMatrixDocument(Record):
+class RMatrixDocument(Frozen):
     __slots__ = ("name", "dim", "entries")
-    __hash__ = None  # mutable
-
-    def __init__(self, name: str = "", dim: int = 0,
-                 entries: dict[tuple[int, int], Fraction] | None = None):
-        self.name = name
-        self.dim = dim
-        self.entries = {} if entries is None else entries
 
     def matrix(self) -> Matrix:
         n = self.dim

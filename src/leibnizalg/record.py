@@ -1,14 +1,25 @@
-"""Value classes without ``dataclasses``: a subclass declares ``__slots__``
-and an explicit ``__init__``; equality, hash and repr read the slots in
-order.  Importing ``dataclasses`` (and with it ``inspect``) and building each
-class from generated code would cost every CLI call several milliseconds.
+"""Value classes without ``dataclasses``: a subclass declares its fields once,
+in ``__slots__``, and ``Frozen`` sets them from positional arguments in that
+order; equality, hash and repr read the same slots.  Importing
+``dataclasses`` (and with it ``inspect``) and building each class from
+generated code would cost every CLI call several milliseconds.
 """
 
-set_field = object.__setattr__  # how a Frozen class's __init__ sets a slot
+set_field = object.__setattr__
 
 
-class Record:
+class Frozen:
+    """A value whose ``__slots__`` are set once, by ``__init__``, and never
+    assigned or deleted afterwards."""
+
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {len(values)} values")
+        for name, value in zip(names, values):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -25,12 +36,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-
-class Frozen(Record):
-    """A Record whose slots are set once, in ``__init__`` through ``set_field``."""
-
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
@@ -43,7 +48,8 @@ class CachedHash(Frozen):
 
     For large records used as cache keys (a ``StructureTensor`` hashes every
     nonzero entry).  The cached value sits in this class's own slot, outside
-    the subclass's ``__slots__``, so equality and repr do not read it.
+    the subclass's ``__slots__``, so ``__init__``, equality and repr do not
+    read it.
     """
 
     __slots__ = ("_hash",)
@@ -52,5 +58,5 @@ class CachedHash(Frozen):
         try:
             return self._hash
         except AttributeError:
-            set_field(self, "_hash", Record.__hash__(self))
+            set_field(self, "_hash", Frozen.__hash__(self))
             return self._hash

@@ -80,7 +80,7 @@ from .linalg import (
     sparse_rows,
     transpose,
 )
-from .record import Frozen, set_field
+from .record import Frozen
 
 class CoboundaryCase(enum.Enum):
     """Which coboundary formula turns r into a cocommutator.
@@ -192,13 +192,6 @@ class RMatrixFamily(Frozen):
     """Affine solution set particular + span(kernel), parameters t1..td."""
 
     __slots__ = ("dim", "particular", "kernel", "parameters")
-
-    def __init__(self, dim: int, particular: Matrix, kernel: tuple[Matrix, ...],
-                 parameters: tuple[str, ...]):
-        set_field(self, "dim", dim)
-        set_field(self, "particular", particular)
-        set_field(self, "kernel", kernel)
-        set_field(self, "parameters", parameters)
 
     def member(self, assignment) -> Matrix:
         if len(assignment) != len(self.parameters):

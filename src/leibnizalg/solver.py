@@ -46,18 +46,13 @@ from .actions import ActionCase
 from .cohomology import coboundary_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, leibniz_terms
 from .errors import DimensionError, quote
-from .linalg import Row, kernel_basis, sparse_rows
+from .linalg import kernel_basis, sparse_rows
 from .poly import Poly
-from .record import Frozen, set_field
+from .record import Frozen
 
 
 class Scenario(Frozen):
     __slots__ = ("key", "form", "dual_side")
-
-    def __init__(self, key: str, form: int, dual_side: Side):
-        set_field(self, "key", key)
-        set_field(self, "form", form)
-        set_field(self, "dual_side", dual_side)
 
     def compatible(self, alg: LeibnizAlgebra) -> bool:
         return bool(ActionCase(self.form).complexes(alg))
@@ -89,12 +84,9 @@ def scenario(key: str) -> Scenario:
 
 
 class LinearSystem(Frozen):
-    __slots__ = ("dim", "form", "matrix")
+    """``matrix``: the n^4 sparse rows over n^3 columns of a cocycle system."""
 
-    def __init__(self, dim: int, form: int, matrix: tuple[Row, ...]):
-        set_field(self, "dim", dim)
-        set_field(self, "form", form)
-        set_field(self, "matrix", matrix)  # n^4 sparse rows over n^3 columns
+    __slots__ = ("dim", "form", "matrix")
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
@@ -136,11 +128,6 @@ class DualFamily(Frozen):
 
     __slots__ = ("dim", "basis", "parameters")
 
-    def __init__(self, dim: int, basis: tuple[StructureTensor, ...], parameters: tuple[str, ...]):
-        set_field(self, "dim", dim)
-        set_field(self, "basis", basis)
-        set_field(self, "parameters", parameters)
-
     def __len__(self):
         return len(self.basis)
 
@@ -170,12 +157,6 @@ class QuadraticResidual(Frozen):
     """
 
     __slots__ = ("parameters", "polynomials", "provenance")
-
-    def __init__(self, parameters: tuple[str, ...], polynomials: tuple[Poly, ...],
-                 provenance: tuple[tuple[int, int, int, int], ...]):
-        set_field(self, "parameters", parameters)
-        set_field(self, "polynomials", polynomials)
-        set_field(self, "provenance", provenance)
 
     def is_identically_zero(self) -> bool:
         return not self.polynomials
@@ -238,11 +219,6 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
 
 class SweepEntry(Frozen):
     __slots__ = ("scenario", "family", "quadratic")
-
-    def __init__(self, scenario: Scenario, family: DualFamily, quadratic: QuadraticResidual):
-        set_field(self, "scenario", scenario)
-        set_field(self, "family", family)
-        set_field(self, "quadratic", quadratic)
 
 
 def scenario_sweep(alg: LeibnizAlgebra, key: str | None = None) -> dict[str, SweepEntry]:

@@ -176,21 +176,22 @@ def test_long_flag_value_is_one_short_line_exit_two(corpus_files, tmp_path, caps
 
 
 # Exit code and SHA-256 of stdout, a NUL and stderr, for help, usage and
-# error texts, recorded while the parser built every command's arguments on
-# every call (argparse of Python 3.11, COLUMNS=80).  Now it builds only the
-# named command's, and the texts must not change.
+# error texts (argparse of Python 3.11, COLUMNS=80).  The help texts were
+# recorded while the parser built every command's arguments on every call;
+# now it builds only the named command's, and they must not change.  The
+# usage errors were recorded when they became one ``error:`` line.
 PARSER_TEXTS = {
-    "": (2, "22c5c20ec5573a2a37e899f7bcade9165a3b5f817b61230dd76f99cf153f918a"),
+    "": (2, "dd9d12e69f049b4a9d48fe09798144d18ee21ee9fd53664fc5da95022d02c726"),
     "--help": (0, "faa7c7845db16214e2ecc9546f99a87f5fc67c267eb3f5f51bfba77d4dada392"),
     "-h": (0, "faa7c7845db16214e2ecc9546f99a87f5fc67c267eb3f5f51bfba77d4dada392"),
-    "bogus": (2, "4dfbe98f0b10631b2f911e8039def5a1a0a6f446696f813c74917980c6292d7a"),
-    "duals": (2, "09da10bb804d324e0bad846ac973f99a8d0590c71ed039a29bf5bc30c2168b56"),
-    "check x.leib --format xml": (2, "5063337d62051281515c0b00188b316d6d3507bf4e58dcc29dadf92534fc1996"),
-    "report x.leib --format json": (2, "8e9b4af261b75fbdc02cf59b584ff70018ebc8de62ab2952ebe4a304bad6cac2"),
-    "corpus --format json": (2, "8bff04e8e43f4474c7bf3eff1edcc527965676ace842d2165e981195d0668d99"),
-    "ybe x.leib": (2, "af265b423be23e5ce4c5dd99f2539c409ecd783226cee5144e22316a41d7df6a"),
-    "--format json check": (2, "04a67ef6c8961870cd8ea074e9f8374147f39cd2d51e25037ccabcb1b1229ad0"),
-    "duals x.leib --scenario": (2, "272c9e1fecfa455497135492c97c16b0c2adf50677652aa1c6f9ef61c435221d"),
+    "bogus": (2, "3eaa8c8d9a91d9390c9a1071f4d6b0fa06904169a82b8ba8677af8f785a099e6"),
+    "duals": (2, "ee20af3a88db1fc08647334080196b417d30180c04017e7e5c5de33e4efaef33"),
+    "check x.leib --format xml": (2, "cf6707ac8aaea32b0624ce5310eb272e49694f503cbc20ae71188422d638fb61"),
+    "report x.leib --format json": (2, "6b436eae5ef843a705805d206ca001f27b0c894f02367e7ec0f19ee6f202c65b"),
+    "corpus --format json": (2, "ed287c6541bfb6bf31e5ce2859ad1d27f2081b55eff49ab9558fdacabe735814"),
+    "ybe x.leib": (2, "0631abd845e6bedbf3fa740450b7f0e934ee0ca3b0841d376c3a3c38c2cb3bc2"),
+    "--format json check": (2, "afc9d457572f78b8c8e6207c86feec9033b7f0ab0c2d80a3f37fd3013e327445"),
+    "duals x.leib --scenario": (2, "98b3993cbae022201773bd9a0957d074201024862adcaf38aa36860c409f8c14"),
     "check --help": (0, "100820d1fb58671c35ab48506fb9a05098c42b00621c017a31a860aebf4470c6"),
     "adjoint --help": (0, "69d014b077179ccbd1ea1e50be571530378203ddb76b237547e794ed7a087144"),
     "actions --help": (0, "955dd8637d06694004efa540157d43dc1d59efaf97ee8609bab82c58f0e52778"),
@@ -213,6 +214,34 @@ def test_parser_texts_pinned(monkeypatch, capsys, line):
     code, out, err = run(capsys, *line.split())
     digest = hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
     assert (code, digest) == PARSER_TEXTS[line]
+
+
+# Usage errors, rejected tokens long or holding newlines among them: one
+# ``error:`` line under 300 characters, exit 2.
+USAGE_ERRORS = (
+    [], ["bogus"], ["z" * 400], ["check"], ["check", "x", "--format", "xml"],
+    ["report", "x", "--seed", "abc"], ["check", "x", "--bogus", "q" * 400],
+    ["check", "x", *["--zz"] * 100], ["check", "a\nb", "--zz", "c\nd"],
+    ["duals", "x", "--scenario"], ["check", "x", "--format", "q" * 400],
+)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=range(len(USAGE_ERRORS)))
+def test_usage_error_is_one_short_line_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("command", ["check", "adjoint", "actions", "duals"])
+def test_format_in_any_case(corpus_files, capsys, command):
+    path = str(corpus_files["example1"])
+    want = run(capsys, command, path, "--format", "json")
+    assert want[0] == 0 and want[1].startswith("{")
+    for value in ("JSON", "Json"):
+        assert run(capsys, command, path, "--format", value) == want
 
 
 class TestDuals:

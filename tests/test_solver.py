@@ -12,6 +12,7 @@ from leibnizalg import (
     scenario,
     scenario_sweep,
 )
+from leibnizalg.core import leibniz_residual
 from leibnizalg.poly import Poly
 from leibnizalg.solver import (
     SCENARIOS,
@@ -436,3 +437,45 @@ class TestKleinFour:
                 for i, j, m, q in itertools.product(range(n), repeat=4):
                     assert b[i][j][m][q] == swapped[m][q][i][j], (n, k)
                     assert b[i][j][m][q] == mirrored[j][i][q][m], (n, k)
+
+    def test_dual_swap_at_the_scenario_level(self, corpus_algebras):
+        # A member g of the kernel of scenario S = (k, s) on f that is itself
+        # s-handed Leibniz is a dual bracket of f.  Swapping the roles, f lies
+        # in the kernel, computed on g, of every scenario of form SWAP[k]
+        # whose dual side f admits: f is the family member at its values on
+        # the free columns (the last nonzero column of each basis vector), and
+        # the quadratic residual vanishes there.  The s-handedness of g is
+        # what form SWAP[k] needs, so no member is skipped.  Members: the
+        # kernel basis and three seeded rational combinations of it.
+        algebras = list(corpus_algebras.values())
+        for n in range(2, 6):
+            nf = StructureTensor.from_entries(n, {(1, i, i + 1): 1 for i in range(1, n)})
+            algebras += [LeibnizAlgebra.analyze(t) for t in (nf, opposite(nf))]
+        algebras += [LeibnizAlgebra.analyze(StructureTensor.from_entries(n, {})) for n in (2, 3)]
+        rng = random.Random(18)
+        checked = 0
+        for alg in algebras:
+            flat = flatten_tensor(alg.tensor)
+            for key, entry in scenario_sweep(alg).items():
+                family = entry.family
+                combinations = [
+                    family_member(family, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                                           for _ in family.basis])
+                    for _ in range(3)
+                ]
+                for g in family.basis + tuple(combinations):
+                    if leibniz_residual(g, entry.scenario.dual_side):
+                        continue
+                    dual = LeibnizAlgebra.analyze(g)
+                    for sc in SCENARIOS:
+                        if sc.form != SWAP[entry.scenario.form] or not alg.admits(sc.dual_side):
+                            continue
+                        assert sc.compatible(dual), (key, sc.key)
+                        swapped = scenario_sweep(dual, sc.key)[sc.key]
+                        free = [max(c for c, v in enumerate(flatten_tensor(b)) if v)
+                                for b in swapped.family.basis]
+                        values = [flat[c] for c in free]
+                        assert family_member(swapped.family, values) == alg.tensor, (key, sc.key)
+                        assert not any(evaluate_quadratic(swapped.quadratic, values))
+                        checked += 1
+        assert checked == 378
