@@ -2,37 +2,25 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/usage error.
 
-A call loads only the modules its command uses: ``check`` and ``adjoint``
-load the core, the parser and a light ``report``; the r-matrix commands bind
-the ``rmatrix`` names, and ``duals`` the ``solver`` names, on first use.
-Those names are called as ``_lazy.name``, looked up on this module at call
-time.
+Importing this module loads no other package module but ``errors``; the
+rest is bound on first use and called as ``_lazy.name``, looked up on this
+module at call time.  So ``corpus`` loads only ``corpus``, and a command
+that reads an algebra loads ``document`` (the parser and the JSON forms)
+with ``core``, ``linalg`` and ``record``, then ``report`` or, for the five
+r-matrix commands, ``rmatrix``; those two modules say what each adds.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
 
 from . import _on_first_use
-from . import corpus as corpus_mod
-from .core import Side
-from .document import parse_algebra
 from .errors import ChiralityError, LeibnizError, ParseError, quote
-from .report import (
-    actions_section,
-    adjoint_section,
-    build_report,
-    chirality_section,
-    duals_section,
-    matrix_json,
-    rational_str,
-    render_json,
-    tensor_json,
-)
 
 __getattr__ = _on_first_use(globals(), [
+    # every command that reads an algebra
+    {".core": ("Side",), ".document": ("matrix_json", "parse_algebra", "rational_str",
+                                       "render_json", "tensor_json")},
     # the r-matrix commands.  parse_rmatrix is in this group because
     # bench/tracing.py looks it up before it wraps any rmatrix function, so
     # the group binds the unwrapped functions and each wrapper runs once.
@@ -40,7 +28,10 @@ __getattr__ = _on_first_use(globals(), [
      ".rmatrix": ("coboundary_case", "coboundary_cocommutator", "cybe_check",
                   "gybe_residual", "is_antisymmetric_matrix", "schouten",
                   "solve_rmatrix")},
+    {".report": ("actions_section", "adjoint_section", "build_report",
+                 "chirality_section", "duals_section")},
     {".solver": ("scenario",)},
+    {".corpus": ("names", "text")},
 ])
 _lazy = sys.modules[__name__]
 
@@ -63,7 +54,7 @@ def _read(path: str) -> tuple[bytes, str]:
 
 def _load_algebra(path: str):
     raw, text = _read(path)
-    doc = parse_algebra(text)
+    doc = _lazy.parse_algebra(text)
     try:
         alg = doc.algebra()
     except ChiralityError as exc:
@@ -74,24 +65,22 @@ def _load_algebra(path: str):
 def _load_rmatrix(path: str, dim: int):
     doc = _lazy.parse_rmatrix(_read(path)[1])
     if doc.dim != dim:
-        raise ParseError(
-            f"r-matrix dimension {doc.dim} does not match algebra dimension {dim}"
-        )
+        raise ParseError(f"r-matrix dimension {doc.dim} does not match algebra dimension {dim}")
     return doc.matrix()
 
 
-def _side(arg: str) -> Side:
+def _side(arg: str) -> "Side":
     key = arg.lower()
     if key in ("l", "left"):
-        return Side.LEFT
+        return _lazy.Side.LEFT
     if key in ("r", "right"):
-        return Side.RIGHT
+        return _lazy.Side.RIGHT
     raise ParseError(f"bad side {quote(arg)}; want l|r|left|right")
 
 
 def _emit(payload, fmt: str, text_lines):
     if fmt == "json":
-        sys.stdout.write(render_json(payload))
+        sys.stdout.write(_lazy.render_json(payload))
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
@@ -99,7 +88,7 @@ def _emit(payload, fmt: str, text_lines):
 
 def _cmd_check(args) -> int:
     doc, alg, _ = _load_algebra(args.file)
-    section = chirality_section(alg)
+    section = _lazy.chirality_section(alg)
     lines = [f"chirality: {section['chirality']}"]
     for w in section["witnesses"]:
         comp = ",".join(str(x) for x in w["component"])
@@ -112,7 +101,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     _, alg, _ = _load_algebra(args.file)
-    section = adjoint_section(alg)
+    section = _lazy.adjoint_section(alg)
     lines = []
     for label in ("first_slot", "second_slot", "output_slot"):
         for idx, m in enumerate(section[label], start=1):
@@ -124,7 +113,7 @@ def _cmd_adjoint(args) -> int:
 
 def _cmd_actions(args) -> int:
     _, alg, _ = _load_algebra(args.file)
-    section = actions_section(alg)
+    section = _lazy.actions_section(alg)
     lines = []
     failed = False
     for case, axioms in section.items():
@@ -142,7 +131,7 @@ def _cmd_duals(args) -> int:
         sc = _lazy.scenario(args.scenario)
         sc.require(alg)
         key = sc.key
-    section = duals_section(alg, key=key)
+    section = _lazy.duals_section(alg, key=key)
     lines = []
     for key, entry in section.items():
         lines.append(
@@ -159,7 +148,7 @@ def _cmd_duals(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     _, alg, _ = _load_algebra(args.file)
-    dual_doc = parse_algebra(_read(args.dual)[1])
+    dual_doc = _lazy.parse_algebra(_read(args.dual)[1])
     if dual_doc.dim != alg.dim:
         raise ParseError("dual tensor dimension does not match the algebra")
     case = _lazy.coboundary_case(args.case)
@@ -174,12 +163,12 @@ def _cmd_rmatrix(args) -> int:
     payload = {
         "case": case.value,
         "solvable": True,
-        "particular": matrix_json(family.particular),
-        "kernel": [matrix_json(m) for m in family.kernel],
+        "particular": _lazy.matrix_json(family.particular),
+        "kernel": [_lazy.matrix_json(m) for m in family.kernel],
         "parameters": list(family.parameters),
     }
-    lines = [f"case {case.value}: affine family with {family.dimension} parameters"]
-    lines.append("particular:")
+    lines = [f"case {case.value}: affine family with {family.dimension} parameters",
+             "particular:"]
     lines.extend("  [" + ", ".join(row) + "]" for row in payload["particular"])
     for name, m in zip(family.parameters, payload["kernel"]):
         lines.append(f"{name}:")
@@ -193,11 +182,11 @@ def _cmd_coboundary(args) -> int:
     r = _load_rmatrix(args.r, alg.dim)
     case = _lazy.coboundary_case(args.case)
     ftilde = _lazy.coboundary_cocommutator(alg, r, case)
-    from .core import classify
+    from .core import classify  # at call time: bench/tracing.py wraps core.classify
 
     payload = {
         "case": case.value,
-        "dual_tensor": tensor_json(ftilde),
+        "dual_tensor": _lazy.tensor_json(ftilde),
         "dual_chirality": classify(ftilde).value,
         "r_antisymmetric": _lazy.is_antisymmetric_matrix(r),
     }
@@ -240,7 +229,7 @@ def _cmd_schouten(args) -> int:
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
     s = _lazy.schouten(alg, r, side)
-    entries = [[m, p, q, rational_str(v)] for (m, p, q), v in s]
+    entries = [[m, p, q, _lazy.rational_str(v)] for (m, p, q), v in s]
     payload = {
         "side": side.value,
         "entries": entries,
@@ -258,18 +247,18 @@ def _cmd_schouten(args) -> int:
 
 def _cmd_report(args) -> int:
     doc, alg, raw = _load_algebra(args.file)
-    payload = build_report(doc, alg, raw, args.seed)
-    sys.stdout.write(render_json(payload))
+    payload = _lazy.build_report(doc, alg, raw, args.seed)
+    sys.stdout.write(_lazy.render_json(payload))
     return FAIL if payload["check"]["chirality"] == "neither" else OK
 
 
 def _cmd_corpus(args) -> int:
     if not args.name:
-        for name in corpus_mod.names():
+        for name in _lazy.names():
             sys.stdout.write(name + "\n")
         return OK
     try:
-        text = corpus_mod.text(args.name)
+        text = _lazy.text(args.name)
     except KeyError as exc:
         raise ParseError(str(exc)) from None
     if args.dest:
@@ -291,7 +280,6 @@ _R = ("--r", {"required": True})
 
 def _scenario_help() -> str:
     from .solver import SCENARIOS
-
     return "scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'"
 
 
@@ -329,11 +317,15 @@ COMMANDS = (
 )
 
 
-def _usage_error(message: str):
-    """Raise an argparse usage error as ParseError, on one short line:
-    argparse echoes rejected tokens whole, newlines included."""
+def _one_line(message: str) -> str:
+    """``message`` on one short line: words cut to 40 characters, the line to 280."""
     line = " ".join(w if len(w) <= 40 else w[:40] + "..." for w in message.split())
-    raise ParseError(line if len(line) <= 280 else line[:280] + "...")
+    return line if len(line) <= 280 else line[:280] + "..."
+
+
+def _usage_error(message: str):
+    """Raise an argparse usage error as ParseError, on one short line."""
+    raise ParseError(_one_line(message))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,11 +333,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser with every command, but the arguments of only the one
-    that ``argv`` names, its first token that is a command name: the help,
-    usage and error texts are those of a parser with every argument."""
+    """The parser with the arguments of only the command that ``argv``
+    names, its first token that is a command name, and with that command
+    alone when it is ``argv[0]``: the help, usage and error texts are those
+    of a parser with every command and argument."""
     names = {name for name, *_ in COMMANDS}
     command = next((a for a in argv if a in names), None)
+    alone = argv[:1] == [command]
     parser = _Parser(
         prog="leibnizalg",
         description="Exact verification toolkit for Leibniz algebras, their "
@@ -353,6 +347,8 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in COMMANDS:
+        if alone and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments() if name == command else ():
             p.add_argument(flag, **options)
@@ -370,8 +366,9 @@ def main(argv=None) -> int:
     except _Verification as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL
-    except (LeibnizError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LeibnizError, OSError) as exc:  # an OSError names its file whole
+        text = str(exc) if isinstance(exc, LeibnizError) else _one_line(str(exc))
+        print(f"error: {text}", file=sys.stderr)
         return BAD_INPUT
 
 

@@ -1,7 +1,5 @@
 """Bundled example algebras, usable from the CLI (``corpus``) and tests."""
 
-from __future__ import annotations
-
 CORPUS: dict[str, str] = {
     "example1": (
         "# two-dimensional left Leibniz algebra\n"

@@ -12,12 +12,19 @@ Algebra files::
 R-matrix files reuse the same directives with ``r <i> <j> = <p>/<q>``
 entry lines and no ``side``.  Lines may appear in any order; duplicate
 entries are errors; undeclared entries are zero; indices are 1-based.
+
+The JSON forms of what the commands print are here, where ``cli`` and
+``report`` both reach them: rationals as ``p`` or ``p/q`` strings, and
+``render_json``, the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
+and a newline in one pass, for dicts with string keys, lists, tuples,
+strings, ints, booleans and None (other types raise ``TypeError``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import MAX_DIM, LeibnizAlgebra, Side, StructureTensor, classify
 from .errors import ChiralityError, ParseError, quote
@@ -151,3 +158,62 @@ def parse_algebra(text: str) -> AlgebraDocument:
 def parse_rmatrix(text: str) -> RMatrixDocument:
     name, dim, _, entries = _scan(text, "r")
     return RMatrixDocument(name, dim, entries)
+
+
+def rational_str(x: Fraction) -> str:
+    return str(x)
+
+
+def matrix_json(m):
+    return [[rational_str(v) for v in row] for row in m]
+
+
+def tensor_json(t: StructureTensor):
+    return [[i, j, k, rational_str(v)] for (i, j, k), v in t.items()]
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline (see the
+    module notes)."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit ``obj`` as indented JSON; ``newline`` is a newline followed by
+    the indent of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        emit(_quote(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(head + _quote(key) + ": ")
+            _write(obj[key], inner, emit)
+            head = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in obj:
+            emit(head)
+            _write(item, inner, emit)
+            head = "," + inner
+        emit(newline + "]")
+    elif obj is None or kind is bool:
+        emit("null" if obj is None else "true" if obj else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

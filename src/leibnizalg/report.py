@@ -1,39 +1,35 @@
-"""Deterministic report assembly.
+"""Deterministic report assembly: the sections of ``check``, ``adjoint``,
+``actions`` and ``duals``, and the whole ``report``.
 
-Reports are plain dicts serialized with sorted keys; every rational is a
-``p`` or ``p/q`` string, never a float, so byte-identical inputs (and seed)
-give byte-identical reports.
+Reports are plain dicts serialized with sorted keys by
+``document.render_json``; every rational is a ``p`` or ``p/q`` string
+(``document.rational_str``), never a float, so byte-identical inputs (and
+seed) give byte-identical reports.
 
-``render_json`` writes them in one recursive pass.  Its bytes are those of
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, for the types
-a report holds: dicts with string keys, lists and tuples, strings, ints,
-booleans and None; any other type raises ``TypeError``.  (``json.dumps``
-with an indent runs the standard library's pure-Python encoder; the C
-encoder ignores ``indent``.)
-
-The module loads only what ``check`` and ``adjoint`` need.  The action,
-cohomology, r-matrix and solver layers and ``random`` are bound on first
-use and called as ``_lazy.name``, so ``duals`` loads no r-matrix code.
+On top of the parser's modules, ``check`` and ``adjoint`` load this module
+alone.  The action, cohomology, r-matrix and solver layers and ``random``
+are bound on first use and called as ``_lazy.name``: ``actions`` adds
+``actions``, ``duals`` the solver (with ``actions``, ``cohomology`` and
+``poly``) but no r-matrix code, and ``report`` every layer.  The r-matrix
+commands do not load this module.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__ as _version
 from . import _on_first_use
 from .core import (
     LeibnizAlgebra,
     Side,
-    StructureTensor,
     adjoint_matrices,
     coadjoint_matrices,
     first_nonzero,
     leibniz_residual,
 )
-from .document import AlgebraDocument
+from .document import AlgebraDocument, matrix_json, rational_str, tensor_json
 
 __getattr__ = _on_first_use(globals(), [
     {".actions": ("ActionCase", "axiom_report")},
@@ -47,31 +43,13 @@ __getattr__ = _on_first_use(globals(), [
 _lazy = sys.modules[__name__]
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
-def matrix_json(m):
-    return [[rational_str(v) for v in row] for row in m]
-
-
-def tensor_json(t: StructureTensor):
-    return [[i, j, k, rational_str(v)] for (i, j, k), v in t.items()]
-
-
-def witness_json(hit, label):
-    if hit is None:
-        return None
-    indices, value = hit
-    return {"check": label, "component": list(indices), "value": rational_str(value)}
-
-
 def chirality_section(alg: LeibnizAlgebra):
     out = {"chirality": alg.chirality.value, "witnesses": []}
     for side in (Side.LEFT, Side.RIGHT):
         hit = first_nonzero(leibniz_residual(alg.tensor, side))
         if hit is not None:
-            out["witnesses"].append(witness_json(hit, f"{side.value}-identity"))
+            out["witnesses"].append({"check": f"{side.value}-identity",
+                                     "component": list(hit[0]), "value": rational_str(hit[1])})
     return out
 
 
@@ -105,10 +83,11 @@ def duals_section(alg: LeibnizAlgebra, key: str | None = None):
     out = {}
     for name, entry in _lazy.scenario_sweep(alg, key=key).items():
         quad = entry.quadratic
+        starred = [t + "*" for t in quad.parameters]
         nonzero = [
             {
                 "component": list(prov),
-                "polynomial": poly.render(quad.parameters),
+                "polynomial": poly.render(quad.parameters, starred),
             }
             for prov, poly in zip(quad.provenance, quad.polynomials)
         ]
@@ -139,7 +118,6 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int):
     """Seeded randomized identity battery recorded inside the report."""
     rng = _lazy.Random(seed)
     n = alg.dim
-    results = {}
     complex_ok = True
     for case in _lazy.ActionCase:
         for side in case.complexes(alg):
@@ -148,7 +126,6 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int):
                 d0 = _lazy.coboundary0(alg, case, side, m)
                 if _lazy.coboundary1(alg, case, side, d0):
                     complex_ok = False
-    results["coboundary_squares_to_zero"] = complex_ok
     route_ok = True
     defect_ok = True
     decomp_ok = True
@@ -176,12 +153,9 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int):
             total = {c: v for c, v in total.items() if v}
             if total != dict(_lazy.schouten(alg, r, side)):
                 decomp_ok = False
-    results["cocommutator_routes_agree"] = route_ok
-    results["dual_defect_identity"] = defect_ok
-    results["schouten_decomposition"] = decomp_ok
-    results["seed"] = seed
-    results["trials"] = SELFCHECK_TRIALS
-    return results
+    return {"coboundary_squares_to_zero": complex_ok, "cocommutator_routes_agree": route_ok,
+            "dual_defect_identity": defect_ok, "schouten_decomposition": decomp_ok,
+            "seed": seed, "trials": SELFCHECK_TRIALS}
 
 
 def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: int):
@@ -201,50 +175,3 @@ def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: in
         "duals": duals_section(alg),
         "selfcheck": selfcheck_section(alg, seed),
     }
-
-
-def render_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline (see the
-    module notes)."""
-    out = []
-    _write(obj, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(obj, newline: str, emit) -> None:
-    """Emit ``obj`` as indented JSON; ``newline`` is a newline followed by
-    the indent of the line ``obj`` starts on."""
-    kind = type(obj)
-    if kind is str:
-        emit(_quote(obj))
-    elif kind is int:
-        emit(int.__repr__(obj))
-    elif kind is dict:
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + "  "
-        head = "{" + inner
-        for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(head + _quote(key) + ": ")
-            _write(obj[key], inner, emit)
-            head = "," + inner
-        emit(newline + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + "  "
-        head = "[" + inner
-        for item in obj:
-            emit(head)
-            _write(item, inner, emit)
-            head = "," + inner
-        emit(newline + "]")
-    elif obj is None or kind is bool:
-        emit("null" if obj is None else "true" if obj else "false")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

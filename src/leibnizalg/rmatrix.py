@@ -15,10 +15,14 @@ applies it to r (``cohomology.coboundary0``), its nonzero component
 matrix with one ``linalg.sparse_rows`` call as equations in the unknowns
 r[i][j].  ``cocommutator_matrix_route`` and ``dual_bracket_from_r`` compute
 delta(r) by independent routes.  The table ``COMPLEX`` gives each
-coboundary case its action case and complex side, and with the side what
-it needs: a complex of side s needs an algebra that admits s.
+coboundary case its action case, by number, and complex side, and with the
+side what it needs: a complex of side s needs an algebra that admits s.
 ``BRACKET_CASE`` names, per side, the case whose cocommutator is the dual
 bracket that r induces.
+
+Of the five r-matrix commands, which never load ``report``, only
+``coboundary`` and ``rmatrix`` load ``cohomology`` and ``actions``, inside
+``coboundary_cocommutator`` and ``solve_rmatrix``.
 
 The Schouten bracket, the three triple products and the generalized
 Yang-Baxter residual are read off one term table, ``TRIPLE``, over the
@@ -58,8 +62,6 @@ import enum
 import operator
 from fractions import Fraction
 
-from .actions import ActionCase
-from .cohomology import coboundary0, coboundary_matrix
 from .core import (
     LeibnizAlgebra,
     Side,
@@ -100,13 +102,13 @@ class CoboundaryCase(enum.Enum):
 
 
 # Each coboundary case as the degree-0 coboundary under an action case (the
-# matching compatibility form) on the complex of one side; None for the two
-# trivial cases.
+# matching compatibility form), given by its number, on the complex of one
+# side; None for the two trivial cases.
 COMPLEX = {
-    CoboundaryCase.RIGHT_1: (ActionCase.CASE1, Side.RIGHT),
-    CoboundaryCase.LEFT_1: (ActionCase.CASE1, Side.LEFT),
-    CoboundaryCase.RIGHT_4: (ActionCase.CASE4, Side.RIGHT),
-    CoboundaryCase.LEFT_4: (ActionCase.CASE4, Side.LEFT),
+    CoboundaryCase.RIGHT_1: (1, Side.RIGHT),
+    CoboundaryCase.LEFT_1: (1, Side.LEFT),
+    CoboundaryCase.RIGHT_4: (4, Side.RIGHT),
+    CoboundaryCase.LEFT_4: (4, Side.LEFT),
     CoboundaryCase.TRIVIAL_2: None,
     CoboundaryCase.TRIVIAL_3: None,
 }
@@ -156,7 +158,11 @@ def coboundary_cocommutator(
     is a coboundary."""
     pair = _complex(alg, case)
     r = _check_r(alg, r)
-    d0 = coboundary0(alg, *pair, r) if pair else {}
+    d0 = {}
+    if pair:
+        from .actions import ActionCase
+        from .cohomology import coboundary0
+        d0 = coboundary0(alg, ActionCase(pair[0]), pair[1], r)
     return StructureTensor.from_entries(
         alg.dim, {(a + 1, b + 1, m + 1): v for (m, a, b), v in d0.items()}
     )
@@ -220,7 +226,11 @@ def solve_rmatrix(
     n = alg.dim
     # the degree-0 coboundary of r (``coboundary_cocommutator``), rows and
     # columns laid out as ``cohomology`` says
-    den, columns = coboundary_matrix(alg.tensor, *pair, 0) if pair else (1, ())
+    den, columns = 1, ()
+    if pair:
+        from .actions import ActionCase
+        from .cohomology import coboundary_matrix
+        den, columns = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1], 0)
     rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3, den)
     rhs = [Fraction(0)] * n ** 3
     for (a, b, m), v in ftilde.items():

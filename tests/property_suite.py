@@ -108,7 +108,7 @@ def check_coboundary_is_cocycle(algebras, seed, trials):
         alg, case = pool[rng.randrange(len(pool))]
         r = rand_matrix(rng, alg.dim)
         ftilde = coboundary_cocommutator(alg, r, case)
-        if first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, COMPLEX[case][0].value))):
+        if first_nonzero(sparse4(cocycle_residual_tensor(alg.tensor, ftilde, COMPLEX[case][0]))):
             failures += 1
     return failures
 

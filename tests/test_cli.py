@@ -53,6 +53,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/x.leib")
         assert code == 2
 
+    def test_long_file_name_is_one_short_line_exit_two(self, capsys):
+        # the OSError message holds the whole name; the system refuses it
+        code, out, err = run(capsys, "check", "x" * 400)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ")
+        assert err.count("\n") == 1
+        assert len(err) < 300
+
 
 # Bad definition files and the line their error names; "{e}" stands for the
 # entry head ("f 1 1" in an algebra file, "r 1" in an r-matrix file).
@@ -122,15 +130,23 @@ print(" ".join(m.removeprefix("leibnizalg.") for m in sorted(sys.modules)
                if m.startswith("leibnizalg.") or m == "random"))
 """
 
+# the package's modules and `random`, as MODULES_CHILD prints them
+MODULES = {p.stem for p in (SRC / "leibnizalg").glob("*.py") if p.stem != "__init__"} | {"random"}
+# the r-matrix commands load no report, and only the two that apply or invert
+# the coboundary load cohomology and actions
+COBOUNDARY = ({"rmatrix", "actions", "cohomology"}, {"solver", "poly", "report"})
+CHECKS = ({"rmatrix"}, {"solver", "poly", "report", "actions", "cohomology"})
+
 # command line -> modules the command must load, modules it must not
 COMMAND_MODULES = {
     "check {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
     "adjoint {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
-    "rmatrix {example1} --case left4 --dual {example1}": ({"rmatrix"}, {"solver", "poly"}),
-    "coboundary {example1} --case left4 --r {r}": ({"rmatrix"}, {"solver", "poly"}),
-    "schouten {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
-    "ybe {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
-    "gybe {example1} --side l --r {r}": ({"rmatrix"}, {"solver", "poly"}),
+    "rmatrix {example1} --case left4 --dual {example1}": COBOUNDARY,
+    "coboundary {example1} --case left4 --r {r}": COBOUNDARY,
+    "schouten {example1} --side l --r {r}": CHECKS,
+    "ybe {example1} --side l --r {r}": CHECKS,
+    "gybe {example1} --side l --r {r}": CHECKS,
+    "corpus": ({"cli", "corpus", "errors"}, MODULES - {"cli", "corpus", "errors"}),
     "duals {example3}": ({"solver", "poly"}, {"rmatrix", "random"}),
     "duals {example3} --scenario l-3-l": ({"solver", "poly"}, {"rmatrix", "random"}),
 }
@@ -149,6 +165,11 @@ def test_import_skips_start_up_heavy_modules(corpus_files, tmp_path):
     heavy = ("dataclasses", "inspect", "hashlib")
     probe = f"import sys, leibnizalg.cli; print([m for m in {heavy!r} if m in sys.modules])"
     assert _child("-c", probe) == "[]\n"
+    # the parser, --help and usage errors need no other package module and
+    # no exact arithmetic
+    probe = ("import sys, leibnizalg.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('leibnizalg.') or m in ('fractions', 'decimal')))")
+    assert _child("-c", probe) == "['leibnizalg.cli', 'leibnizalg.errors']\n"
     # the package alone loads none of its modules; each export loads on use
     probe = ("import sys, leibnizalg; before = [m for m in sys.modules if '.' in m "
              "and m.startswith('leibnizalg')]; "

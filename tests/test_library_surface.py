@@ -13,7 +13,8 @@ names only:
 Exempt are the names the package exports in ``__all__``, the README's
 "Library use" methods in ``ALLOWED`` and the parameters in
 ``ALLOWED_DEFAULTS``.  A helper or a field that only tests need belongs in
-``tests/oracles.py``.
+``tests/oracles.py``.  Every name that a module binds on first use
+(``_on_first_use``) must also resolve on the module it comes from.
 
 What the checks cannot see, because they match names and not objects: a
 method or field passes when a different class has a member of the same
@@ -27,6 +28,8 @@ count; and callers in ``tests/`` and ``bench/`` do not count.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +190,23 @@ def unpassed_defaults(package: Path = PACKAGE) -> list:
 def test_package_stays_under_its_line_gate():
     lines = sum(len(p.read_text("utf-8").splitlines()) for p in PACKAGE.glob("*.py"))
     assert lines <= MAX_PACKAGE_LINES
+
+
+def test_every_first_use_name_resolves():
+    """A misspelt name in an ``_on_first_use`` group fails only when a call
+    first looks it up, so every name of every group is resolved here."""
+    hooked = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "leibnizalg" + ("" if path.stem == "__init__" else "." + path.stem)
+        hook = vars(importlib.import_module(name)).get("__getattr__")
+        if hook is None:
+            continue
+        hooked.append(name)
+        for group in inspect.getclosurevars(hook).nonlocals["groups"]:
+            for source, names in group.items():
+                module = importlib.import_module(source, "leibnizalg")
+                assert all(hasattr(module, each) for each in names), (name, source, names)
+    assert hooked == ["leibnizalg", "leibnizalg.cli", "leibnizalg.report"]
 
 
 def test_every_definition_has_a_library_caller():

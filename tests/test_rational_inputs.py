@@ -128,7 +128,7 @@ def test_cocommutator_matches_the_dense_coboundary(alg):
             if pair is None:
                 assert got.items() == ()
                 continue
-            d0 = coboundary0_dense(alg, *pair, r).values
+            d0 = coboundary0_dense(alg, ActionCase(pair[0]), pair[1], r).values
             want = from_dense(tuple(
                 tuple(tuple(d0[m][a][b] for m in range(n)) for b in range(n)) for a in range(n)
             ))

@@ -1,4 +1,4 @@
-"""``report.render_json`` writes the bytes of ``json.dumps(obj,
+"""``document.render_json`` writes the bytes of ``json.dumps(obj,
 sort_keys=True, indent=2)`` and a newline for every payload the commands
 emit, and refuses the types no payload holds."""
 
@@ -9,8 +9,7 @@ import pytest
 
 from leibnizalg import cli
 from leibnizalg.corpus import CORPUS
-from leibnizalg.document import parse_algebra
-from leibnizalg.report import render_json
+from leibnizalg.document import parse_algebra, render_json
 
 
 def reference(obj) -> str:

@@ -109,7 +109,7 @@ class TestCoboundaryCocommutator:
                     for _ in range(10):
                         r = rand_matrix(rng, alg.dim)
                         ftilde = coboundary_cocommutator(alg, r, case)
-                        res = cocycle_residual_tensor(alg.tensor, ftilde, COMPLEX[case][0].value)
+                        res = cocycle_residual_tensor(alg.tensor, ftilde, COMPLEX[case][0])
                         assert first_nonzero(sparse4(res)) is None
 
 

@@ -220,13 +220,14 @@ class TestQuadraticResidual:
 
     def test_render_reduces_each_coefficient(self):
         names = ["t1", "t2", "t3"]
+        starred = ["t1*", "t2*", "t3*"]
         # numerators over 12: -6/12 = -1/2 leads, 12/12 = 1 and 24/12 = 2
         # reduce to integers, 8/12 = 2/3 and -9/12 = -3/4 keep a denominator
         poly = Poly({(0, 2): 24, (1,): 8, (): -6, (0, 0): -9, (2,): 12, (1, 1): 7}, 12)
-        assert poly.render(names) == "-1/2 + 2/3*t2 + t3 - 3/4*t1*t1 + 2*t1*t3 + 7/12*t2*t2"
-        assert Poly({(1, 2): -12}, 12).render(names) == "-t2*t3"
-        assert Poly({(): 5}, 5).render(names) == "1"
-        assert Poly({(0,): -4, (): 3}, 1).render(names) == "3 - 4*t1"
+        assert poly.render(names, starred) == "-1/2 + 2/3*t2 + t3 - 3/4*t1*t1 + 2*t1*t3 + 7/12*t2*t2"
+        assert Poly({(1, 2): -12}, 12).render(names, starred) == "-t2*t3"
+        assert Poly({(): 5}, 5).render(names, starred) == "1"
+        assert Poly({(0,): -4, (): 3}, 1).render(names, starred) == "3 - 4*t1"
 
     def test_family1_identically_left(self):
         quad = dual_leibniz_residual(EX1_FAMILIES[0].family(2), Side.LEFT)
