@@ -14,14 +14,14 @@ left bracket slot and ``R`` the right one:
            [u, X]_R acts on the second factor from the right.
 
 The table ``REACH`` is the one encoding of this list.  ``action_operators``
-turns it into one sparse operator per basis element; the module axioms
-here, the coboundaries of ``cohomology``, the compatibility rows of
-``solver`` and delta(r) in ``rmatrix`` are all built from those operators.
-They are the one action table: integer coefficients over one common
-denominator, the lcm of the bracket's denominators, built once per
-(tensor, case, side) in a bounded cache.  Every module axiom is of degree 2
-in the bracket, so its defect on the integer table is den^2 times the
-rational one and a verdict needs no division.  The readers that return
+turns it into one sparse operator per basis element, the one action table:
+integer coefficients over one common denominator, the lcm of the bracket's
+denominators, built once per (tensor, case, side) in a bounded cache.  The
+module axioms (the term table ``AXIOMS``), the coboundaries of
+``cohomology``, the compatibility rows of ``solver`` and delta(r) in
+``rmatrix`` are all built from those operators.  Every module axiom is of
+degree 2 in the bracket, so its defect on the integer table is den^2 times
+the rational one and a verdict needs no division.  The readers that return
 rational values (the coboundaries, delta(r)) divide once per nonzero
 output entry.
 
@@ -32,15 +32,15 @@ given algebra.  The module-axiom sets checked here, the complexes of the
 report's selfcheck and the scenarios of ``solver`` all read it.
 
 Each case makes the tensor square a module over a compatible algebra, for
-the module-axiom set matching the case's handedness.  The verdict of each
-axiom is exposed so that claim is checkable rather than assumed.
+the module-axiom set matching the case's handedness; ``axiom_report`` gives
+the verdict of each axiom of that set, so the claim is checked, not assumed.
 Measured outcome on the bundled corpus (see tests): cases 1 and 4 satisfy
 the right-handed axiom set on right-compatible algebras and the left-handed
 set on left-compatible ones; case 2 satisfies the right-handed set only and
 case 3 the left-handed set only.  On a two-sided algebra the crossed sets
 (case 2 with the left-handed axioms, case 3 with the right-handed ones) do
-fail; the library does not compute them, and the tests measure them through
-``tests/oracles.module_axiom_residuals``.
+fail; the report leaves them out, and the tests evaluate them with
+``axiom_holds`` and ``tests/oracles.module_axiom_residuals``.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ import functools
 import itertools
 
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
-
-# A sparse operator on the tensor square: one column dict per basis element
-# X_a (x) X_b, at index a*n + b, mapping an output index to its coefficient.
-Operator = list
 
 
 class ActionCase(enum.Enum):
@@ -108,15 +104,12 @@ REACH = {
 
 
 @functools.lru_cache(maxsize=32)
-def action_operators(
-    t: StructureTensor, case: ActionCase, side: Side
-) -> tuple[int, tuple[Operator, ...]]:
+def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[int, tuple]:
     """The action of each basis element X_x (0-based x) as a sparse operator
     with integer entries over den, the lcm of the denominators of t: (den,
-    ops), an entry c standing for c/den.
-
-    Built once per (tensor, case, side) and shared between callers, which
-    must not mutate it; ``compose`` and ``lin`` build new operators.
+    ops), ``ops[x][a*n + b]`` the column of X_a (x) X_b as {output index: c},
+    c standing for c/den.  Built once per (tensor, case, side) and shared
+    between callers, which must not mutate it.
     """
     n = t.dim
     den, rows = bracket_rows(t)
@@ -137,68 +130,53 @@ def action_operators(
     return den, tuple(ops)
 
 
-def compose(p: Operator, q: Operator) -> Operator:
-    """p after q."""
-    out = []
-    for col in q:
-        acc = {}
-        for k, c in col.items():
-            for r, d in p[k].items():
-                acc[r] = acc.get(r, 0) + c * d
-        out.append({r: c for r, c in acc.items() if c})
-    return out
+# The module axioms (Loday and Pirashvili) of the action pair L[x] = [X_x, .]_L,
+# R[x] = [., X_x]_R: per axiom (side, label, (A, B, C)), reading A - B - C = 0
+# on every basis pair (X_x, X_y), the right-handed rows first.  A term "PaQb"
+# is P[a] after Q[b]; a term "P[ab]" is the action P of the bracket [X_a, X_b].
+AXIOMS = (
+    (Side.RIGHT, "right-1", ("L[xy]", "RyLx", "LxLy")),
+    (Side.RIGHT, "right-2", ("RxRy", "RyRx", "R[yx]")),
+    (Side.RIGHT, "right-3", ("RxLy", "L[yx]", "LyRx")),
+    (Side.LEFT, "left-1", ("R[xy]", "RyRx", "LxRy")),
+    (Side.LEFT, "left-2", ("LxRy", "RyLx", "R[xy]")),
+    (Side.LEFT, "left-3", ("LxLy", "L[xy]", "LyLx")),
+)
 
 
-def lin(size: int, terms) -> Operator:
-    """The linear combination of (scalar, operator) pairs, operators with
-    ``size`` columns."""
-    out = [{} for _ in range(size)]
-    for s, op in terms:
-        for acc, col in zip(out, op):
-            for r, c in col.items():
-                acc[r] = acc.get(r, 0) + s * c
-    return [{r: c for r, c in acc.items() if c} for acc in out]
-
-
-def _sparse_residuals(case: ActionCase, alg: LeibnizAlgebra):
-    """Yields (label, defects) for the axiom sets of ``case.complexes``:
-    defects[x][y] is the axiom's defect on the basis pair (X_x, X_y),
-    0-based, as a sparse operator."""
-    case.require(alg)
-    sides = case.complexes(alg)
-    n = alg.dim
-    _, rows = bracket_rows(alg.tensor)
-    _, L = action_operators(alg.tensor, case, Side.LEFT)
-    _, R = action_operators(alg.tensor, case, Side.RIGHT)
-    o = compose
-
-    def on(ops, x, y):  # the action of [X_x, X_y]
-        return lin(n * n, ((c, ops[k]) for k, c in rows.get((x, y), ())))
-
-    # each axiom reads  A - B - C = 0  for the (A, B, C) listed
-    axioms = []
-    if Side.RIGHT in sides:
-        axioms += [
-            ("right-1", lambda x, y: (on(L, x, y), o(R[y], L[x]), o(L[x], L[y]))),
-            ("right-2", lambda x, y: (o(R[x], R[y]), o(R[y], R[x]), on(R, y, x))),
-            ("right-3", lambda x, y: (o(R[x], L[y]), on(L, y, x), o(L[y], R[x]))),
-        ]
-    if Side.LEFT in sides:
-        axioms += [
-            ("left-1", lambda x, y: (on(R, x, y), o(R[y], R[x]), o(L[x], R[y]))),
-            ("left-2", lambda x, y: (o(L[x], R[y]), o(R[y], L[x]), on(R, x, y))),
-            ("left-3", lambda x, y: (o(L[x], L[y]), on(L, x, y), o(L[y], L[x]))),
-        ]
-    for label, parts in axioms:
-        yield label, [
-            [lin(n * n, zip((1, -1, -1), parts(x, y))) for y in range(n)] for x in range(n)
-        ]
-
-
-def _vanish(defects) -> bool:
-    return not any(col for row in defects for op in row for col in op)
+def axiom_holds(t: StructureTensor, case: ActionCase, terms) -> bool:
+    """Whether A - B - C, the ``terms`` of a row of ``AXIOMS``, vanishes on
+    every basis element X_a (x) X_b for every basis pair under the case's
+    actions; stops at the first nonzero component.  No chirality check."""
+    n = t.dim
+    _, rows = bracket_rows(t)
+    ops = {side.name[0]: action_operators(t, case, side)[1] for side in Side}
+    for x, y in itertools.product(range(n), repeat=2):
+        at = {"x": x, "y": y}
+        brackets, products = [], []
+        for sign, term in zip((1, -1, -1), terms):
+            P = ops[term[0]]
+            if term[1] == "[":  # c P[k] for each c X_k of the bracket [X_a, X_b]
+                brackets += [(sign * c, P[k]) for k, c in rows.get((at[term[2]], at[term[3]]), ())]
+            else:  # P[a] after Q[b]
+                products.append((sign, P[at[term[1]]], ops[term[2]][at[term[3]]]))
+        for p in range(n * n):
+            pairs = [(c, op[p]) for c, op in brackets]
+            for sign, outer, inner in products:
+                pairs += [(sign * c, outer[k]) for k, c in inner[p].items()]
+            acc = {}
+            for c, col in pairs:
+                for q, d in col.items():
+                    acc[q] = acc.get(q, 0) + c * d
+            if any(acc.values()):
+                return False
+    return True
 
 
 def axiom_report(case: ActionCase, alg: LeibnizAlgebra) -> dict[str, bool]:
-    """Per-axiom verdicts for the case's claimed axiom sets."""
-    return {label: _vanish(d) for label, d in _sparse_residuals(case, alg)}
+    """Per-axiom verdicts for the case's claimed axiom sets: the rows of
+    ``AXIOMS`` whose side is in ``case.complexes(alg)``."""
+    case.require(alg)
+    sides = case.complexes(alg)
+    return {label: axiom_holds(alg.tensor, case, terms)
+            for side, label, terms in AXIOMS if side in sides}

@@ -2,8 +2,8 @@
 
 ``coboundary_matrix`` is the one encoding of the degree-0 and degree-1
 coboundaries, written over the action operators of ``actions``: one sparse
-integer matrix per (tensor, action case, side, degree), read by every
-linear stage of the bialgebra constructions.
+integer matrix per (tensor, action case), and per side in degree 0 (both
+complexes share the degree-1 one), read by every linear stage.
 
 * ``coboundary0/1`` apply it to a cochain: each nonzero component adds its
   column, scaled to an integer over the cochain's lcm, and one ``Fraction``
@@ -71,12 +71,12 @@ from .linalg import Matrix, over_lcm
 
 
 @functools.lru_cache(maxsize=4)
-def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side, degree: int):
-    """The coboundary of degree 0 or 1 as one sparse integer matrix in the
-    layout of the module docstring: (den, columns), den the lcm of the
-    denominators of t and ``columns[c]`` the (row, coefficient) pairs of
-    cochain component c, each coefficient a nonzero integer standing for
-    coefficient/den.  No chirality check.
+def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side | None):
+    """The degree-0 coboundary of the ``side``-handed complex, or for side
+    None the degree-1 one, as one sparse integer matrix in the layout of the
+    module docstring: (den, columns), den the lcm of the denominators of t
+    and ``columns[c]`` the (row, coefficient) pairs of cochain component c,
+    each a nonzero integer standing for coefficient/den.  No chirality check.
 
     Shared through a small bounded cache; callers must not mutate it.  A
     degree-1 matrix of a dimension-8 tensor holds up to about 98k entries.
@@ -86,8 +86,8 @@ def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side, degree: 
     den, rows = bracket_rows(t)
     _, L = action_operators(t, case, Side.LEFT)
     _, R = action_operators(t, case, Side.RIGHT)
-    columns = [{} for _ in range(nn * n ** degree)]
-    if degree == 0:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
+    columns = [{} for _ in range(nn if side else nn * n)]
+    if side:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
         sign, ops = (1, L) if side is Side.RIGHT else (-1, R)
         for x, op in enumerate(ops):
             for p, col in enumerate(op):
@@ -119,7 +119,7 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
         raise DimensionError("tensor-square element has wrong shape")
     else:
         w = {a * n + b: v for a, row in enumerate(w) for b, v in enumerate(row) if v}
-    den, columns = coboundary_matrix(alg.tensor, case, side, degree)
+    den, columns = coboundary_matrix(alg.tensor, case, None if degree else side)
     # the cochain's values as integers over their lcm, each adding its column
     scale, nums = over_lcm(w.values())
     den *= scale

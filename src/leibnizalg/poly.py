@@ -32,7 +32,7 @@ class Poly:
         once per parameter list: a quadratic monomial's name is one ``+``."""
         den, terms = self.den, self.terms
         parts = []
-        # two stable sorts: by monomial, then by degree
+        # by monomial, then stably by degree: cheaper than one sort keyed in Python
         for mono in sorted(sorted(terms), key=len):
             x = terms[mono]
             g = 1 if den == 1 else gcd(x, den)

@@ -230,7 +230,7 @@ def solve_rmatrix(
     if pair:
         from .actions import ActionCase
         from .cohomology import coboundary_matrix
-        den, columns = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1], 0)
+        den, columns = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1])
     rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3, den)
     rhs = [Fraction(0)] * n ** 3
     for (a, b, m), v in ftilde.items():

@@ -110,7 +110,7 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
     # the degree-1 coboundary has one formula on both complexes
-    den, columns = coboundary_matrix(t, ActionCase(form), Side.RIGHT, 1)
+    den, columns = coboundary_matrix(t, ActionCase(form), None)
     rows = sparse_rows(
         ((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4, den
     )

@@ -28,11 +28,12 @@ parameter values, ``cocycle_residual_tensor`` applies the rows of
 ``solver.cocycle_system`` to a tensor and ``row_provenance`` names the
 residual component of each row, ``verify_bialgebra`` checks one
 candidate dual table against a scenario and ``family_verdict`` a whole
-family; ``act`` and ``axioms_hold`` apply the library's action operators
-and module-axiom defects, ``family_member``, ``opposite`` and
-``tensor_sum`` build tensors, ``cochain_at``, ``zero_cochain`` and
-``cocommutator_cochain`` handle cochains, and the serializers write
-definition files back.  ``dense``/``grid3`` and ``grid4`` spread the
+family; ``act`` applies the library's integer action operator itself,
+summing its columns weighted by the components of u, and ``axioms_hold``
+collects the verdicts of ``actions.axiom_report``; ``family_member``,
+``opposite`` and ``tensor_sum`` build tensors, ``cochain_at``,
+``zero_cochain`` and ``cocommutator_cochain`` handle cochains, and the
+serializers write definition files back.  ``dense``/``grid3`` and ``grid4`` spread the
 library's sparse tensors and residuals into dense grids for comparison
 with the dense routes above (``from_dense`` and ``sparse4`` go back);
 ``dense_cochain`` and ``dense_quadratic`` do the same for cochains and
@@ -45,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from leibnizalg.actions import action_operators, axiom_report, compose
+from leibnizalg.actions import action_operators, axiom_report
 from leibnizalg.core import (
     Side,
     StructureTensor,
@@ -229,17 +230,20 @@ def serialize_rmatrix(doc) -> str:
 
 
 def act(case, side: Side, alg, x: int, u):
-    """Apply [X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT), x 1-based,
-    through the library's action operators."""
+    """Apply [X_x, u]_L (side LEFT) or [u, X_x]_R (side RIGHT), x 1-based:
+    the sum of u's components times the columns of the library's integer
+    action operator for X_x, over its denominator."""
     case.require(alg)
     n = alg.dim
     if not 1 <= x <= n:
         raise DimensionError(f"basis index {x} outside 1..{n}")
     if len(u) != n or any(len(row) != n for row in u):
         raise DimensionError("tensor-square element has wrong shape")
-    u_col = {a * n + b: v for a, row in enumerate(u) for b, v in enumerate(row) if v}
     den, ops = action_operators(alg.tensor, case, side)
-    col = compose(ops[x - 1], [u_col])[0]
+    col = {}
+    for p, v in enumerate(itertools.chain.from_iterable(u)):
+        for q, c in ops[x - 1][p].items():
+            col[q] = col.get(q, 0) + v * c
     return tuple(
         tuple(Fraction(col.get(a * n + b, 0), den) for b in range(n)) for a in range(n)
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import ChiralityError, LeibnizAlgebra, Side, StructureTensor
-from leibnizalg.actions import ActionCase, axiom_report
+from leibnizalg.actions import AXIOMS, ActionCase, axiom_holds, axiom_report
 from leibnizalg.linalg import mat
 
 from oracles import act, act_by_brackets, axioms_hold, module_axiom_residuals, opposite, zeros
@@ -123,6 +123,42 @@ class TestModuleAxioms:
                     verdict = all(ok for label, ok in report.items()
                                   if label.startswith(side.value))
                     assert oracle_holds(case, alg, side) == verdict, (alg.tensor, case, side)
+
+
+HEISENBERG = {(1, 2, 3): 1, (2, 1, 3): -1}
+# sl_2 in the basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h
+SL2 = {(1, 2, 2): 2, (2, 1, 2): -2, (1, 3, 3): -2, (3, 1, 3): 2, (2, 3, 1): 1, (3, 2, 1): -1}
+
+
+class TestAxiomTable:
+    def test_rows_match_the_oracle_under_every_case(self, ex3):
+        """Every row of ``AXIOMS`` under every case, the crossed sets that
+        ``axiom_report`` leaves out included, on two-sided algebras: the
+        verdict is whether the oracle's defect vanishes, and the crossed
+        sets give the only fails."""
+        algebras = {"example3": ex3}
+        for name, dim, entries in (("heisenberg", 3, HEISENBERG), ("sl2", 3, SL2),
+                                   ("ab2", 2, {}), ("ab3", 3, {})):
+            algebras[name] = LeibnizAlgebra.analyze(StructureTensor.from_entries(dim, entries))
+        fails = set()
+        for name, alg in algebras.items():
+            for case in ActionCase:
+                defects = dict(module_axiom_residuals(case, alg, tuple(Side)))
+                for _, label, terms in AXIOMS:
+                    ok = axiom_holds(alg.tensor, case, terms)
+                    assert ok == (not nonzero([(label, defects[label])])), (name, case, label)
+                    if not ok:
+                        fails.add((name, case.value, label))
+        crossed = {(2, "left-1"), (3, "right-1")}
+        assert fails == {
+            *((name, *c) for name in ("example3", "heisenberg") for c in crossed),
+            *(("sl2", *c) for c in crossed | {(2, "left-2"), (3, "right-3")}),
+        }
+
+    def test_report_lists_right_rows_first(self, ex3):
+        # the text output of ``actions`` prints the verdicts in this order
+        labels = [f"{side}-{k}" for side in ("right", "left") for k in (1, 2, 3)]
+        assert list(axiom_report(ActionCase.CASE1, ex3)) == labels
 
 
 class TestComplexCompatibility:

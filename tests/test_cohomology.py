@@ -6,15 +6,17 @@ import pytest
 
 from leibnizalg import Side, StructureTensor
 from leibnizalg.actions import ActionCase
-from leibnizalg.cohomology import coboundary0, coboundary1
+from leibnizalg.cohomology import coboundary0, coboundary1, coboundary_matrix
 from leibnizalg.errors import DimensionError
 from leibnizalg.linalg import mat
+from leibnizalg.report import build_report
 
 from families import EX1_FAMILIES
 from oracles import (
     CochainMap,
     coboundary2,
     cochain_at,
+    corpus_document,
     cocommutator_cochain,
     cocycle_residual_matrix,
     cocycle_residual_tensor,
@@ -145,6 +147,24 @@ class TestComplexProperty:
                     broken = True
                     break
             assert broken
+
+
+class TestMatrixCache:
+    def test_one_degree1_matrix_serves_both_complexes(self, ex3):
+        coboundary_matrix.cache_clear()
+        w = {(0, 1, 1): F(1)}
+        for side in Side:
+            coboundary1(ex3, ActionCase.CASE1, side, w)
+        assert coboundary_matrix.cache_info().misses == 1
+
+    @pytest.mark.parametrize("name, misses", [("example3", 17), ("example1", 8)])
+    def test_matrices_built_per_report(self, name, misses):
+        # example3 (two-sided): 4 for the duals' cocycle systems, 10 for the
+        # selfcheck's complexes and 3 for its cocommutators; example1: 3, 4, 1
+        doc = corpus_document(name)
+        coboundary_matrix.cache_clear()
+        build_report(doc, doc.algebra(), b"", 0)
+        assert coboundary_matrix.cache_info().misses == misses
 
 
 class TestCoboundary2:

@@ -42,10 +42,10 @@ ALLOWED = {"LeibnizAlgebra.analyze", "RMatrixFamily.member"}
 # ``main()`` with no arguments.
 ALLOWED_DEFAULTS = {"main.argv"}
 
-# The package's size in lines, 2448 when every value class came to declare
-# its fields once, in ``__slots__``, plus a small margin.  A change that
-# needs more moves the gate and says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2455
+# The package's size in lines, 2429 when the module axioms became one term
+# table (``actions.AXIOMS``), plus a small margin.  A change that needs more
+# moves the gate and says why in CHANGES.md.
+MAX_PACKAGE_LINES = 2435
 
 
 def _trees(package: Path):
