@@ -2,25 +2,27 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/usage error.
 
-Importing this module loads no other package module but ``errors``; the
-rest is bound on first use and called as ``_lazy.name``, looked up on this
-module at call time.  So ``corpus`` loads only ``corpus``, and a command
-that reads an algebra loads ``document`` (the parser and the JSON forms)
-with ``core``, ``linalg`` and ``record``, then ``report`` or, for the five
-r-matrix commands, ``rmatrix``; those two modules say what each adds.
+Importing this module loads no other package module but ``errors``, and a
+plain call is read off ``COMMANDS`` without argparse, which only help, usage
+errors and other command lines load.  The rest is bound on first use and
+called as ``_lazy.name``, looked up on this module at call time.  So
+``corpus`` loads only ``corpus``, and a command that reads an algebra loads
+``document`` (the parser and the JSON forms) with ``core``, ``linalg`` and
+``record``, then ``report`` or, for the five r-matrix commands,
+``rmatrix``; those two modules say what each adds.
 """
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import _on_first_use
 from .errors import ChiralityError, LeibnizError, ParseError, quote
 
 __getattr__ = _on_first_use(globals(), [
     # every command that reads an algebra
-    {".core": ("Side",), ".document": ("matrix_json", "parse_algebra", "rational_str",
-                                       "render_json", "tensor_json")},
+    {".core": ("Side",), ".document": ("matrix_json", "parse_algebra", "render_json",
+                                       "tensor_json")},
     # the r-matrix commands.  parse_rmatrix is in this group because
     # bench/tracing.py looks it up before it wraps any rmatrix function, so
     # the group binds the unwrapped functions and each wrapper runs once.
@@ -229,7 +231,7 @@ def _cmd_schouten(args) -> int:
     r = _load_rmatrix(args.r, alg.dim)
     side = _side(args.side)
     s = _lazy.schouten(alg, r, side)
-    entries = [[m, p, q, _lazy.rational_str(v)] for (m, p, q), v in s]
+    entries = [[m, p, q, str(v)] for (m, p, q), v in s]
     payload = {
         "side": side.value,
         "entries": entries,
@@ -277,44 +279,62 @@ _FORMAT = ("--format", {"type": str.lower, "choices": ("json", "text"), "default
 _SIDE = ("--side", {"required": True})
 _R = ("--r", {"required": True})
 
-
-def _scenario_help() -> str:
-    from .solver import SCENARIOS
-    return "scenario key (" + ", ".join(sc.key for sc in SCENARIOS) + ") or 'all'"
-
-
-# The commands: name, help, handler and a function that returns the
-# arguments, in help order.
+# The commands: name, help, handler and arguments, in help order; the
+# scenario keys of solver.SCENARIOS are written out, so help loads no solver.
 COMMANDS = (
-    ("check", "classify the bracket and verify the declared side", _cmd_check,
-     lambda: (_FILE, _FORMAT)),
-    ("adjoint", "print the adjoint slice matrices", _cmd_adjoint, lambda: (_FILE, _FORMAT)),
-    ("actions", "verify the module axioms per action case", _cmd_actions,
-     lambda: (_FILE, _FORMAT)),
-    ("duals", "solve the dual-structure scenarios", _cmd_duals, lambda: (
-        _FILE, _FORMAT, ("--scenario", {"default": "all", "help": _scenario_help()}),
-    )),
-    ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, lambda: (
+    ("check", "classify the bracket and verify the declared side", _cmd_check, (_FILE, _FORMAT)),
+    ("adjoint", "print the adjoint slice matrices", _cmd_adjoint, (_FILE, _FORMAT)),
+    ("actions", "verify the module axioms per action case", _cmd_actions, (_FILE, _FORMAT)),
+    ("duals", "solve the dual-structure scenarios", _cmd_duals, (_FILE, _FORMAT, (
+        "--scenario", {"default": "all", "help": "scenario key (lr-1-r, r-2-r, r-2-l, "
+                       "lr-4-l, l-3-r, l-3-l) or 'all'"}))),
+    ("rmatrix", "recover r-matrices for a given dual tensor", _cmd_rmatrix, (
         _FILE, _FORMAT,
         ("--case", {"required": True, "help": "coboundary case (right1|left1|right4|left4)"}),
         ("--dual", {"required": True, "help": "dual tensor definition file"}),
     )),
-    ("coboundary", "cocommutator induced by an r-matrix", _cmd_coboundary, lambda: (
+    ("coboundary", "cocommutator induced by an r-matrix", _cmd_coboundary, (
         _FILE, _FORMAT, ("--case", {"required": True}),
         ("--r", {"required": True, "help": "r-matrix definition file"}),
     )),
     ("ybe", "classical Yang-Baxter check", _cmd_ybe,
-     lambda: (_FILE, _FORMAT, ("--side", {"required": True, "help": "l|r"}), _R)),
-    ("gybe", "generalized Yang-Baxter check", _cmd_gybe, lambda: (_FILE, _FORMAT, _SIDE, _R)),
+     (_FILE, _FORMAT, ("--side", {"required": True, "help": "l|r"}), _R)),
+    ("gybe", "generalized Yang-Baxter check", _cmd_gybe, (_FILE, _FORMAT, _SIDE, _R)),
     ("schouten", "Schouten bracket of an r-matrix with itself", _cmd_schouten,
-     lambda: (_FILE, _FORMAT, _SIDE, _R)),
+     (_FILE, _FORMAT, _SIDE, _R)),
     ("report", "run everything and emit the JSON report", _cmd_report,
-     lambda: (("file", {}), ("--seed", {"type": int, "default": 0}))),
-    ("corpus", "list or extract the bundled examples", _cmd_corpus, lambda: (
+     (("file", {}), ("--seed", {"type": int, "default": 0}))),
+    ("corpus", "list or extract the bundled examples", _cmd_corpus, (
         ("name", {"nargs": "?", "default": ""}),
         ("--dest", {"default": "", "help": "directory to extract into"}),
     )),
 )
+
+
+def _plain_call(argv):
+    """The namespace argparse builds for ``command [positional] [--flag value]...``,
+    each flag given once and no value starting with "-"; None for other argv."""
+    lead = argv[1:2] if argv[1:2] and not argv[1].startswith("-") else []
+    given = dict(zip(argv[1 + len(lead)::2], argv[2 + len(lead)::2]))
+    if len(argv) != 1 + len(lead) + 2 * len(given) or any(v[:1] == "-" for v in given.values()):
+        return None
+    for name, _, fn, arguments in (c for c in COMMANDS if c[0] == argv[0]):
+        args = {"command": name, "fn": fn}
+        for flag, options in arguments:
+            positional = not flag.startswith("-")
+            value = (lead.pop() if lead else None) if positional else given.pop(flag, None)
+            if value is None and options.get("required", positional and "nargs" not in options):
+                return None
+            value = options.get("default") if value is None else value
+            try:
+                value = options.get("type", str)(value) if isinstance(value, str) else value
+            except ValueError:
+                return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+            args[flag.lstrip("-")] = value
+        return None if given else SimpleNamespace(**args)
+    return None
 
 
 def _one_line(message: str) -> str:
@@ -323,34 +343,23 @@ def _one_line(message: str) -> str:
     return line if len(line) <= 280 else line[:280] + "..."
 
 
-def _usage_error(message: str):
-    """Raise an argparse usage error as ParseError, on one short line."""
-    raise ParseError(_one_line(message))
+def build_parser():
+    """The argparse parser of every command: help, usage errors and every call not plain."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):  # the subparsers are built with this class too
+        def error(self, message: str):  # a usage error, on one short line
+            raise ParseError(_one_line(message))
 
-class _Parser(argparse.ArgumentParser):
-    error = staticmethod(_usage_error)  # the subparsers are built with this class too
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser with the arguments of only the command that ``argv``
-    names, its first token that is a command name, and with that command
-    alone when it is ``argv[0]``: the help, usage and error texts are those
-    of a parser with every command and argument."""
-    names = {name for name, *_ in COMMANDS}
-    command = next((a for a in argv if a in names), None)
-    alone = argv[:1] == [command]
-    parser = _Parser(
+    parser = Parser(
         prog="leibnizalg",
         description="Exact verification toolkit for Leibniz algebras, their "
         "dual (bialgebra) structures and classical r-matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in COMMANDS:
-        if alone and name != command:
-            continue
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments() if name == command else ():
+        for flag, options in arguments:
             p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
     return parser
@@ -359,7 +368,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _plain_call(argv) or build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit:  # --help; usage errors raise ParseError
         return OK

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # the C function json.encoder binds
 
 from .core import MAX_DIM, LeibnizAlgebra, Side, StructureTensor, classify
 from .errors import ChiralityError, ParseError, quote
@@ -160,16 +160,12 @@ def parse_rmatrix(text: str) -> RMatrixDocument:
     return RMatrixDocument(name, dim, entries)
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def matrix_json(m):
-    return [[rational_str(v) for v in row] for row in m]
+    return [[str(v) for v in row] for row in m]
 
 
 def tensor_json(t: StructureTensor):
-    return [[i, j, k, rational_str(v)] for (i, j, k), v in t.items()]
+    return [[i, j, k, str(v)] for (i, j, k), v in t.items()]
 
 
 def render_json(obj) -> str:

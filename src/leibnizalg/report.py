@@ -2,9 +2,9 @@
 ``actions`` and ``duals``, and the whole ``report``.
 
 Reports are plain dicts serialized with sorted keys by
-``document.render_json``; every rational is a ``p`` or ``p/q`` string
-(``document.rational_str``), never a float, so byte-identical inputs (and
-seed) give byte-identical reports.
+``document.render_json``; every rational is a ``p`` or ``p/q`` string,
+never a float, so byte-identical inputs (and seed) give byte-identical
+reports.
 
 On top of the parser's modules, ``check`` and ``adjoint`` load this module
 alone.  The action, cohomology, r-matrix and solver layers and ``random``
@@ -29,7 +29,7 @@ from .core import (
     first_nonzero,
     leibniz_residual,
 )
-from .document import AlgebraDocument, matrix_json, rational_str, tensor_json
+from .document import AlgebraDocument, matrix_json, tensor_json
 
 __getattr__ = _on_first_use(globals(), [
     {".actions": ("ActionCase", "axiom_report")},
@@ -49,7 +49,7 @@ def chirality_section(alg: LeibnizAlgebra):
         hit = first_nonzero(leibniz_residual(alg.tensor, side))
         if hit is not None:
             out["witnesses"].append({"check": f"{side.value}-identity",
-                                     "component": list(hit[0]), "value": rational_str(hit[1])})
+                                     "component": list(hit[0]), "value": str(hit[1])})
     return out
 
 

@@ -547,15 +547,18 @@ def act_by_brackets(case: int, side: Side, t: StructureTensor, x: int, u):
     * case 4: X_a (x) [X, X_b] and X_a (x) [X_b, X].
     """
     n = t.dim
+    f = dense(t)
     e = [tuple(int(a == b) for a in range(n)) for b in range(n)]
     X = e[x - 1]
     left = side is Side.LEFT
     # with_x[a]: [X, X_a] on the left, [X_a, X] on the right
-    with_x = [bracket(t, X, v) if left else bracket(t, v, X) for v in e]
+    with_x = [_grid_bracket(f, X, v) if left else _grid_bracket(f, v, X) for v in e]
     on_first = case == 1 or (case == 2 and not left) or (case == 3 and left)
     on_second = case == 4 or (case == 2 and not left) or (case == 3 and left)
     out = [[0] * n for _ in range(n)]
     for a, b in itertools.product(range(n), repeat=2):
+        if not u[a][b]:
+            continue
         if on_first:
             for m, c in enumerate(with_x[a]):
                 out[m][b] += u[a][b] * c

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from leibnizalg import cli
 from leibnizalg.cli import main
+from leibnizalg.errors import ParseError
 
 from oracles import dense_rref
 
@@ -119,36 +124,49 @@ LONG_FLAGS = {
 }
 
 
-# Runs one command through cli.main, then prints the package modules and
-# `random` that the call loaded.
+# Runs one command through cli.main, then prints the package modules,
+# `random` and the argument and JSON parsers that the call loaded.
 MODULES_CHILD = """
 import contextlib, io, sys
 from leibnizalg import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) in (0, 1)
 print(" ".join(m.removeprefix("leibnizalg.") for m in sorted(sys.modules)
-               if m.startswith("leibnizalg.") or m == "random"))
+               if m.startswith("leibnizalg.")
+               or m.partition(".")[0] in ("random", "argparse", "gettext", "locale", "json")))
 """
 
-# the package's modules and `random`, as MODULES_CHILD prints them
-MODULES = {p.stem for p in (SRC / "leibnizalg").glob("*.py") if p.stem != "__init__"} | {"random"}
+# argparse with what its messages load, and the json package: a plain call
+# loads none of them
+PARSERS = {"argparse", "gettext", "locale", "json"}
+# the package's modules, `random` and PARSERS, as MODULES_CHILD prints them
+MODULES = ({p.stem for p in (SRC / "leibnizalg").glob("*.py") if p.stem != "__init__"}
+           | {"random"} | PARSERS)
 # the r-matrix commands load no report, and only the two that apply or invert
 # the coboundary load cohomology and actions
-COBOUNDARY = ({"rmatrix", "actions", "cohomology"}, {"solver", "poly", "report"})
-CHECKS = ({"rmatrix"}, {"solver", "poly", "report", "actions", "cohomology"})
+COBOUNDARY = ({"rmatrix", "actions", "cohomology"}, {"solver", "poly", "report"} | PARSERS)
+CHECKS = ({"rmatrix"}, {"solver", "poly", "report", "actions", "cohomology"} | PARSERS)
+# the layers that neither check nor adjoint loads
+LAYERS = {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}
 
 # command line -> modules the command must load, modules it must not
 COMMAND_MODULES = {
-    "check {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
-    "adjoint {example1}": ({"report"}, {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}),
+    "check {example1}": ({"report"}, LAYERS | PARSERS),
+    "adjoint {example1}": ({"report"}, LAYERS | PARSERS),
+    "actions {example1} --format json": ({"report", "actions"}, LAYERS - {"actions"} | PARSERS),
     "rmatrix {example1} --case left4 --dual {example1}": COBOUNDARY,
     "coboundary {example1} --case left4 --r {r}": COBOUNDARY,
     "schouten {example1} --side l --r {r}": CHECKS,
     "ybe {example1} --side l --r {r}": CHECKS,
     "gybe {example1} --side l --r {r}": CHECKS,
     "corpus": ({"cli", "corpus", "errors"}, MODULES - {"cli", "corpus", "errors"}),
-    "duals {example3}": ({"solver", "poly"}, {"rmatrix", "random"}),
-    "duals {example3} --scenario l-3-l": ({"solver", "poly"}, {"rmatrix", "random"}),
+    "duals {example3}": ({"solver", "poly"}, {"rmatrix", "random"} | PARSERS),
+    "duals {example3} --scenario l-3-l": ({"solver", "poly"}, {"rmatrix", "random"} | PARSERS),
+    "report {example1} --seed 3": (MODULES - {"corpus"} - PARSERS, PARSERS),
+    # help goes through argparse, and the scenario keys in the duals help
+    # are written out, so it loads no solver
+    "check --help": ({"argparse"}, MODULES - {"cli", "errors", "argparse", "gettext", "locale"}),
+    "duals --help": ({"argparse"}, LAYERS | {"core", "document", "json", "report"}),
 }
 
 
@@ -162,7 +180,7 @@ def _child(*args):
 def test_import_skips_start_up_heavy_modules(corpus_files, tmp_path):
     # every CLI call imports the package; these cost milliseconds to load
     # (inspect and its parsers, OpenSSL) and no command needs them at import
-    heavy = ("dataclasses", "inspect", "hashlib")
+    heavy = ("dataclasses", "inspect", "hashlib", "argparse", "json")
     probe = f"import sys, leibnizalg.cli; print([m for m in {heavy!r} if m in sys.modules])"
     assert _child("-c", probe) == "[]\n"
     # the parser, --help and usage errors need no other package module and
@@ -198,9 +216,9 @@ def test_long_flag_value_is_one_short_line_exit_two(corpus_files, tmp_path, caps
 
 # Exit code and SHA-256 of stdout, a NUL and stderr, for help, usage and
 # error texts (argparse of Python 3.11, COLUMNS=80).  The help texts were
-# recorded while the parser built every command's arguments on every call;
-# now it builds only the named command's, and they must not change.  The
-# usage errors were recorded when they became one ``error:`` line.
+# recorded while the parser built every command's arguments, as it does
+# again now that plain calls skip it, and they must not change.  The usage
+# errors were recorded when they became one ``error:`` line.
 PARSER_TEXTS = {
     "": (2, "dd9d12e69f049b4a9d48fe09798144d18ee21ee9fd53664fc5da95022d02c726"),
     "--help": (0, "faa7c7845db16214e2ecc9546f99a87f5fc67c267eb3f5f51bfba77d4dada392"),
@@ -254,6 +272,90 @@ def test_usage_error_is_one_short_line_exit_two(capsys, argv):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert len(err) < 300
+
+
+# Tokens of the random command lines: every flag of every command, and
+# values that pass or fail the type and choices of some flag.
+FLAGS = sorted({flag for *_, arguments in cli.COMMANDS for flag, _ in arguments
+                if flag.startswith("-")})
+VALUES = ["x.leib", "json", "JSON", "text", "xml", "", "all", "l-3-l", "left4", "l",
+          "7", "1_0", " 5", "0x1", "abc", "-3"]
+
+
+def _random_argv(rng):
+    """A command line near a plain call: a command, its positional and some
+    of its flags in random order, then up to three random edits."""
+    name, _, _, arguments = rng.choice(cli.COMMANDS)
+    flags = [flag for flag, _ in arguments if flag.startswith("-")]
+    argv = [name] + [rng.choice(VALUES)] * (rng.random() < 0.9)
+    for flag in rng.sample(flags, rng.randint(0, len(flags))):
+        argv += [flag, rng.choice(VALUES)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        at = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(8)
+        if edit == 0:  # a missing token
+            del argv[at - 1:at]
+        elif edit == 1:  # an extra token
+            argv.insert(at, rng.choice(VALUES))
+        elif edit == 2:
+            argv.insert(at, rng.choice(("-h", "--help", "--", "-")))
+        elif edit == 3:  # a flag and value, maybe repeated or of another command
+            argv[at:at] = [rng.choice(FLAGS + flags), rng.choice(VALUES)]
+        elif edit == 4:
+            argv.insert(at, f"{rng.choice(flags or FLAGS)}={rng.choice(VALUES)}")
+        elif edit == 5:  # an abbreviated flag
+            argv[at:at] = [rng.choice(FLAGS)[:rng.randint(3, 5)], rng.choice(VALUES)]
+        elif edit == 6:  # the positional after the flags
+            argv = argv[:1] + argv[2:] + argv[1:2]
+        else:  # a command name that is not the first token
+            argv.insert(at, rng.choice(cli.COMMANDS)[0])
+    return argv
+
+
+def test_plain_calls_read_as_argparse_reads_them():
+    """Wherever the plain reader accepts a command line, argparse accepts it
+    and builds the same namespace; the rest is left to argparse."""
+    rng = random.Random(0)
+    parser = cli.build_parser()
+    accepted, by_argparse = set(), 0
+    for _ in range(4000):
+        argv = _random_argv(rng)
+        plain = cli._plain_call(argv)
+        if plain is not None:
+            assert vars(plain) == vars(parser.parse_args(argv)), argv
+            accepted.add(argv[0])
+            continue
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                parser.parse_args(argv)
+            by_argparse += 1
+        except (ParseError, SystemExit):
+            pass
+    assert accepted == {name for name, *_ in cli.COMMANDS}
+    assert by_argparse > 100  # abbreviations, --flag=value, repeats, -- and the like
+
+
+def test_plain_call_reads_defaults_types_and_choices():
+    args = cli._plain_call(["report", "x.leib"])
+    assert vars(args) == {"command": "report", "fn": cli._cmd_report, "file": "x.leib", "seed": 0}
+    args = cli._plain_call(["ybe", "x", "--r", "y", "--format", "JSON", "--side", "l"])
+    assert (args.file, args.format, args.side, args.r) == ("x", "json", "l", "y")
+    assert vars(cli._plain_call(["corpus"])) == {"command": "corpus", "fn": cli._cmd_corpus,
+                                                 "name": "", "dest": ""}
+    for argv in (["check", "x", "--format", "xml"], ["ybe", "x", "--r", "y"],
+                 ["report", "x", "--seed", "abc"], ["check"], ["check", "x", "--format"],
+                 ["check", "x", "--format=json"], ["check", "x", "--form", "json"],
+                 ["check", "x", "--format", "json", "--format", "text"], ["check", "x", "--"],
+                 ["check", "x", "y"], ["bogus", "x"], []):
+        assert cli._plain_call(argv) is None, argv
+
+
+def test_scenario_help_lists_the_solver_keys_in_order():
+    from leibnizalg.solver import SCENARIOS
+
+    duals = next(arguments for name, *_, arguments in cli.COMMANDS if name == "duals")
+    keys = ", ".join(sc.key for sc in SCENARIOS)
+    assert dict(duals)["--scenario"]["help"] == f"scenario key ({keys}) or 'all'"
 
 
 @pytest.mark.parametrize("command", ["check", "adjoint", "actions", "duals"])
