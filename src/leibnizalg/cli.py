@@ -12,6 +12,7 @@ called as ``_lazy.name``, looked up on this module at call time.  So
 ``rmatrix``; those two modules say what each adds.
 """
 
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -366,12 +367,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code with stdout flushed, so a
+    failed or closed stdout is the one-line exit 2, buffered or not."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_call(argv) or build_parser().parse_args(argv)
-        return args.fn(args)
-    except SystemExit:  # --help; usage errors raise ParseError
-        return OK
+        if sys.stdout is None:  # the process started with stdout closed
+            raise OSError("stdout is closed")
+        try:
+            args = _plain_call(argv) or build_parser().parse_args(argv)
+            code = args.fn(args)
+        except SystemExit:  # --help; usage errors raise ParseError
+            code = OK
+        sys.stdout.flush()
+        return code
     except _Verification as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL
@@ -381,5 +389,18 @@ def main(argv=None) -> int:
         return BAD_INPUT
 
 
+def run():
+    """The process entry: ``main``, then ``os._exit``, skipping the teardown that
+    no command needs.  stdout is flushed here too, since ``print`` writes an
+    error line of ``main`` to stdout when stderr is closed."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # None if closed at start; main reported a failure
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

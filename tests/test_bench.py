@@ -7,7 +7,6 @@ import importlib
 import importlib.util
 import itertools
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +17,10 @@ from leibnizalg import LeibnizAlgebra, Side, StructureTensor, scenario, scenario
 from leibnizalg.solver import assemble_cocycle_system, dual_leibniz_residual, nullspace
 
 from oracles import cocycle_residual_matrix, quadratic_by_polarization
-from test_cli import HALVES_THIRDS_BASIS, _in_basis
+from test_cli import HALVES_THIRDS_BASIS, _in_basis, child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
-SRC = ROOT / "src"
 
 
 @pytest.fixture()
@@ -257,12 +255,11 @@ def _span_counts(spans):
 def test_trace_spans_per_command_pinned(corpus_files, tmp_path):
     files = dict(corpus_files, r=tmp_path / "r.rmat")
     files["r"].write_text("dim: 2\nr 1 2 = 1\nr 2 1 = -1\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     assert sorted(TRACE_SPANS) == sorted(TRACE_ARGV)
     for name, line in TRACE_ARGV.items():
         proc = subprocess.run(
             [sys.executable, "-S", "-c", TRACE_CHILD, str(TRACING), *line.format(**files).split()],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=child_env(), check=True,
         )
         first, again = json.loads(proc.stdout)
         assert first == again, name

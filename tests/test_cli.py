@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -18,7 +20,17 @@ from leibnizalg.errors import ParseError
 
 from oracles import dense_rref
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def child_env(buffered=True) -> dict:
+    """The environment of every CLI child: the package on the path and
+    ``PYTHONUNBUFFERED`` unset, so stdout into a pipe or file is block-buffered
+    as users get it; set to 1 when ``buffered`` is false."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
 
 
 def run(capsys, *argv):
@@ -104,16 +116,129 @@ def test_bad_file_is_one_line_exit_two(corpus_files, tmp_path, slot, bad):
         "r": ["ybe", good, "--side", "r", "--r", str(path)],
         "dual": ["rmatrix", good, "--case", "right1", "--dual", str(path)],
     }[slot]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "leibnizalg.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: line {line}: ")
     assert proc.stderr.count("\n") == 1
     assert len(proc.stderr) < 300
+
+
+def _entries():
+    """The process entries, as argv heads: ``python -m leibnizalg.cli`` and the
+    console script that pyproject.toml names, run as its generated wrapper runs it."""
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    module, name = re.search(r'^leibnizalg = "([\w.]+):(\w+)"$', text, re.M).groups()
+    script = f"import sys; from {module} import {name}; sys.exit({name}())"
+    return {"module": ["-m", "leibnizalg.cli"], "script": ["-c", script]}
+
+
+# Calls that a buffered child must answer as cli.main answers in process:
+# the duals output is past the 8 KiB stdout buffer, the neither algebra
+# prints its verdict and exits 1, and help leaves argparse by SystemExit.
+DIFFERENTIAL = {
+    "duals": "duals {example3} --format json",
+    "report": "report {example1} --seed 0",
+    "neither": "check {neither}",
+    "bad-file": "check {bad}",
+    "usage": "ybe {example1} --side l",
+    "help": "check --help",
+}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_buffered_child_matches_main_in_process(corpus_files, tmp_path, monkeypatch, capsys,
+                                                name, entry):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = dict(corpus_files, neither=tmp_path / "neither.leib", bad=tmp_path / "bad.leib")
+    files["neither"].write_text("dim: 2\nf 1 1 1 = 1\nf 1 1 2 = 1\nf 2 1 1 = 1\n")
+    files["bad"].write_text("dim: 2\nf 1 1 = nope\n")
+    argv = DIFFERENTIAL[name].format(**files).split()
+    child = subprocess.run([sys.executable, *_entries()[entry], *argv],
+                           capture_output=True, env=child_env())
+    code, out, err = run(capsys, *argv)
+    assert (child.returncode, child.stdout, child.stderr.decode("utf-8")) == (
+        code, out.encode("utf-8"), err)
+    if name == "duals":
+        assert len(out) > 8192
+
+
+@contextlib.contextmanager
+def _failed_stdout(kind):
+    """Popen keywords that give the child the stdout ``kind`` names."""
+    if kind == "closed":  # the child starts with sys.stdout None
+        yield {"preexec_fn": lambda: os.close(1)}
+        return
+    if kind == "full":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        out = open("/dev/full", "wb")
+    else:  # a pipe whose reader has closed
+        reader, writer = os.pipe()
+        os.close(reader)
+        out = os.fdopen(writer, "wb")
+    with out:
+        yield {"stdout": out}
+
+
+FAILED_STDOUT = {
+    "full": ("corpus", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+    "closed-pipe": ("check {example1} --format json",
+                    f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"),
+    "closed": ("corpus", "stdout is closed"),
+}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("kind", sorted(FAILED_STDOUT))
+def test_failed_or_closed_stdout_is_one_line_exit_two(corpus_files, kind, buffered, entry):
+    line, message = FAILED_STDOUT[kind]
+    with _failed_stdout(kind) as stdout:
+        proc = subprocess.run(
+            [sys.executable, *_entries()[entry], *line.format(**corpus_files).split()],
+            stderr=subprocess.PIPE, text=True, env=child_env(buffered), **stdout)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
+# With stderr closed, sys.stderr is None and print() writes the error line
+# to stdout, after whatever the command wrote there.
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("line", ["check {example2}", "check {example2}.missing"])
+def test_closed_stderr_keeps_every_line_and_exit_code(corpus_files, capsys, line, buffered):
+    argv = line.format(**corpus_files).split()
+    proc = subprocess.run([sys.executable, "-m", "leibnizalg.cli", *argv], stdout=subprocess.PIPE,
+                          text=True, env=child_env(buffered), preexec_fn=lambda: os.close(2))
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out + err)
+
+
+# Imports every package module, then runs report and corpus --dest through
+# cli.main, and prints every handler registered on atexit meanwhile: the
+# process entry ends with os._exit, which runs none.
+ATEXIT_CHILD = """
+import atexit, contextlib, importlib, io, pkgutil, sys
+registered = []
+atexit.register = lambda fn, *args, **kwargs: registered.append(repr(fn)) or fn
+import leibnizalg
+for module in pkgutil.iter_modules(leibnizalg.__path__):
+    importlib.import_module("leibnizalg." + module.name)
+from leibnizalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["report", sys.argv[1], "--seed", "0"]) == 0
+    assert cli.main(["corpus", "example1", "--dest", sys.argv[2]]) == 0
+print(registered)
+"""
+
+
+def test_package_registers_no_atexit_handler(corpus_files, tmp_path):
+    out = _child("-c", ATEXIT_CHILD, str(corpus_files["example2"]), str(tmp_path / "out"))
+    assert out == "[]\n"
+    assert (tmp_path / "out" / "example1.leib").exists()
 
 
 # One long value per command-line flag whose rejected value an error quotes.
@@ -171,9 +296,8 @@ COMMAND_MODULES = {
 
 
 def _child(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-S", *args], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=child_env(), check=True
     ).stdout
 
 

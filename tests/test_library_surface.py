@@ -38,14 +38,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibnizalg"
 # README "Library use" methods with no caller inside the package.
 ALLOWED = {"LeibnizAlgebra.analyze", "RMatrixFamily.member"}
 
-# Defaults that no call in the package passes: the console script calls
-# ``main()`` with no arguments.
+# Defaults that no call in the package passes: ``cli.run``, the process entry
+# of ``python -m leibnizalg.cli`` and of the console script, calls ``main()``
+# with no arguments.
 ALLOWED_DEFAULTS = {"main.argv"}
 
 # The package's size in lines, 2429 when the module axioms became one term
-# table (``actions.AXIOMS``), plus a small margin.  A change that needs more
-# moves the gate and says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2435
+# table (``actions.AXIOMS``), plus a small margin, plus the 21 lines of the
+# CLI's exit path (``cli.run`` and the stdout checks in ``cli.main``).  A
+# change that needs more moves the gate and says why in CHANGES.md.
+MAX_PACKAGE_LINES = 2456
 
 
 def _trees(package: Path):
