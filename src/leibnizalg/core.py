@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
 from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
@@ -114,30 +113,43 @@ LEIBNIZ = {
 }
 
 
-def leibniz_terms(support, side: Side):
-    """Yield (component, sign, a, b), 0-based: component (i, j, k, m) of the
-    defect gains sign * f(a) * f(b), for a, b among the index triples
-    ``support`` where f may be nonzero."""
+def leibniz_terms(support, side: Side, n: int):
+    """Yield (sign, a, offset, pairs) per term of the identity and entry a
+    of the 0-based index triples ``support`` where f may be nonzero: for
+    each (b, o) in ``pairs`` the component at flat index offset + o, that is
+    n^3*i + n^2*j + n*k + m (``component``), gains sign * f(a) * f(b)."""
     support = tuple(support)
-    meet = ({}, {})  # meet[slot][x]: the entries b with b[slot] == x
-    for b in support:
-        meet[0].setdefault(b[0], []).append(b)
-        meet[1].setdefault(b[1], []).append(b)
     for sign, slot, pick in LEIBNIZ[side]:
-        component = operator.itemgetter(*pick)
+        w = [0] * 6  # the weight of each of the six indices of a + b
+        for place, x in enumerate(pick):
+            w[x] += n ** (3 - place)
+        meet = {}  # meet[x]: (b, offset of b) for the entries b with b[slot] == x
+        for b in support:
+            meet.setdefault(b[slot], []).append((b, w[3] * b[0] + w[4] * b[1] + w[5] * b[2]))
         for a in support:
-            for b in meet[slot].get(a[2], ()):
-                yield component(a + b), sign, a, b
+            pairs = meet.get(a[2])
+            if pairs:
+                yield sign, a, w[0] * a[0] + w[1] * a[1] + w[2] * a[2], pairs
+
+
+def component(x: int, n: int, base: int = 0) -> tuple[int, int, int, int]:
+    """The component (i, j, k, m) at flat index x, counted from ``base``."""
+    q, m = divmod(x, n)
+    q, k = divmod(q, n)
+    i, j = divmod(q, n)
+    return i + base, j + base, k + base, m + base
 
 
 def _defect(t: StructureTensor, side: Side):
     """The defect's components that have terms, in integers over a common
-    denominator: ({(i, j, k, m): numerator}, denominator), 0-based."""
+    denominator: ({flat index: numerator}, denominator), 0-based."""
     scale, rows = bracket_rows(t)
     f = {(i, j, k): c for (i, j), line in rows.items() for k, c in line}
     out = {}
-    for c, s, a, b in leibniz_terms(f, side):
-        out[c] = out.get(c, 0) + s * f[a] * f[b]
+    for s, a, offset, pairs in leibniz_terms(f, side, t.dim):
+        x = s * f[a]
+        for b, o in pairs:
+            out[offset + o] = out.get(offset + o, 0) + x * f[b]
     return out, scale * scale
 
 
@@ -145,7 +157,7 @@ def leibniz_residual(t: StructureTensor, side: Side) -> dict:
     """The defect of the Leibniz identity: {(i, j, k, m): value} of its
     nonzero components, 0-based."""
     d, den = _defect(t, side)
-    return {c: Fraction(x, den) for c, x in d.items() if x}
+    return {component(c, t.dim): Fraction(x, den) for c, x in d.items() if x}
 
 
 def first_nonzero(res: dict):

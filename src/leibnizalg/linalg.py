@@ -3,19 +3,17 @@
 Matrices are immutable nested tuples of ``fractions.Fraction``; no floats
 anywhere.  A linear system is a tuple of sparse rows: each row is a tuple of
 (column, value) pairs in ascending column order holding only nonzero
-values.  ``rref`` is the one eliminator; it returns the reduced row echelon
-form, which is unique, so every kernel basis derived from it is
-deterministic.
+values, ints or ``Fraction``s.  ``rref`` is the one eliminator; it returns
+the reduced row echelon form, which is unique, so every kernel basis
+derived from it is deterministic.
 
-Elimination is fraction-free.  ``rref`` scales each input row to integers by
+Elimination is fraction-free: ``rref`` scales each input row to integers by
 the lcm of its denominators and works on integer rows (dicts {column: int})
-from then on: a reduction step cross-multiplies two rows, a*v - b*p, and
-divides the result by its content (the gcd of its entries), which keeps the
-integers small.  ``Fraction``s appear only on output, one per entry of a
-reduced row.  ``sparse_rows`` likewise takes integer numerators over one
-common denominator and sums them as integers, and ``over_lcm`` is how the
-other layers put exact rationals on one common denominator.
-"""
+from then on, dividing every combination by its content (the gcd of its
+entries) to keep the integers small.  ``Fraction``s appear only on output,
+one per entry of a reduced row.  ``sparse_rows`` sums integer terms into
+integer rows, and ``over_lcm`` is how the other layers put exact rationals
+on one common denominator."""
 
 from __future__ import annotations
 
@@ -70,25 +68,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def sparse_rows(entries, nrows: int, den: int) -> tuple[Row, ...]:
-    """Sparse rows from (row, column, numerator) triples of integer
-    numerators over the common denominator ``den``; numerators at one
-    position add up, and positions that sum to zero are dropped.
-
-    One ``Fraction`` is built per nonzero entry, not one per term.
-    """
+def sparse_rows(entries, nrows: int) -> tuple[Row, ...]:
+    """Sparse integer rows from (row, column, integer) triples; integers at
+    one position add up, and positions that sum to zero are dropped."""
     acc: list[dict] = [{} for _ in range(nrows)]
     for r, c, x in entries:
         row = acc[r]
         row[c] = row.get(c, 0) + x
-    return tuple(
-        tuple((c, Fraction(x, den)) for c, x in sorted(d.items()) if x) for d in acc
-    )
+    return tuple(tuple((c, x) for c, x in sorted(d.items()) if x) for d in acc)
 
 
 def _integer_row(row) -> dict:
     """A nonzero rational row scaled to coprime integers: {column: int}."""
-    den = lcm(*(x.denominator for _, x in row))
+    den = 1
+    for _, x in row:
+        den = lcm(den, x.denominator)
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in row if x})
 
 
@@ -98,22 +92,24 @@ def _primitive(v: dict) -> dict:
     return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
-def _cancel(v: dict, p: dict, col: int) -> dict:
-    """The primitive integer row a*v - b*p (a > 0) with column ``col``
-    cancelled; ``v`` is updated in place when a is 1."""
-    a, b = p[col], v[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if a < 0:
-        a, b = -a, -b
-    if a != 1:
-        v = {c: a * x for c, x in v.items()}
-    for c, y in p.items():
-        z = v.get(c, 0) - b * y
-        if z:
-            v[c] = z
-        else:
-            del v[c]
+def _combine(v: dict, hits) -> dict:
+    """The primitive integer row m*v - sum over (c, p) in ``hits`` of
+    (m*v[c]/p[c])*p, with m > 0 the least multiple that keeps it integral,
+    for rows p each zero at the other columns c: zero at every c.  ``v``
+    may be updated in place."""
+    m = 1
+    for c, p in hits:
+        m = lcm(m, p[c] // gcd(p[c], v[c]))
+    if m != 1:
+        v = {c: m * x for c, x in v.items()}
+    for c, p in hits:
+        k = v[c] // p[c]
+        for col, y in p.items():
+            z = v.get(col, 0) - k * y
+            if z:
+                v[col] = z
+            else:
+                del v[col]
     return _primitive(v) if v else v
 
 
@@ -121,34 +117,53 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of sparse rows: the nonzero reduced rows in
     pivot order, and their pivot columns in ascending order.
 
-    Fraction-free: each row is scaled to coprime integers, reduced on its
-    leading entry against the pivot rows found so far by cross-multiplying,
-    and a leading entry left over starts a new pivot row; back-substitution
-    then clears every pivot column outside its own row.  Only the output
-    divides by the pivot entry, one ``Fraction`` per entry.
+    Gauss-Jordan, reduced on use: a pivot row is brought up to date (zero
+    at every other pivot column) when an incoming row v meets it, and at
+    the end.  v is reduced in one integer combination against the pivot
+    rows it meets (``_combine``); a nonzero result starts a new pivot row
+    at its smallest column.
     """
     pivot_rows: dict[int, dict] = {}
+    fresh: dict[int, int] = {}  # pivot column -> pivot count when its row was reduced
+
+    def reduced(pc: int) -> dict:
+        # a row is zero at the pivots found before it, so the stale rows it
+        # holds are found later and are brought up to date first
+        now = len(pivot_rows)
+        todo = [pc]
+        while todo:
+            q = todo[-1]
+            held = [c for c in pivot_rows[q] if c != q and c in pivot_rows]
+            stale = [c for c in held if fresh[c] != now]
+            if stale:
+                todo += stale
+                continue
+            if held:
+                pivot_rows[q] = _combine(pivot_rows[q], [(c, pivot_rows[c]) for c in held])
+            fresh[q] = now
+            todo.pop()
+        return pivot_rows[pc]
+
     for row in rows:
-        v = _integer_row(row) if row else {}
-        while v:
-            lead = min(v)
-            p = pivot_rows.get(lead)
-            if p is None:
-                pivot_rows[lead] = v
-                break
-            v = _cancel(v, p, lead)
+        if not row:
+            continue
+        v = _integer_row(row)
+        now = len(pivot_rows)
+        hits = [(c, pivot_rows[c] if fresh[c] == now else reduced(c))
+                for c in v if c in pivot_rows]
+        if hits:
+            v = _combine(v, hits)
+        if v:
+            pc = min(v)
+            pivot_rows[pc] = v
+            fresh[pc] = len(pivot_rows)
     pivots = sorted(pivot_rows)
-    for pc in reversed(pivots):
-        row = pivot_rows[pc]
-        for c in [c for c in row if c > pc and c in pivot_rows]:
-            row = _cancel(row, pivot_rows[c], c)
-        pivot_rows[pc] = row
-    reduced = []
+    out = []
     for pc in pivots:
-        row = pivot_rows[pc]
+        row = pivot_rows[pc] if fresh[pc] == len(pivots) else reduced(pc)
         lead = row[pc]
-        reduced.append(tuple((c, Fraction(x, lead)) for c, x in sorted(row.items())))
-    return reduced, pivots
+        out.append(tuple((c, Fraction(x, lead)) for c, x in sorted(row.items())))
+    return out, pivots
 
 
 def kernel_basis(rows, ncols: int) -> list[Vector]:

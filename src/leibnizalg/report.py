@@ -158,13 +158,21 @@ def selfcheck_section(alg: LeibnizAlgebra, seed: int):
             "seed": seed, "trials": SELFCHECK_TRIALS}
 
 
-def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: int):
-    import hashlib  # loads OpenSSL; imported here so that other commands skip it
+def _sha256(data: bytes) -> str:
+    """The SHA-256 hex digest from the interpreter's own module, ``_sha2``
+    (3.12+) or ``_sha256``, which unlike ``hashlib`` loads no OpenSSL."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
 
+
+def build_report(doc: AlgebraDocument, alg: LeibnizAlgebra, raw: bytes, seed: int):
     return {
         "tool": {"name": "leibnizalg", "version": _version},
         "input": {
-            "digest": hashlib.sha256(raw).hexdigest(),
+            "digest": _sha256(raw),
             "name": doc.name,
             "dim": doc.dim,
             "declared_side": doc.declared_side,

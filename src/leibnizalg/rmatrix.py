@@ -231,10 +231,11 @@ def solve_rmatrix(
         from .actions import ActionCase
         from .cohomology import coboundary_matrix
         den, columns = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1])
-    rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3, den)
-    rhs = [Fraction(0)] * n ** 3
+    # the rows are integer numerators over den: scale the right-hand side by it
+    rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3)
+    rhs = [0] * n ** 3
     for (a, b, m), v in ftilde.items():
-        rhs[((m - 1) * n + a - 1) * n + b - 1] = v
+        rhs[((m - 1) * n + a - 1) * n + b - 1] = den * v
     solved = solve_affine(rows, rhs, n * n)
     if solved is None:
         return None

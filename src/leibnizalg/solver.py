@@ -20,12 +20,12 @@ stage as polynomials in the family parameters; it never attempts to solve
 the quadratic variety.
 
 Both stages run on integers over one common denominator and build no
-``Fraction`` per term.  ``linalg.sparse_rows`` turns the integer matrix
-into rows with one ``Fraction`` per nonzero entry for ``rref``.  The
-quadratic stage scales the family's basis to integers, accumulates each
-coefficient of t_u*t_v under the integer key u*d + v, and hands every
-nonzero component to ``Poly`` as sorted monomials with integer numerators
-over the square of that scale.  A
+``Fraction`` per term.  The system's rows are integer numerators over its
+``den``, which ``rref`` reads as they are: scaling rows keeps the kernel.
+The quadratic stage scales the family's basis to integers, accumulates each
+coefficient of t_u*t_v under the integer key u*d + v, per component at its
+flat index (``core.leibniz_terms``), and hands every nonzero component to
+``Poly`` over the square of that scale, one monomial tuple per key.  A
 ``QuadraticResidual`` lists those components only, like the residual dicts
 of ``core.leibniz_residual``: an empty list means the family satisfies the
 identity.
@@ -37,14 +37,11 @@ the free columns.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from fractions import Fraction
 
 from .actions import ActionCase
 from .cohomology import coboundary_matrix
-from .core import LeibnizAlgebra, Side, StructureTensor, leibniz_terms
+from .core import LeibnizAlgebra, Side, StructureTensor, component, leibniz_terms
 from .errors import DimensionError, quote
 from .linalg import kernel_basis, sparse_rows
 from .poly import Poly
@@ -84,9 +81,10 @@ def scenario(key: str) -> Scenario:
 
 
 class LinearSystem(Frozen):
-    """``matrix``: the n^4 sparse rows over n^3 columns of a cocycle system."""
+    """``matrix``: the n^4 sparse rows over n^3 columns of a cocycle system,
+    integer numerators over the positive integer ``den``."""
 
-    __slots__ = ("dim", "form", "matrix")
+    __slots__ = ("dim", "form", "matrix", "den")
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
@@ -111,10 +109,8 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
         raise DimensionError(f"unknown form {form}")
     # the degree-1 coboundary has one formula on both complexes
     den, columns = coboundary_matrix(t, ActionCase(form), None)
-    rows = sparse_rows(
-        ((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4, den
-    )
-    return LinearSystem(t.dim, form, rows)
+    rows = sparse_rows(((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4)
+    return LinearSystem(t.dim, form, rows, den)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:
@@ -162,13 +158,6 @@ class QuadraticResidual(Frozen):
         return not self.polynomials
 
 
-@functools.cache
-def _components(n: int):
-    """The n^4 residual components, 0-based, and their 1-based provenance."""
-    components = tuple(itertools.product(range(n), repeat=4))
-    return components, tuple((i + 1, j + 1, k + 1, m + 1) for i, j, k, m in components)
-
-
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     """Quadratic polynomials whose simultaneous vanishing marks the members
     of the family whose bracket satisfies the requested identity; every
@@ -192,28 +181,30 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     forms = {}  # entry (i, j, k), 0-based -> linear form [(parameter, coefficient)]
     for e, p, v in entries:
         forms.setdefault(e, []).append((p, v.numerator * (scale // v.denominator)))
-    # component -> {u*d + v: coefficient of t_u*t_v}, u <= v
+    # flat component -> {u*d + v: coefficient of t_u*t_v}, u <= v
     quad = {}
-    for c, s, a, b in leibniz_terms(forms, side):
-        terms = quad.get(c)
-        if terms is None:
-            terms = quad[c] = {}
-        second = forms[b]
-        for u, x in forms[a]:
-            x *= s
-            for v, y in second:
-                key = u * d + v if u <= v else v * d + u
-                terms[key] = terms.get(key, 0) + x * y
+    for s, a, offset, pairs in leibniz_terms(forms, side, n):
+        first = [(u, u * d, s * x) for u, x in forms[a]]
+        for b, o in pairs:
+            terms = quad.get(offset + o)
+            if terms is None:
+                terms = quad[offset + o] = {}
+            second = forms[b]
+            for u, ud, x in first:
+                for v, y in second:
+                    key = ud + v if u <= v else v * d + u
+                    terms[key] = terms.get(key, 0) + x * y
     den = scale * scale
     polys, provenance = [], []
-    for c, label in zip(*_components(n)):
-        # the key u*d + v with u <= v is the monomial (u, v); sorted keys are
-        # monomials in ascending order
-        terms = quad.get(c)
-        monos = terms and {divmod(key, d): x for key, x in sorted(terms.items()) if x}
+    monomial = {}  # u*d + v -> (u, v): one tuple per monomial, not per term
+    for c in sorted(quad):
+        monos = {
+            monomial.get(key) or monomial.setdefault(key, divmod(key, d)): x
+            for key, x in quad[c].items() if x
+        }
         if monos:
             polys.append(Poly(monos, den))
-            provenance.append(label)
+            provenance.append(component(c, n, 1))
     return QuadraticResidual(family.parameters, tuple(polys), tuple(provenance))
 
 

@@ -14,13 +14,15 @@ determinism).  Two entries needed correction before they made sense:
   the regression test that documents the defect.
 """
 
+import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from leibnizalg import StructureTensor
 from leibnizalg.solver import DualFamily
 
-from oracles import family_member
+from oracles import dense_rref, family_member, opposite
 
 
 @dataclass(frozen=True)
@@ -207,3 +209,34 @@ KERNEL_DIMENSIONS = {
     },
     "example4": {"lr-1-r": 9, "r-2-r": 7, "r-2-l": 7, "lr-4-l": 9},
 }
+
+
+# The dense family: the null-filiform algebra NF_n ([e1, e_i] = e_{i+1},
+# left-handed) and its opposite in a seeded dense integer basis, the inputs
+# on which elimination and the quadratic stage cost most.  The rows of g are
+# drawn whole with random.Random(1).choice(DENSE_CHOICES) until g is
+# invertible, and the basis vectors are its columns, e'_a = sum_i g[i][a] e_i.
+# That leaves 42 / 92 / 180 / 294 nonzero bracket entries at n = 4 / 5 / 6 / 7.
+DENSE_CHOICES = (-2, -1, 0, 1, 1, 2)
+
+
+def dense_basis(n: int):
+    rng = random.Random(1)
+    while True:
+        g = [[rng.choice(DENSE_CHOICES) for _ in range(n)] for _ in range(n)]
+        rows, pivots = dense_rref([[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+                                   for i, row in enumerate(g)])
+        if pivots == list(range(n)):
+            return g, [row[n:] for row in rows]
+
+
+def nf_dense(n: int, op: bool = False) -> StructureTensor:
+    """NF_n, or NF_n^op when ``op``, in the basis ``dense_basis(n)``."""
+    g, g_inv = dense_basis(n)
+    table = {(1, i, i + 1): 1 for i in range(1, n)}
+    entries = {}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        entries[a + 1, b + 1, c + 1] = sum(g[i - 1][a] * g[j - 1][b] * x * g_inv[c][k - 1]
+                                           for (i, j, k), x in table.items())
+    t = StructureTensor.from_entries(n, entries)
+    return opposite(t) if op else t

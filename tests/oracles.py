@@ -329,12 +329,14 @@ def flatten_tensor(t: StructureTensor):
 
 def apply_system(system, ftilde: StructureTensor):
     """Residual vector of a candidate dual under the rows of a linear
-    system; independent of elimination."""
+    system, integer numerators over ``system.den``; independent of
+    elimination."""
     if ftilde.dim != system.dim:
         raise DimensionError("tensor dimension does not match system")
     flat = flatten_tensor(ftilde)
     return tuple(
-        sum((c * flat[col] for col, c in row), Fraction(0)) for row in system.matrix
+        sum((c * flat[col] for col, c in row), Fraction(0)) / system.den
+        for row in system.matrix
     )
 
 

@@ -18,6 +18,7 @@ from leibnizalg import cli
 from leibnizalg.cli import main
 from leibnizalg.errors import ParseError
 
+from families import nf_dense
 from oracles import dense_rref
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -323,6 +324,35 @@ def test_import_skips_start_up_heavy_modules(corpus_files, tmp_path):
     for line, (need, skip) in COMMAND_MODULES.items():
         loaded = set(_child("-c", MODULES_CHILD, *line.format(**files).split()).split())
         assert need <= loaded and not skip & loaded, (line, sorted(loaded))
+
+
+# Runs one `report` through cli.main, then prints which of hashlib and its
+# OpenSSL backend the call loaded.
+REPORT_HASH_CHILD = """
+import contextlib, io, sys
+from leibnizalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print([m for m in ("_hashlib", "hashlib") if m in sys.modules])
+"""
+
+
+def test_report_loads_no_openssl(corpus_files):
+    # the input digest comes from the interpreter's own sha256 module
+    loaded = _child("-c", REPORT_HASH_CHILD, "report", str(corpus_files["example1"]),
+                    "--seed", "0")
+    assert loaded == "[]\n"
+
+
+def test_report_digest_is_the_sha256_of_the_input(corpus_files, capsys):
+    from leibnizalg.report import _sha256
+
+    for data in (b"", b"abc", bytes(range(256)) * 300):
+        assert _sha256(data) == hashlib.sha256(data).hexdigest()
+    path = corpus_files["example3"]
+    code, out, _ = run(capsys, "report", str(path), "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["input"]["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("flag", sorted(LONG_FLAGS))
@@ -773,6 +803,35 @@ def test_dense_duals_bytes_pinned(tmp_path, capsys, name):
     code, out, _ = run(capsys, "duals", str(path), "--scenario", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the stdout of `duals --scenario all --format json` on the dense
+# family of tests/families.py: NF_n and NF_n^op in a seeded dense integer
+# basis.  The digests were recorded before elimination reduced pivot rows on
+# use and the cocycle rows stayed integers.  NF_5 (seconds) and NF_6 (about
+# half a minute) are marked slow.
+DENSE_FAMILY_DIGESTS = {
+    (4, False): "55b6c385714a55893b47f8a56db61cc6f0e9458a314e85f05c51911b0baa69b6",
+    (4, True): "ed9e241844e8a016230afcf81e0e2c34ed966bf2777847e362b8da0ac2556ff8",
+    (5, False): "83c1c84d9e78f37e58e31db816472c7b2255bc08485cc37e8b09818bab46000f",
+    (5, True): "29e8590599596d01ac5ae563360a4a122d1aad3f45afba0b7d14c15cbf04cebc",
+    (6, False): "965493fba7354f54fcfac4d17a136a8992cb75786bf970080df9401221de0550",
+    (6, True): "0f91c6eef9d8298286b6af3a59bf6e2af2a767e08bc5638b7c516c67d229b4fb",
+}
+
+
+@pytest.mark.parametrize("n, op", [
+    pytest.param(n, op, id=f"NF_{n}{'^op' if op else ''}",
+                 marks=[pytest.mark.slow] if n > 4 else [])
+    for n, op in DENSE_FAMILY_DIGESTS
+])
+def test_dense_family_duals_bytes_pinned(tmp_path, capsys, n, op):
+    path = tmp_path / "dense.leib"
+    path.write_text(f"dim: {n}\n" + "".join(
+        f"f {i} {j} {k} = {v}\n" for (i, j, k), v in nf_dense(n, op).items()))
+    code, out, _ = run(capsys, "duals", str(path), "--scenario", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DENSE_FAMILY_DIGESTS[n, op]
 
 
 # SHA-256 and exit code of the stdout of each r-matrix command with

@@ -45,9 +45,14 @@ ALLOWED_DEFAULTS = {"main.argv"}
 
 # The package's size in lines, 2429 when the module axioms became one term
 # table (``actions.AXIOMS``), plus a small margin, plus the 21 lines of the
-# CLI's exit path (``cli.run`` and the stdout checks in ``cli.main``).  A
+# CLI's exit path (``cli.run`` and the stdout checks in ``cli.main``), plus
+# the net 27 lines of reduce-on-use elimination (``linalg._combine`` and the
+# lazy refresh in ``rref``), flat Leibniz component indices
+# (``core.component``) and the report digest without OpenSSL
+# (``report._sha256``), after deleting the back-substitution, ``_cancel``,
+# ``solver._components`` and the ``Fraction`` step of ``sparse_rows``.  A
 # change that needs more moves the gate and says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2456
+MAX_PACKAGE_LINES = 2483
 
 
 def _trees(package: Path):

@@ -28,12 +28,19 @@ def over_common_denominator(entries):
     return [(r, c, x.numerator * (den // x.denominator)) for r, c, x in entries], den
 
 
-def sparse(a):
-    """The sparse rows of a dense matrix."""
+def integer_rows(a):
+    """The sparse rows of a dense matrix as integer numerators over one
+    denominator: (rows, den)."""
     entries, den = over_common_denominator(
         (r, c, x) for r, row in enumerate(a) for c, x in enumerate(row)
     )
-    return sparse_rows(entries, len(a), den)
+    return sparse_rows(entries, len(a)), den
+
+
+def sparse(a):
+    """The sparse rows of a dense matrix, as exact rationals."""
+    rows, den = integer_rows(a)
+    return tuple(tuple((c, F(x, den)) for c, x in row) for row in rows)
 
 
 def test_sparse_rows_sum_sort_and_drop_zeros():
@@ -49,19 +56,19 @@ def test_sparse_rows_sum_sort_and_drop_zeros():
         (2, 1, F(-5, big[2])), (2, 3, F(-7, big[0] * big[1])),
     ]
     numerators, den = over_common_denominator(entries)
-    rows = sparse_rows(numerators, 4, den)
-    assert rows == (
+    rows = sparse_rows(numerators, 4)
+    assert all(type(x) is int for row in rows for _, x in row)
+    assert tuple(tuple((c, F(x, den)) for c, x in row) for row in rows) == (
         ((0, F(1, 2)),),
         ((0, F(-1, 3)), (1, F(3, 2))),
         ((0, F(big[1] - big[0], big[0] * big[1])), (3, F(-7, big[0] * big[1]))),
         (),
     )
-    assert all(type(x) is F for row in rows for _, x in row)
-    assert sparse_rows((), 2, 1) == ((), ())
-    # the denominator divides out: numerators over 6 reduce per entry
-    assert sparse_rows([(0, 1, 3), (0, 0, -4), (1, 1, 6)], 2, 6) == (
-        ((0, F(-2, 3)), (1, F(1, 2))),
-        ((1, F(1)),),
+    assert sparse_rows((), 2) == ((), ())
+    # integers stay integers: no denominator divides out
+    assert sparse_rows([(0, 1, 3), (0, 0, -4), (1, 1, 6)], 2) == (
+        ((0, -4), (1, 3)),
+        ((1, 6),),
     )
 
 
@@ -120,7 +127,7 @@ def test_solve_affine_kernel_matches_kernel_basis(monkeypatch):
 
 
 KINDS = ("sparse", "dense", "rank-deficient", "mixed", "coprime", "negative-lead",
-         "cancelling")
+         "cancelling", "dependent-tail", "duplicate", "multi-hit", "refresh")
 COPRIME = (1, 10007, 10009, 65537, 2 ** 31 - 1, 2 ** 61 - 1)
 
 
@@ -140,28 +147,66 @@ def _combination(rng, rows):
     return [sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(len(rows[0]))]
 
 
+def _nonzero(rng):
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def _matrix(rng, kind, nrows, ncols):
+    """One matrix of ``kind`` (see ``random_systems``)."""
+    if kind == "rank-deficient":
+        base = [[_entry(rng, "dense") for _ in range(ncols)]
+                for _ in range(rng.randint(1, max(1, min(nrows, ncols) - 1)))]
+        return [_combination(rng, base) for _ in range(nrows)]
+    if kind == "dependent-tail":  # rank ncols from the first rows on
+        base = [[_entry(rng, "dense") for _ in range(ncols)] for _ in range(ncols)]
+        return base + [_combination(rng, base) for _ in range(nrows)]
+    if kind == "duplicate":
+        a = [[_entry(rng, "sparse") for _ in range(ncols)] for _ in range(nrows)]
+        a += [[-x for x in row] if rng.random() < 0.5 else list(row)
+              for row in rng.choices(a, k=rng.randint(1, nrows))]
+        rng.shuffle(a)
+        return a
+    if kind == "multi-hit":  # later rows sum two or more earlier ones
+        a = [[_entry(rng, "sparse") for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(nrows):
+            picked = rng.sample(a, min(len(a), rng.randint(2, 4)))
+            row = [sum((_nonzero(rng) * r[j] for r in picked), F(0)) for j in range(ncols)]
+            if rng.random() < 0.5:
+                row[rng.randrange(ncols)] += _nonzero(rng)
+            a.append(row)
+        return a
+    if kind == "refresh":
+        # row i leads at column i and has entries at every later column, so
+        # each new pivot sits in the rows found before it; the rows after
+        # them meet those pivot rows again
+        rank = rng.randint(1, ncols)
+        a = [[F(0)] * i + [_nonzero(rng)] + [_entry(rng, "dense") for _ in range(ncols - i - 1)]
+             for i in range(rank)]
+        return a + [[_entry(rng, "dense") for _ in range(ncols)] if rng.random() < 0.5
+                    else _combination(rng, a) for _ in range(nrows)]
+    a = [[_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "negative-lead":
+        a = [[-x for x in row] if row[0] > 0 else row for row in a]
+    if kind == "cancelling":
+        a += [[-x for x in a[0]], _combination(rng, a)]
+        rng.shuffle(a)
+    return a
+
+
 def random_systems(seed, count=60):
     """Seeded (kind, a, b, ncols): sparse, fully dense and rank-deficient
     matrices; mixed int and Fraction entries; large coprime denominators;
     rows that all lead with a negative entry; rows that cancel to zero
-    against earlier rows.  Each comes with a right-hand side in the column
-    space and a fractional one that is almost always outside it."""
+    against earlier rows; dependent rows after the rank is full; exact and
+    negated duplicate rows; rows that meet two or more pivots; pivots found
+    late at columns that earlier pivot rows hold.  Each comes with a
+    right-hand side in the column space and a fractional one that is almost
+    always outside it."""
     rng = random.Random(seed)
     for kind in KINDS:
         for _ in range(count):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-            if kind == "rank-deficient":
-                base = [[_entry(rng, "dense") for _ in range(ncols)]
-                        for _ in range(rng.randint(1, max(1, min(nrows, ncols) - 1)))]
-                a = [_combination(rng, base) for _ in range(nrows)]
-            else:
-                a = [[_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
-            if kind == "negative-lead":
-                a = [[-x for x in row] if row[0] > 0 else row for row in a]
-            if kind == "cancelling":
-                a += [[-x for x in a[0]], _combination(rng, a)]
-                rng.shuffle(a)
-            a = tuple(tuple(row) for row in a)
+            a = tuple(tuple(row) for row in _matrix(rng, kind, nrows, ncols))
             x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
             yield kind, a, mat_vec(a, x), ncols
             yield kind, a, tuple(F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in a), ncols
@@ -175,9 +220,11 @@ def _as_given(a):
 def test_eliminator_matches_dense_oracle():
     outcomes = {}
     for kind, a, b, ncols in random_systems(2024):
-        for rows in (sparse(a), _as_given(a)):
+        want, want_pivots = dense_rref([[F(x) for x in row] for row in a])
+        # rational rows, and integer rows over a denominator with the
+        # right-hand side scaled by it
+        for rows, den in ((sparse(a), 1), (_as_given(a), 1), integer_rows(a)):
             reduced, pivots = rref(rows)
-            want, want_pivots = dense_rref([[F(x) for x in row] for row in a])
             assert pivots == want_pivots
             assert reduced == [
                 tuple((c, x) for c, x in enumerate(row) if x) for row in want[:len(pivots)]
@@ -187,7 +234,7 @@ def test_eliminator_matches_dense_oracle():
                 assert all(type(x) is F for _, x in row)
             kernel = kernel_basis(rows, ncols)
             assert kernel == dense_kernel_basis(a, ncols)
-            solved = solve_affine(rows, b, ncols)
+            solved = solve_affine(rows, [den * y for y in b], ncols)
             assert solved == dense_solve_affine(a, b, ncols)
             values = [x for v in kernel for x in v]
             if solved is not None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -127,6 +128,9 @@ class TestAssemble:
                 cases.append((t, system))
         for t, system in cases:
             assert len(system.matrix) == t.dim ** 4
+            # integer numerators over the lcm of the bracket's denominators
+            assert all(type(x) is int for row in system.matrix for _, x in row)
+            assert system.den == math.lcm(*(v.denominator for _, v in t.items()))
             g = rand_tensor(rng, t.dim)
             applied = apply_system(system, g)
             # the adjoint-matrix route shares no code with the rows
@@ -202,8 +206,8 @@ class TestNullspace:
         from leibnizalg.solver import LinearSystem
 
         n = 8  # identity over the 2**3 unknowns of a dim-2 tensor
-        rows = tuple(((r, F(1)),) for r in range(n))
-        system = LinearSystem(2, 1, rows)
+        rows = tuple(((r, 1),) for r in range(n))
+        system = LinearSystem(2, 1, rows, 1)
         family = nullspace(system)
         assert len(family) == 0
         assert family.parameters == ()
