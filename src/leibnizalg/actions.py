@@ -16,8 +16,8 @@ left bracket slot and ``R`` the right one:
 The table ``REACH`` is the one encoding of this list.  ``action_operators``
 turns it into one sparse operator per basis element, the one action table:
 integer coefficients over one common denominator, the lcm of the bracket's
-denominators, built once per (tensor, case, side) in a bounded cache.  The
-module axioms (the term table ``AXIOMS``), the coboundaries of
+denominators, built once per tensor, case and side and kept on the tensor.
+The module axioms (the term table ``AXIOMS``), the coboundaries of
 ``cohomology``, the compatibility rows of ``solver`` and delta(r) in
 ``rmatrix`` are all built from those operators.  Every module axiom is of
 degree 2 in the bracket, so its defect on the integer table is den^2 times
@@ -46,10 +46,10 @@ fail; the report leaves them out, and the tests evaluate them with
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
+from .record import memo
 
 
 class ActionCase(enum.Enum):
@@ -103,14 +103,12 @@ REACH = {
 }
 
 
-@functools.lru_cache(maxsize=32)
+@memo
 def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[int, tuple]:
     """The action of each basis element X_x (0-based x) as a sparse operator
     with integer entries over den, the lcm of the denominators of t: (den,
     ops), ``ops[x][a*n + b]`` the column of X_a (x) X_b as {output index: c},
-    c standing for c/den.  Built once per (tensor, case, side) and shared
-    between callers, which must not mutate it.
-    """
+    c standing for c/den."""
     n = t.dim
     den, rows = bracket_rows(t)
     reach = REACH[case, side]

@@ -28,9 +28,8 @@ The layout, 0-based, with n the dimension:
   in degree 1.
 
 Its coefficients are integers over one common denominator, the lcm of the
-bracket's denominators, read off the integer action table.  The matrix is
-kept in a cache of four entries, enough for the selfcheck, which applies d0
-and d1 five times per complex.
+bracket's denominators, read off the integer action table.  Each matrix is
+built once per tensor and key, kept on the tensor and freed with it.
 
 A cochain is its nonzero components, in the format of
 ``core.leibniz_residual``: ``coboundary0`` returns {(x, a, b): value} and
@@ -51,7 +50,6 @@ both checks and is computed all the same, but it is no complex (see below).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -59,6 +57,7 @@ from .actions import ActionCase, action_operators
 from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
 from .errors import DimensionError
 from .linalg import Matrix, over_lcm
+from .record import memo
 
 # Observed mechanically on the bundled corpus with random cochains
 # (see tests/test_cohomology.py).  Recorded as measurement, not as theorem:
@@ -70,16 +69,14 @@ from .linalg import Matrix, over_lcm
 # two-sided algebra and neither composite vanishes there.
 
 
-@functools.lru_cache(maxsize=4)
+@memo
 def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side | None):
     """The degree-0 coboundary of the ``side``-handed complex, or for side
     None the degree-1 one, as one sparse integer matrix in the layout of the
     module docstring: (den, columns), den the lcm of the denominators of t
     and ``columns[c]`` the (row, coefficient) pairs of cochain component c,
     each a nonzero integer standing for coefficient/den.  No chirality check.
-
-    Shared through a small bounded cache; callers must not mutate it.  A
-    degree-1 matrix of a dimension-8 tensor holds up to about 98k entries.
+    A degree-1 matrix of a dimension-8 tensor holds up to about 98k entries.
     """
     n = t.dim
     nn = n * n

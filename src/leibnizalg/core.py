@@ -22,9 +22,9 @@ Conventions frozen across the whole package:
   denominator, the lcm of its denominators; the Leibniz defect, the action
   table of ``actions`` and the triple products of ``rmatrix`` read it.
 
-``bracket_rows`` and ``adjoint_matrices`` are built once per tensor, behind
-bounded caches, and shared: callers must not mutate them.  The coadjoint
-matrices are not cached: a call builds them afresh, 2n negated transposes.
+``bracket_rows`` and ``adjoint_matrices`` are built once per tensor, kept on
+it and freed with it (``record.memo``); callers must not mutate them.  The
+coadjoint matrices, 2n negated transposes, are built afresh on each call.
 
 Supported dimensions are 1 through 8; everything is exact rational.
 """
@@ -32,12 +32,11 @@ Supported dimensions are 1 through 8; everything is exact rational.
 from __future__ import annotations
 
 import enum
-import functools
 from fractions import Fraction
 
 from .errors import ChiralityError, DimensionError
 from .linalg import frac, mat_neg, over_lcm, transpose
-from .record import CachedHash, Frozen
+from .record import Frozen, Memoized, memo
 
 MAX_DIM = 8
 
@@ -63,7 +62,7 @@ class Chirality(enum.Enum):
         return True
 
 
-class StructureTensor(CachedHash):
+class StructureTensor(Memoized):
     """Rank-3 tensor of exact rationals held as its nonzero entries; build
     it with ``from_entries``."""
 
@@ -86,13 +85,11 @@ class StructureTensor(CachedHash):
         return self.entries
 
 
-@functools.lru_cache(maxsize=8)
+@memo
 def bracket_rows(t: StructureTensor) -> tuple[int, dict]:
     """The bracket with integer coefficients over one common denominator:
     (den, {(i, j): [(k, c), ...]}), 0-based, over the nonzero entries, with
-    t(i,j,k) = c/den and den the lcm of the denominators of t.  Built once
-    per tensor and shared through a bounded cache; callers must not mutate
-    it."""
+    t(i,j,k) = c/den and den the lcm of the denominators of t."""
     den, numerators = over_lcm(v for _, v in t.items())
     rows = {}
     for ((i, j, k), _), c in zip(t.items(), numerators):
@@ -218,10 +215,8 @@ class AdjointMatrices(Frozen):
     __slots__ = ("first_slot", "second_slot", "output_slot")
 
 
-@functools.lru_cache(maxsize=8)
+@memo
 def adjoint_matrices(t: StructureTensor) -> AdjointMatrices:
-    """Built once per tensor and shared through a bounded cache; callers
-    must not mutate it."""
     n = t.dim
     first, second, output = (
         [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(3)

@@ -5,6 +5,8 @@ order; equality, hash and repr read the same slots.  Importing
 generated code would cost every CLI call several milliseconds.
 """
 
+import functools
+
 set_field = object.__setattr__
 
 
@@ -43,20 +45,27 @@ class Frozen:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
-class CachedHash(Frozen):
-    """A Frozen record that hashes its slots once, on the first ``hash()``.
+class Memoized(Frozen):
+    """A Frozen record that keeps its derived tables (``memo``) in a slot of
+    its own, which ``__init__``, equality, hash and repr never read."""
 
-    For large records used as cache keys (a ``StructureTensor`` hashes every
-    nonzero entry).  The cached value sits in this class's own slot, outside
-    the subclass's ``__slots__``, so ``__init__``, equality and repr do not
-    read it.
-    """
+    __slots__ = ("_memo",)
 
-    __slots__ = ("_hash",)
 
-    def __hash__(self):
+def memo(build):
+    """``build(t, *key)`` run once per ``Memoized`` record t and key: the
+    result is kept on t, freed with it and shared; callers must not mutate it."""
+
+    @functools.wraps(build)
+    def memoized(t, *key):
         try:
-            return self._hash
+            tables = t._memo
         except AttributeError:
-            set_field(self, "_hash", Frozen.__hash__(self))
-            return self._hash
+            tables = {}
+            set_field(t, "_memo", tables)
+        k = (build, *key)
+        if k not in tables:
+            tables[k] = build(t, *key)
+        return tables[k]
+
+    return memoized

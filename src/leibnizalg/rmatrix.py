@@ -36,7 +36,7 @@ The cocommutator (through ``cohomology``) and the triple products sum
 integers: r, and the bracket, are scaled to integer numerators over the lcm
 of their denominators (``linalg.over_lcm``, ``core.bracket_rows``), and one
 ``Fraction`` is built per nonzero output entry.  The two second routes,
-through the cached adjoint and coadjoint matrices of ``core``, stay rational.
+through the adjoint and coadjoint matrices of ``core``, stay rational.
 
 Handedness conventions.  The right-handed component formulas follow the
 standard slot-by-slot contractions.  The left-handed Schouten bracket and

@@ -20,8 +20,8 @@ stage as polynomials in the family parameters; it never attempts to solve
 the quadratic variety.
 
 Both stages run on integers over one common denominator and build no
-``Fraction`` per term.  The system's rows are integer numerators over its
-``den``, which ``rref`` reads as they are: scaling rows keeps the kernel.
+``Fraction`` per term.  The system's rows are the coboundary's integer
+numerators, which ``rref`` reads as they are: scaling rows keeps the kernel.
 The quadratic stage scales the family's basis to integers, accumulates each
 coefficient of t_u*t_v under the integer key u*d + v, per component at its
 flat index (``core.leibniz_terms``), and hands every nonzero component to
@@ -82,9 +82,9 @@ def scenario(key: str) -> Scenario:
 
 class LinearSystem(Frozen):
     """``matrix``: the n^4 sparse rows over n^3 columns of a cocycle system,
-    integer numerators over the positive integer ``den``."""
+    integers: the system's equations scaled by a positive common factor."""
 
-    __slots__ = ("dim", "form", "matrix", "den")
+    __slots__ = ("dim", "form", "matrix")
 
 
 def unflatten_tensor(dim: int, vec) -> StructureTensor:
@@ -108,9 +108,9 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
     # the degree-1 coboundary has one formula on both complexes
-    den, columns = coboundary_matrix(t, ActionCase(form), None)
+    _, columns = coboundary_matrix(t, ActionCase(form), None)
     rows = sparse_rows(((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4)
-    return LinearSystem(t.dim, form, rows, den)
+    return LinearSystem(t.dim, form, rows)
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:

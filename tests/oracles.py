@@ -43,6 +43,7 @@ the dense ``CochainMap`` of this module.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,15 +328,14 @@ def flatten_tensor(t: StructureTensor):
     )
 
 
-def apply_system(system, ftilde: StructureTensor):
+def apply_system(system, ftilde: StructureTensor, den: int):
     """Residual vector of a candidate dual under the rows of a linear
-    system, integer numerators over ``system.den``; independent of
-    elimination."""
+    system, read as numerators over ``den``; independent of elimination."""
     if ftilde.dim != system.dim:
         raise DimensionError("tensor dimension does not match system")
     flat = flatten_tensor(ftilde)
     return tuple(
-        sum((c * flat[col] for col, c in row), Fraction(0)) / system.den
+        sum((c * flat[col] for col, c in row), Fraction(0)) / den
         for row in system.matrix
     )
 
@@ -349,7 +349,7 @@ def row_provenance(dim: int):
 
 
 def annihilates(system, ftilde: StructureTensor) -> bool:
-    return all(v == 0 for v in apply_system(system, ftilde))
+    return all(v == 0 for v in apply_system(system, ftilde, 1))
 
 
 def evaluate_quadratic(quadratic, assignment):
@@ -822,7 +822,8 @@ def module_axiom_residuals(case, alg, sides):
 def cocycle_residual_tensor(f: StructureTensor, ftilde: StructureTensor, form: int):
     """Defect of compatibility form 1..4 as a tensor [i][j][m][n], 0-based:
     the rows of ``solver.cocycle_system(f, form)`` applied to ``ftilde``."""
-    return nest4(apply_system(cocycle_system(f, form), ftilde), f.dim)
+    den = math.lcm(*(v.denominator for _, v in f.items()))
+    return nest4(apply_system(cocycle_system(f, form), ftilde, den), f.dim)
 
 
 @dataclass(frozen=True)

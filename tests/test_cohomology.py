@@ -1,14 +1,18 @@
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from leibnizalg import Side, StructureTensor
-from leibnizalg.actions import ActionCase
+from leibnizalg.actions import ActionCase, action_operators
 from leibnizalg.cohomology import coboundary0, coboundary1, coboundary_matrix
+from leibnizalg.core import LeibnizAlgebra, adjoint_matrices, bracket_rows
 from leibnizalg.errors import DimensionError
 from leibnizalg.linalg import mat
+from leibnizalg.record import set_field
 from leibnizalg.report import build_report
 
 from families import EX1_FAMILIES
@@ -149,22 +153,76 @@ class TestComplexProperty:
             assert broken
 
 
+class _Builds(dict):
+    """A tensor's table memo that counts the tables stored under each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = Counter()
+
+    def __setitem__(self, key, value):
+        self.stored[key] += 1
+        super().__setitem__(key, value)
+
+
+def _copy(t):
+    """An equal tensor with no tables built on it."""
+    return StructureTensor.from_entries(t.dim, dict(t.items()))
+
+
+def _counted(t):
+    """The algebra of tensor ``t``, which counts the tables built on it
+    from here on, its classification included."""
+    builds = _Builds()
+    set_field(t, "_memo", builds)
+    return LeibnizAlgebra.analyze(t), builds
+
+
+def _per_table(builds):
+    assert set(builds.stored.values()) <= {1}, "a table was built twice"
+    return Counter(key[0].__name__ for key in builds.stored)
+
+
 class TestMatrixCache:
     def test_one_degree1_matrix_serves_both_complexes(self, ex3):
-        coboundary_matrix.cache_clear()
+        alg, builds = _counted(_copy(ex3.tensor))
         w = {(0, 1, 1): F(1)}
         for side in Side:
-            coboundary1(ex3, ActionCase.CASE1, side, w)
-        assert coboundary_matrix.cache_info().misses == 1
+            coboundary1(alg, ActionCase.CASE1, side, w)
+        assert _per_table(builds)["coboundary_matrix"] == 1
 
-    @pytest.mark.parametrize("name, misses", [("example3", 17), ("example1", 8)])
-    def test_matrices_built_per_report(self, name, misses):
-        # example3 (two-sided): 4 for the duals' cocycle systems, 10 for the
-        # selfcheck's complexes and 3 for its cocommutators; example1: 3, 4, 1
+    @pytest.mark.parametrize("name, matrices, actions", [
+        pytest.param("example3", 10, 8, id="example3"),
+        pytest.param("example1", 6, 6, id="example1"),
+    ])
+    def test_tables_built_per_report(self, name, matrices, actions):
+        # example3 (two-sided): 4 degree-1 matrices, read by the duals'
+        # cocycle systems and again by the selfcheck's complexes, and 6
+        # degree-0 ones, read by the complexes and the cocommutators;
+        # example1 (right-handed): 3 and 3
         doc = corpus_document(name)
-        coboundary_matrix.cache_clear()
-        build_report(doc, doc.algebra(), b"", 0)
-        assert coboundary_matrix.cache_info().misses == misses
+        alg, builds = _counted(doc.tensor())
+        build_report(doc, alg, b"", 0)
+        assert _per_table(builds) == {
+            "bracket_rows": 1, "adjoint_matrices": 1,
+            "action_operators": actions, "coboundary_matrix": matrices,
+        }
+
+    def test_equal_tensors_keep_their_own_tables(self, ex3):
+        t, u = _copy(ex3.tensor), _copy(ex3.tensor)
+        tables = []
+        for build, args in ((bracket_rows, ()), (adjoint_matrices, ()),
+                            (action_operators, (ActionCase.CASE1, Side.LEFT)),
+                            (coboundary_matrix, (ActionCase.CASE1, None))):
+            table = build(t, *args)
+            assert build(t, *args) is table
+            other = build(u, *args)
+            assert other == table and other is not table
+            tables.append(table)
+        del t, table, other
+        # nothing at module level keeps a table: with t gone, this list
+        # holds the only reference (getrefcount counts its argument too)
+        assert all(sys.getrefcount(tables[x]) == 2 for x in range(len(tables)))
 
 
 class TestCoboundary2:

@@ -8,6 +8,7 @@ from leibnizalg import Side, StructureTensor
 from leibnizalg.core import (
     Chirality,
     adjoint_matrices,
+    bracket_rows,
     classify,
     coadjoint_matrices,
     first_nonzero,
@@ -228,10 +229,12 @@ class TestStructureTensor:
             t.dim = 2
         with pytest.raises(AttributeError):
             ex1.tensor = t
-        hash(t)  # cached on first use, outside the fields
+        # tables built on t stay outside the fields: t keeps the equality,
+        # hash and repr of a fresh equal tensor
+        bracket_rows(t), adjoint_matrices(t)
         assert repr(t) == "StructureTensor(dim=1, entries=(((1, 1, 1), Fraction(1, 2)),))"
         same = StructureTensor.from_entries(1, {(1, 1, 1): F(1, 2)})
-        assert t == same and hash(t) == hash(same)
+        assert t == same and hash(t) == hash(same) and repr(t) == repr(same)
         assert repr(StructureTensor.from_entries(1, {})) == "StructureTensor(dim=1, entries=())"
 
     def test_explicit_zero_dropped(self):
