@@ -12,6 +12,7 @@ called as ``_lazy.name``, looked up on this module at call time.  So
 ``rmatrix``; those two modules say what each adds.
 """
 
+import io
 import os
 import sys
 from pathlib import Path
@@ -368,7 +369,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Run one command line; return its exit code with stdout flushed, so a
-    failed or closed stdout is the one-line exit 2, buffered or not."""
+    failed or closed stdout, like running out of memory, is the one-line
+    exit 2.  An error line that stderr refuses is dropped, not its code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         if sys.stdout is None:  # the process started with stdout closed
@@ -381,18 +383,28 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except _Verification as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return FAIL
+        code, line = FAIL, f"verification failed: {exc}"
     except (LeibnizError, OSError) as exc:  # an OSError names its file whole
         text = str(exc) if isinstance(exc, LeibnizError) else _one_line(str(exc))
-        print(f"error: {text}", file=sys.stderr)
-        return BAD_INPUT
+        code, line = BAD_INPUT, f"error: {text}"
+    except MemoryError:  # printed once the failed call's frames are freed
+        code, line = BAD_INPUT, "error: out of memory"
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 def run():
     """The process entry: ``main``, then ``os._exit``, skipping the teardown that
-    no command needs.  stdout is flushed here too, since ``print`` writes an
-    error line of ``main`` to stdout when stderr is closed."""
+    no command needs.  An unbuffered stdout (``-u``) first gets a buffer, which
+    repeats a short write where the bare file drops the rest.  stdout is
+    flushed here too, since ``print`` writes an error line of ``main`` to
+    stdout when stderr is closed."""
+    out = sys.stdout
+    if out is not None and isinstance(out.buffer, io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

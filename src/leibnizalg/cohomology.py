@@ -3,17 +3,18 @@
 ``coboundary_matrix`` is the one encoding of the degree-0 and degree-1
 coboundaries, written over the action operators of ``actions``: one sparse
 integer matrix per (tensor, action case), and per side in degree 0 (both
-complexes share the degree-1 one), read by every linear stage.
+complexes share the degree-1 one), stored by rows in the format of
+``linalg.rref`` and read as it is by every linear stage.
 
-* ``coboundary0/1`` apply it to a cochain: each nonzero component adds its
-  column, scaled to an integer over the cochain's lcm, and one ``Fraction``
-  is built per nonzero output component.
-* ``solver.cocycle_system`` is minus the degree-1 matrix: the cochain
+* ``coboundary0/1`` apply it to a cochain, scaled to integers over its
+  lcm, in one dot product per nonzero row, and build one ``Fraction`` per
+  nonzero output component.
+* ``solver.cocycle_system`` is its degree-1 rows, negated: the cochain
   X_k -> sum ftilde(a, b, k) X_a (x) X_b of a candidate dual bracket is a
   1-cocycle exactly when the dual entries lie in its kernel.
-* ``rmatrix.solve_rmatrix`` is the degree-0 matrix: the cocommutator
-  delta(r) of ``rmatrix`` is ``coboundary0`` of r, and recovering r from a
-  dual bracket inverts it.
+* ``rmatrix.solve_rmatrix`` solves with its degree-0 rows: the
+  cocommutator delta(r) of ``rmatrix`` is ``coboundary0`` of r, and
+  recovering r from a dual bracket inverts it.
 
 The layout, 0-based, with n the dimension:
 
@@ -73,34 +74,35 @@ from .record import memo
 def coboundary_matrix(t: StructureTensor, case: ActionCase, side: Side | None):
     """The degree-0 coboundary of the ``side``-handed complex, or for side
     None the degree-1 one, as one sparse integer matrix in the layout of the
-    module docstring: (den, columns), den the lcm of the denominators of t
-    and ``columns[c]`` the (row, coefficient) pairs of cochain component c,
-    each a nonzero integer standing for coefficient/den.  No chirality check.
-    A degree-1 matrix of a dimension-8 tensor holds up to about 98k entries.
+    module docstring: (den, rows), den the lcm of the denominators of t and
+    ``rows[r]`` the sorted (column, c) pairs of coboundary component r, each
+    c a nonzero integer standing for c/den.  No chirality check.  A degree-1
+    matrix of a dimension-8 tensor holds up to about 98k entries.
     """
     n = t.dim
     nn = n * n
     den, rows = bracket_rows(t)
     _, L = action_operators(t, case, Side.LEFT)
     _, R = action_operators(t, case, Side.RIGHT)
-    columns = [{} for _ in range(nn if side else nn * n)]
-    if side:  # right: X -> [X, m]_L; left: X -> -[m, X]_R
-        sign, ops = (1, L) if side is Side.RIGHT else (-1, R)
-        for x, op in enumerate(ops):
-            for p, col in enumerate(op):
-                columns[p].update((x * nn + q, sign * c) for q, c in col.items())
-    else:  # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
-        for x, y in itertools.product(range(n), repeat=2):
-            point = (x * n + y) * nn
-            # (column, its (q, coefficient) pairs at this point), per term
+    out = []
+    for point in range(n if side else nn):
+        # (column, its (q, coefficient) pairs at this point), per term
+        if side is Side.RIGHT:  # X -> [X, m]_L
+            terms = [(p, col.items()) for p, col in enumerate(L[point])]
+        elif side:  # X -> -[m, X]_R
+            terms = [(p, [(q, -c) for q, c in col.items()]) for p, col in enumerate(R[point])]
+        else:  # [X, w(Y)]_L + [w(X), Y]_R - w([X, Y]), both complexes
+            x, y = divmod(point, n)
             terms = [(p * n + y, col.items()) for p, col in enumerate(L[x])]
             terms += [(p * n + x, col.items()) for p, col in enumerate(R[y])]
             terms += [(q * n + k, ((q, -c),)) for k, c in rows.get((x, y), ()) for q in range(nn)]
-            for column, pairs in terms:
-                entries = columns[column]
-                for q, c in pairs:
-                    entries[point + q] = entries.get(point + q, 0) + c
-    return den, tuple(tuple((r, c) for r, c in col.items() if c) for col in columns)
+        acc = [{} for _ in range(nn)]  # row point*n*n + q as {column: coefficient}
+        for column, pairs in terms:
+            for q, c in pairs:
+                row = acc[q]
+                row[column] = row.get(column, 0) + c
+        out += [tuple(sorted([e for e in row.items() if e[1]])) if row else () for row in acc]
+    return den, tuple(out)
 
 
 def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, w):
@@ -111,25 +113,24 @@ def _coboundary(alg: LeibnizAlgebra, case: ActionCase, side: Side, degree: int, 
         indices = range(n)
         if any(len(key) != 3 or not all(i in indices for i in key) for key in w):
             raise DimensionError(f"coboundary1 expects components (x, a, b) in 0..{n - 1}")
-        w = {(a * n + b) * n + x: v for (x, a, b), v in w.items()}
+        vec = [w.get((x, a, b), 0) for a, b, x in itertools.product(range(n), repeat=3)]
     elif len(w) != n or any(len(row) != n for row in w):
         raise DimensionError("tensor-square element has wrong shape")
     else:
-        w = {a * n + b: v for a, row in enumerate(w) for b, v in enumerate(row) if v}
-    den, columns = coboundary_matrix(alg.tensor, case, None if degree else side)
-    # the cochain's values as integers over their lcm, each adding its column
-    scale, nums = over_lcm(w.values())
+        vec = [v for row in w for v in row]
+    den, rows = coboundary_matrix(alg.tensor, case, None if degree else side)
+    # the cochain by column, as integers over its lcm: one dot product per row
+    scale, vec = over_lcm(vec)
     den *= scale
-    acc = {}
-    for column, v in zip(w, nums):
-        if v:
-            for r, c in columns[column]:
-                acc[r] = acc.get(r, 0) + c * v
     out = {}
-    for r, x in acc.items():
-        if x:
-            point, q = divmod(r, n * n)
-            out[(divmod(point, n) if degree else (point,)) + divmod(q, n)] = Fraction(x, den)
+    for r, row in enumerate(rows):
+        if row:
+            x = 0
+            for column, c in row:
+                x += c * vec[column]
+            if x:
+                point, q = divmod(r, n * n)
+                out[(divmod(point, n) if degree else (point,)) + divmod(q, n)] = Fraction(x, den)
     return out
 
 

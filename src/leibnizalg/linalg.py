@@ -3,17 +3,16 @@
 Matrices are immutable nested tuples of ``fractions.Fraction``; no floats
 anywhere.  A linear system is a tuple of sparse rows: each row is a tuple of
 (column, value) pairs in ascending column order holding only nonzero
-values, ints or ``Fraction``s.  ``rref`` is the one eliminator; it returns
-the reduced row echelon form, which is unique, so every kernel basis
-derived from it is deterministic.
+values, ints or ``Fraction``s: the format of ``cohomology.coboundary_matrix``.
+``rref`` is the one eliminator; it returns the reduced row echelon form,
+which is unique, so every kernel basis derived from it is deterministic.
 
 Elimination is fraction-free: ``rref`` scales each input row to integers by
 the lcm of its denominators and works on integer rows (dicts {column: int})
 from then on, dividing every combination by its content (the gcd of its
 entries) to keep the integers small.  ``Fraction``s appear only on output,
-one per entry of a reduced row.  ``sparse_rows`` sums integer terms into
-integer rows, and ``over_lcm`` is how the other layers put exact rationals
-on one common denominator."""
+one per entry of a reduced row.  ``over_lcm`` is how the other layers put
+exact rationals on one common denominator."""
 
 from __future__ import annotations
 
@@ -66,16 +65,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def sparse_rows(entries, nrows: int) -> tuple[Row, ...]:
-    """Sparse integer rows from (row, column, integer) triples; integers at
-    one position add up, and positions that sum to zero are dropped."""
-    acc: list[dict] = [{} for _ in range(nrows)]
-    for r, c, x in entries:
-        row = acc[r]
-        row[c] = row.get(c, 0) + x
-    return tuple(tuple((c, x) for c, x in sorted(d.items()) if x) for d in acc)
 
 
 def _integer_row(row) -> dict:

@@ -11,14 +11,13 @@ under action case 1 or 4 on the right- or left-handed complex, one matrix
 ``cohomology.coboundary_matrix`` with two readers: ``coboundary_cocommutator``
 applies it to r (``cohomology.coboundary0``), its nonzero component
 (m, a, b) being the dual entry (a+1, b+1, m+1), read straight into
-``StructureTensor.from_entries``; ``solve_rmatrix`` inverts it, reading the
-matrix with one ``linalg.sparse_rows`` call as equations in the unknowns
-r[i][j].  ``cocommutator_matrix_route`` and ``dual_bracket_from_r`` compute
-delta(r) by independent routes.  The table ``COMPLEX`` gives each
-coboundary case its action case, by number, and complex side, and with the
-side what it needs: a complex of side s needs an algebra that admits s.
-``BRACKET_CASE`` names, per side, the case whose cocommutator is the dual
-bracket that r induces.
+``StructureTensor.from_entries``; ``solve_rmatrix`` inverts it, its rows
+being the equations in the unknowns r[i][j].  ``cocommutator_matrix_route``
+and ``dual_bracket_from_r`` compute delta(r) by independent routes.  The
+table ``COMPLEX`` gives each coboundary case its action case, by number,
+and complex side, and with the side what it needs: a complex of side s
+needs an algebra that admits s.  ``BRACKET_CASE`` names, per side, the
+case whose cocommutator is the dual bracket that r induces.
 
 Of the five r-matrix commands, which never load ``report``, only
 ``coboundary`` and ``rmatrix`` load ``cohomology`` and ``actions``, inside
@@ -79,7 +78,6 @@ from .linalg import (
     mat_neg,
     over_lcm,
     solve_affine,
-    sparse_rows,
     transpose,
 )
 from .record import Frozen
@@ -226,13 +224,12 @@ def solve_rmatrix(
     n = alg.dim
     # the degree-0 coboundary of r (``coboundary_cocommutator``), rows and
     # columns laid out as ``cohomology`` says
-    den, columns = 1, ()
+    den, rows = 1, ((),) * n ** 3
     if pair:
         from .actions import ActionCase
         from .cohomology import coboundary_matrix
-        den, columns = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1])
+        den, rows = coboundary_matrix(alg.tensor, ActionCase(pair[0]), pair[1])
     # the rows are integer numerators over den: scale the right-hand side by it
-    rows = sparse_rows(((r, c, x) for c, col in enumerate(columns) for r, x in col), n ** 3)
     rhs = [0] * n ** 3
     for (a, b, m), v in ftilde.items():
         rhs[((m - 1) * n + a - 1) * n + b - 1] = den * v

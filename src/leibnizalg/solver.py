@@ -3,11 +3,11 @@ quadratic residuals that sit on top of them.
 
 Compatibility form k linking a bracket table to a candidate dual table is
 the degree-1 cocycle condition under action case k: ``cocycle_system`` is
-minus the degree-1 ``cohomology.coboundary_matrix``, read with one
-``linalg.sparse_rows`` call.  Its columns are the dual entries, since the
-dual entry (a, b, k) is the component (k, a, b) of the cochain
-X_k -> sum ftilde(a, b, k) X_a (x) X_b, and its rows the components
-(i, j, m, n) of the coboundary, both in lexicographic order.
+the rows of the degree-1 ``cohomology.coboundary_matrix``, negated.  Its
+columns are the dual entries, since the dual entry (a, b, k) is the
+component (k, a, b) of the cochain X_k -> sum ftilde(a, b, k) X_a (x) X_b,
+and its rows the components (i, j, m, n) of the coboundary, both in
+lexicographic order.
 
 A scenario picks one of the four compatibility forms together with a
 handedness for the dual bracket; the six admissible pairings are fixed
@@ -43,7 +43,7 @@ from .actions import ActionCase
 from .cohomology import coboundary_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, component, leibniz_terms
 from .errors import DimensionError, quote
-from .linalg import kernel_basis, sparse_rows
+from .linalg import kernel_basis
 from .poly import Poly
 from .record import Frozen
 
@@ -108,9 +108,8 @@ def cocycle_system(t: StructureTensor, form: int) -> LinearSystem:
     if form not in (1, 2, 3, 4):
         raise DimensionError(f"unknown form {form}")
     # the degree-1 coboundary has one formula on both complexes
-    _, columns = coboundary_matrix(t, ActionCase(form), None)
-    rows = sparse_rows(((r, c, -x) for c, col in enumerate(columns) for r, x in col), t.dim ** 4)
-    return LinearSystem(t.dim, form, rows)
+    _, rows = coboundary_matrix(t, ActionCase(form), None)
+    return LinearSystem(t.dim, form, tuple(tuple((c, -x) for c, x in row) for row in rows))
 
 
 def assemble_cocycle_system(alg: LeibnizAlgebra, sc: Scenario) -> LinearSystem:

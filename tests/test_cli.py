@@ -218,6 +218,68 @@ def test_closed_stderr_keeps_every_line_and_exit_code(corpus_files, capsys, line
     assert (proc.returncode, proc.stdout) == (code, out + err)
 
 
+# With stderr on a full device the error line is lost, and the exit code
+# still tells an input error (2) from a verification failure (1).
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("line", ["check {example2}", "check {example2}.missing",
+                                  "check {claims_right}"])
+def test_full_stderr_keeps_every_line_and_exit_code(corpus_files, tmp_path, capsys, line,
+                                                    buffered):
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    claims_right = tmp_path / "claims_right.leib"
+    claims_right.write_text("dim: 2\nside: right\nf 1 1 2 = 1\nf 1 2 2 = 1\n")
+    argv = line.format(claims_right=claims_right, **corpus_files).split()
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "leibnizalg.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=full, text=True,
+                              env=child_env(buffered))
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 or err
+
+
+# A reader that takes the first 100 bytes of a 2.6 MB report (ab_6, every
+# dual entry free) and closes the pipe while the report is being written.
+# Unbuffered, a bare stdout file takes the short write that the closing pipe
+# allows and drops the rest, so the call would exit 0 with a cut output.
+@pytest.mark.parametrize("buffered", [True, False])
+def test_reader_closing_early_is_one_line_exit_two(tmp_path, buffered):
+    path = tmp_path / "ab6.leib"
+    path.write_text("dim: 6\n")
+    with subprocess.Popen([sys.executable, "-m", "leibnizalg.cli", "report", str(path),
+                           "--seed", "0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env(buffered)) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+    assert (proc.returncode, err) == (2, f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+# A child whose address space is capped at 64 MiB: the interpreter starts
+# and runs `corpus`, but `duals` on NF_6 dense, about 320 MB at its peak,
+# cannot finish.
+MEMORY_CAP = 64 << 20
+
+
+def test_out_of_memory_is_one_line_exit_two(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "dense6.leib"
+    path.write_text("dim: 6\n" + "".join(
+        f"f {i} {j} {k} = {v}\n" for (i, j, k), v in nf_dense(6).items()))
+
+    def capped(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "leibnizalg.cli", *argv], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP)))
+
+    proc = capped("corpus")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = capped("duals", str(path), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+
+
 # Imports every package module, then runs report and corpus --dest through
 # cli.main, and prints every handler registered on atexit meanwhile: the
 # process entry ends with os._exit, which runs none.
@@ -746,6 +808,29 @@ def test_report_bytes_pinned_at_dimension_6(tmp_path, capsys, name):
     path = tmp_path / "nf6.leib"
     entries = "".join(entry.format(i=i, j=i + 1) for i in range(1, 6))
     path.write_text(f"name: {name}\ndim: 6\n" + entries)
+    code, out, _ = run(capsys, "report", str(path), "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the stdout of `report --seed 0` at MAX_DIM = 8 on NF_8, NF_8^op
+# and the abelian ab_8 (every dual entry free; a 10 MB report), each file
+# written as `name`, `dim: 8`, `side: auto` and its sorted `f` lines.
+DIM8_REPORT_DIGESTS = {
+    "nf8": ({(1, i, i + 1): 1 for i in range(1, 8)},
+            "cf95e4ae338f24faed343e321364a3156be5e8e871dce37d64864fd806bd6648"),
+    "nf8op": ({(i, 1, i + 1): 1 for i in range(1, 8)},
+              "e949f48e229821642ea6d1873726799c2ecb8e9bd7a8f4c8f7d9f8b729950d17"),
+    "ab8": ({}, "ae67c4ed7594ee08f7acec0d869a703e516ac123f21b040b689a3de9d6214313"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM8_REPORT_DIGESTS))
+def test_report_bytes_pinned_at_dimension_8(tmp_path, capsys, name):
+    table, digest = DIM8_REPORT_DIGESTS[name]
+    path = tmp_path / f"{name}.leib"
+    path.write_text(f"name: {name}\ndim: 8\nside: auto\n" + "".join(
+        f"f {i} {j} {k} = {v}\n" for (i, j, k), v in sorted(table.items())))
     code, out, _ = run(capsys, "report", str(path), "--seed", "0")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

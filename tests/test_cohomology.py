@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -31,6 +32,7 @@ from oracles import (
     zero_cochain,
     zeros,
 )
+from test_cli import DENSE_BASIS, _in_basis
 
 F = Fraction
 
@@ -181,6 +183,38 @@ def _counted(t):
 def _per_table(builds):
     assert set(builds.stored.values()) <= {1}, "a table was built twice"
     return Counter(key[0].__name__ for key in builds.stored)
+
+
+class TestMatrixRows:
+    def test_rows_sorted_integer_zero_free_and_summed(self):
+        # NF_3 in DENSE_BASIS: every bracket entry is nonzero and has thirds,
+        # so the three terms of the degree-1 coboundary meet at many
+        # positions (the two action terms wherever x == y), and each such
+        # entry is their sum.  The residual oracle shares no code with the
+        # matrix: row (i, j, m, n) of the degree-1 matrix, at the column of
+        # the dual entry (a, b, k), is den times the (i, j, m, n) component
+        # of the coboundary of the unit dual at (a, b, k), which is minus the
+        # form's residual.
+        n = 3
+        t = StructureTensor.from_entries(n, _in_basis({(1, 1, 2): 1, (1, 2, 3): 1}, DENSE_BASIS))
+        den = lcm(*(v.denominator for _, v in t.items()))
+        assert den > 1
+        for case in ActionCase:
+            for side in (None, Side.LEFT, Side.RIGHT):
+                d, rows = coboundary_matrix(t, case, side)
+                assert d == den
+                assert len(rows) == n ** (3 if side else 4)
+                for row in rows:
+                    assert [c for c, _ in row] == sorted({c for c, _ in row})
+                    assert all(type(x) is int and x for _, x in row)
+            _, rows = coboundary_matrix(t, case, None)
+            for a, b, k in itertools.product(range(n), repeat=3):
+                unit = StructureTensor.from_entries(n, {(a + 1, b + 1, k + 1): 1})
+                res = cocycle_residual_tensor(t, unit, case.value)
+                column = (a * n + b) * n + k
+                got = [dict(row).get(column, 0) for row in rows]
+                assert got == [-den * res[i][j][m][q]
+                               for i, j, m, q in itertools.product(range(n), repeat=4)]
 
 
 class TestMatrixCache:

@@ -11,7 +11,6 @@ from leibnizalg.linalg import (
     mat_mul,
     rref,
     solve_affine,
-    sparse_rows,
     transpose,
 )
 
@@ -20,56 +19,18 @@ from oracles import dense_kernel_basis, dense_rref, dense_solve_affine, mat_vec
 F = Fraction
 
 
-def over_common_denominator(entries):
-    """(row, column, value) triples as integer numerators over the lcm of
-    their denominators, the input form of ``sparse_rows``."""
-    entries = [(r, c, F(x)) for r, c, x in entries]
-    den = lcm(*(x.denominator for _, _, x in entries))
-    return [(r, c, x.numerator * (den // x.denominator)) for r, c, x in entries], den
-
-
 def integer_rows(a):
     """The sparse rows of a dense matrix as integer numerators over one
-    denominator: (rows, den)."""
-    entries, den = over_common_denominator(
-        (r, c, x) for r, row in enumerate(a) for c, x in enumerate(row)
-    )
-    return sparse_rows(entries, len(a)), den
+    denominator, the lcm of the entries' denominators: (rows, den)."""
+    den = lcm(*(F(x).denominator for row in a for x in row))
+    rows = tuple(tuple((c, int(F(x) * den)) for c, x in enumerate(row) if x) for row in a)
+    return rows, den
 
 
 def sparse(a):
     """The sparse rows of a dense matrix, as exact rationals."""
     rows, den = integer_rows(a)
     return tuple(tuple((c, F(x, den)) for c, x in row) for row in rows)
-
-
-def test_sparse_rows_sum_sort_and_drop_zeros():
-    big = (10007, 10009, 2 ** 61 - 1)  # pairwise coprime denominators
-    entries = [
-        (0, 2, 1), (0, 0, F(1, 2)), (0, 2, -1), (1, 1, 3), (1, 0, F(-1, 3)),
-        # int and Fraction terms at one position
-        (1, 1, F(1, 2)), (1, 1, -2),
-        # terms over different denominators that cancel
-        (1, 2, F(1, 6)), (1, 2, F(1, 3)), (1, 2, F(-1, 2)),
-        # large coprime denominators
-        (2, 0, F(1, big[0])), (2, 0, F(-1, big[1])), (2, 1, F(5, big[2])),
-        (2, 1, F(-5, big[2])), (2, 3, F(-7, big[0] * big[1])),
-    ]
-    numerators, den = over_common_denominator(entries)
-    rows = sparse_rows(numerators, 4)
-    assert all(type(x) is int for row in rows for _, x in row)
-    assert tuple(tuple((c, F(x, den)) for c, x in row) for row in rows) == (
-        ((0, F(1, 2)),),
-        ((0, F(-1, 3)), (1, F(3, 2))),
-        ((0, F(big[1] - big[0], big[0] * big[1])), (3, F(-7, big[0] * big[1]))),
-        (),
-    )
-    assert sparse_rows((), 2) == ((), ())
-    # integers stay integers: no denominator divides out
-    assert sparse_rows([(0, 1, 3), (0, 0, -4), (1, 1, 6)], 2) == (
-        ((0, -4), (1, 3)),
-        ((1, 6),),
-    )
 
 
 def test_rref_pivots_and_normalization():
