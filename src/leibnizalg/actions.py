@@ -17,30 +17,34 @@ The table ``REACH`` is the one encoding of this list.  ``action_operators``
 turns it into one sparse operator per basis element, the one action table:
 integer coefficients over one common denominator, the lcm of the bracket's
 denominators, built once per tensor, case and side and kept on the tensor.
-The module axioms (the term table ``AXIOMS``), the coboundaries of
-``cohomology``, the compatibility rows of ``solver`` and delta(r) in
-``rmatrix`` are all built from those operators.  Every module axiom is of
-degree 2 in the bracket, so its defect on the integer table is den^2 times
-the rational one and a verdict needs no division.  The readers that return
-rational values (the coboundaries, delta(r)) divide once per nonzero
-output entry.
+The module axioms, the coboundaries of ``cohomology``, the compatibility
+rows of ``solver`` and delta(r) in ``rmatrix`` are all built from those
+operators.  The readers that return rational values (the coboundaries,
+delta(r)) divide once per nonzero output entry.
 
-What a case needs is decided in one place: ``ActionCase.required_side``
-(case 2 a right-handed algebra, case 3 a left-handed one), from which
-``ActionCase.complexes`` derives the handednesses the case acts with on a
-given algebra.  The module-axiom sets checked here, the complexes of the
-report's selfcheck and the scenarios of ``solver`` all read it.
+The module axioms (Loday and Pirashvili) are the Leibniz identity of the
+semidirect product g + M (``axiom_verdicts``): M is the tensor square, with
+X_a (x) X_b at index n + a*n + b, [X_x, u] = L[x] u, [u, X_x] = R[x] u and
+[M, M] = 0.  A nonzero component of the defect whose one M argument u sits
+in slot 1, 2 or 3 of the identity (``core.LEIBNIZ``) fails axiom <side>-1,
+-2 or -3, read A - B - C = 0 with (x, y) the other two slots in order and
+P[xy] the action P of [X_x, X_y]:
 
-Each case makes the tensor square a module over a compatible algebra, for
-the module-axiom set matching the case's handedness; ``axiom_report`` gives
-the verdict of each axiom of that set, so the claim is checked, not assumed.
-Measured outcome on the bundled corpus (see tests): cases 1 and 4 satisfy
-the right-handed axiom set on right-compatible algebras and the left-handed
-set on left-compatible ones; case 2 satisfies the right-handed set only and
-case 3 the left-handed set only.  On a two-sided algebra the crossed sets
-(case 2 with the left-handed axioms, case 3 with the right-handed ones) do
-fail; the report leaves them out, and the tests evaluate them with
-``axiom_holds`` and ``tests/oracles.module_axiom_residuals``.
+  right-1  L[xy] - R[y]L[x] - L[x]L[y]    left-1  R[xy] - R[y]R[x] - L[x]R[y]
+  right-2  R[x]R[y] - R[y]R[x] - R[yx]    left-2  L[x]R[y] - R[y]L[x] - R[xy]
+  right-3  R[x]L[y] - L[yx] - L[y]R[x]    left-3  L[x]L[y] - L[xy] - L[y]L[x]
+
+Every entry of g + M is an integer over den, so a verdict needs no division.
+
+What a case needs is decided in one place, ``ActionCase.required_side``
+(case 2 a right-handed algebra, case 3 a left-handed one); the axiom sets
+checked here, the report's selfcheck complexes and the ``solver`` scenarios
+all read it through ``ActionCase.complexes``.  ``axiom_report`` gives the
+verdict of each axiom of the sets a case claims, so the claim is checked,
+not assumed.  Measured on the corpus (see tests): cases 1 and 4 satisfy the
+set of each handedness the algebra has, case 2 the right-handed set only and
+case 3 the left-handed one only.  The crossed sets fail on a two-sided
+algebra; the report leaves them out.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from __future__ import annotations
 import enum
 import itertools
 
-from .core import LeibnizAlgebra, Side, StructureTensor, bracket_rows
+from .core import (LeibnizAlgebra, Side, StructureTensor, bracket_rows, component,
+                   integer_entries, leibniz_defect)
 from .record import memo
 
 
@@ -128,53 +133,29 @@ def action_operators(t: StructureTensor, case: ActionCase, side: Side) -> tuple[
     return den, tuple(ops)
 
 
-# The module axioms (Loday and Pirashvili) of the action pair L[x] = [X_x, .]_L,
-# R[x] = [., X_x]_R: per axiom (side, label, (A, B, C)), reading A - B - C = 0
-# on every basis pair (X_x, X_y), the right-handed rows first.  A term "PaQb"
-# is P[a] after Q[b]; a term "P[ab]" is the action P of the bracket [X_a, X_b].
-AXIOMS = (
-    (Side.RIGHT, "right-1", ("L[xy]", "RyLx", "LxLy")),
-    (Side.RIGHT, "right-2", ("RxRy", "RyRx", "R[yx]")),
-    (Side.RIGHT, "right-3", ("RxLy", "L[yx]", "LyRx")),
-    (Side.LEFT, "left-1", ("R[xy]", "RyRx", "LxRy")),
-    (Side.LEFT, "left-2", ("LxRy", "RyLx", "R[xy]")),
-    (Side.LEFT, "left-3", ("LxLy", "L[xy]", "LyLx")),
-)
-
-
-def axiom_holds(t: StructureTensor, case: ActionCase, terms) -> bool:
-    """Whether A - B - C, the ``terms`` of a row of ``AXIOMS``, vanishes on
-    every basis element X_a (x) X_b for every basis pair under the case's
-    actions; stops at the first nonzero component.  No chirality check."""
+def axiom_verdicts(t: StructureTensor, case: ActionCase, side: Side) -> dict[str, bool]:
+    """{"<side>-1": ok, "<side>-2": ok, "<side>-3": ok}: the module axioms
+    of ``side`` under the case's actions, read off the defect of ``side`` on
+    g + M (module notes).  No chirality check."""
     n = t.dim
-    _, rows = bracket_rows(t)
-    ops = {side.name[0]: action_operators(t, case, side)[1] for side in Side}
-    for x, y in itertools.product(range(n), repeat=2):
-        at = {"x": x, "y": y}
-        brackets, products = [], []
-        for sign, term in zip((1, -1, -1), terms):
-            P = ops[term[0]]
-            if term[1] == "[":  # c P[k] for each c X_k of the bracket [X_a, X_b]
-                brackets += [(sign * c, P[k]) for k, c in rows.get((at[term[2]], at[term[3]]), ())]
-            else:  # P[a] after Q[b]
-                products.append((sign, P[at[term[1]]], ops[term[2]][at[term[3]]]))
-        for p in range(n * n):
-            pairs = [(c, op[p]) for c, op in brackets]
-            for sign, outer, inner in products:
-                pairs += [(sign * c, outer[k]) for k, c in inner[p].items()]
-            acc = {}
-            for c, col in pairs:
-                for q, d in col.items():
-                    acc[q] = acc.get(q, 0) + c * d
-            if any(acc.values()):
-                return False
-    return True
+    _, h = integer_entries(t)  # a fresh dict: the bracket of g
+    left, right = (action_operators(t, case, s)[1] for s in (Side.LEFT, Side.RIGHT))
+    for x in range(n):  # X_a (x) X_b is X_{n + a*n + b} of h
+        for u in range(n * n):
+            for q, c in left[x][u].items():
+                h[x, n + u, n + q] = c
+            for q, c in right[x][u].items():
+                h[n + u, x, n + q] = c
+    size, failed = n + n * n, set()
+    for c, acc in leibniz_defect(h, side, size).items():
+        if any(acc.values()):  # no argument in M: g's own defect, no axiom
+            failed.update(slot for slot, x in enumerate(component(c, size)[:3]) if x >= n)
+    return {f"{side.value}-{slot + 1}": slot not in failed for slot in range(3)}
 
 
 def axiom_report(case: ActionCase, alg: LeibnizAlgebra) -> dict[str, bool]:
-    """Per-axiom verdicts for the case's claimed axiom sets: the rows of
-    ``AXIOMS`` whose side is in ``case.complexes(alg)``."""
+    """Per-axiom verdicts for the case's claimed axiom sets, those of
+    ``case.complexes(alg)`` in reverse: the right-handed set first."""
     case.require(alg)
-    sides = case.complexes(alg)
-    return {label: axiom_holds(alg.tensor, case, terms)
-            for side, label, terms in AXIOMS if side in sides}
+    return {label: ok for side in reversed(case.complexes(alg))
+            for label, ok in axiom_verdicts(alg.tensor, case, side).items()}

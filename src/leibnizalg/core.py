@@ -100,10 +100,11 @@ def bracket_rows(t: StructureTensor) -> tuple[int, dict]:
 # The Leibniz identity as a term table, per side.  Component (i, j, k, m) of
 # the defect sums sign * f(a) * f(b) over pairs of entries a = (a0, a1, a2)
 # and b = (b0, b1, b2) that meet where a2 == b[slot]; ``pick`` reads
-# (i, j, k, m) off the six indices of a + b.  With (X, Y, Z) = (X_i, X_j, X_k)
-# the right-handed defect is [[Y,Z],X] - [[Y,X],Z] - [Y,[Z,X]] and the
-# left-handed one [X,[Y,Z]] - [[X,Y],Z] - [Y,[X,Z]]; every component
-# vanishes exactly when the identity holds.
+# (i, j, k, m) off the six indices of a + b, always with m = b2 and never
+# a2.  With (X, Y, Z) = (X_i, X_j, X_k) the right-handed defect is
+# [[Y,Z],X] - [[Y,X],Z] - [Y,[Z,X]] and the left-handed one
+# [X,[Y,Z]] - [[X,Y],Z] - [Y,[X,Z]]; every component vanishes exactly when
+# the identity holds.
 LEIBNIZ = {
     Side.RIGHT: ((1, 0, (4, 0, 1, 5)), (-1, 0, (1, 0, 4, 5)), (-1, 1, (1, 3, 0, 5))),
     Side.LEFT: ((1, 1, (3, 0, 1, 5)), (-1, 0, (0, 1, 4, 5)), (-1, 1, (0, 3, 1, 5))),
@@ -111,22 +112,23 @@ LEIBNIZ = {
 
 
 def leibniz_terms(support, side: Side, n: int):
-    """Yield (sign, a, offset, pairs) per term of the identity and entry a
-    of the 0-based index triples ``support`` where f may be nonzero: for
-    each (b, o) in ``pairs`` the component at flat index offset + o, that is
-    n^3*i + n^2*j + n*k + m (``component``), gains sign * f(a) * f(b)."""
-    support = tuple(support)
+    """Yield (sign, value_a, offset, groups) per term of the identity and
+    entry a of ``support``, a mapping {0-based (i, j, k): value} of the
+    entries where f may be nonzero.  For each r: pairs of the dict
+    ``groups`` and (value_b, m) in ``pairs`` the component at flat index
+    offset + r + m, that is n^3*i + n^2*j + n*k + m (``component``), gains
+    sign * value_a * value_b: r, the weight of b's argument, fixes (i, j, k)."""
     for sign, slot, pick in LEIBNIZ[side]:
         w = [0] * 6  # the weight of each of the six indices of a + b
-        for place, x in enumerate(pick):
-            w[x] += n ** (3 - place)
-        meet = {}  # meet[x]: (b, offset of b) for the entries b with b[slot] == x
-        for b in support:
-            meet.setdefault(b[slot], []).append((b, w[3] * b[0] + w[4] * b[1] + w[5] * b[2]))
-        for a in support:
-            pairs = meet.get(a[2])
-            if pairs:
-                yield sign, a, w[0] * a[0] + w[1] * a[1] + w[2] * a[2], pairs
+        w[pick[0]], w[pick[1]], w[pick[2]] = n ** 3, n * n, n  # and 1 for m = b2
+        meet = {}  # meet[x]: {r: [(value, m)]} of the entries b with b[slot] == x
+        for b, v in support.items():
+            groups = meet.setdefault(b[slot], {})
+            groups.setdefault(w[3] * b[0] + w[4] * b[1], []).append((v, b[2]))
+        for a, v in support.items():
+            groups = meet.get(a[2])
+            if groups:  # a2 meets b, so it has no weight
+                yield sign, v, w[0] * a[0] + w[1] * a[1], groups
 
 
 def component(x: int, n: int, base: int = 0) -> tuple[int, int, int, int]:
@@ -137,24 +139,34 @@ def component(x: int, n: int, base: int = 0) -> tuple[int, int, int, int]:
     return i + base, j + base, k + base, m + base
 
 
-def _defect(t: StructureTensor, side: Side):
-    """The defect's components that have terms, in integers over a common
-    denominator: ({flat index: numerator}, denominator), 0-based."""
-    scale, rows = bracket_rows(t)
-    f = {(i, j, k): c for (i, j), line in rows.items() for k, c in line}
-    out = {}
-    for s, a, offset, pairs in leibniz_terms(f, side, t.dim):
-        x = s * f[a]
-        for b, o in pairs:
-            out[offset + o] = out.get(offset + o, 0) + x * f[b]
-    return out, scale * scale
+def leibniz_defect(f, side: Side, n: int) -> dict:
+    """The defect's components that have terms, {flat index of (i, j, k, 0):
+    {m: value}} (small keys in small dicts: fast sums), for integer entries
+    ``f`` {0-based (i, j, k): value} of dimension n."""
+    rows = {}
+    for s, x, offset, groups in leibniz_terms(f, side, n):
+        x *= s
+        for r, pairs in groups.items():
+            acc = rows.get(offset + r)
+            if acc is None:
+                acc = rows[offset + r] = {}
+            for y, m in pairs:
+                acc[m] = acc.get(m, 0) + x * y
+    return rows
+
+
+def integer_entries(t: StructureTensor) -> tuple[int, dict]:
+    """``bracket_rows`` as entries: (den, {0-based (i, j, k): c})."""
+    den, rows = bracket_rows(t)
+    return den, {(i, j, k): c for (i, j), line in rows.items() for k, c in line}
 
 
 def leibniz_residual(t: StructureTensor, side: Side) -> dict:
     """The defect of the Leibniz identity: {(i, j, k, m): value} of its
     nonzero components, 0-based."""
-    d, den = _defect(t, side)
-    return {component(c, t.dim): Fraction(x, den) for c, x in d.items() if x}
+    den, f = integer_entries(t)
+    return {component(c + m, t.dim): Fraction(x, den * den)
+            for c, acc in leibniz_defect(f, side, t.dim).items() for m, x in acc.items() if x}
 
 
 def first_nonzero(res: dict):
@@ -172,7 +184,9 @@ def is_antisymmetric(t: StructureTensor) -> bool:
 
 def classify(t: StructureTensor) -> Chirality:
     """Strongest applicable label for the bracket table."""
-    left, right = (not any(_defect(t, side)[0].values()) for side in (Side.LEFT, Side.RIGHT))
+    f = integer_entries(t)[1]
+    left, right = (not any(any(acc.values()) for acc in leibniz_defect(f, side, t.dim).values())
+                   for side in Side)
     if left and right:
         return Chirality.LIE if is_antisymmetric(t) else Chirality.BOTH
     if left:

@@ -22,10 +22,11 @@ the quadratic variety.
 Both stages run on integers over one common denominator and build no
 ``Fraction`` per term.  The system's rows are the coboundary's integer
 numerators, which ``rref`` reads as they are: scaling rows keeps the kernel.
-The quadratic stage scales the family's basis to integers, accumulates each
-coefficient of t_u*t_v under the integer key u*d + v, per component at its
-flat index (``core.leibniz_terms``), and hands every nonzero component to
-``Poly`` over the square of that scale, one monomial tuple per key.  A
+The quadratic stage scales the family's basis to integers, runs
+``core.leibniz_terms`` with each entry's linear form in t1..td as its value,
+accumulates each coefficient of t_u*t_v under the integer key u*d + v, per
+component at its flat index, and hands every nonzero component to ``Poly``
+over the square of that scale, one monomial tuple per key.  A
 ``QuadraticResidual`` lists those components only, like the residual dicts
 of ``core.leibniz_residual``: an empty list means the family satisfies the
 identity.
@@ -182,17 +183,18 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
         forms.setdefault(e, []).append((p, v.numerator * (scale // v.denominator)))
     # flat component -> {u*d + v: coefficient of t_u*t_v}, u <= v
     quad = {}
-    for s, a, offset, pairs in leibniz_terms(forms, side, n):
-        first = [(u, u * d, s * x) for u, x in forms[a]]
-        for b, o in pairs:
-            terms = quad.get(offset + o)
-            if terms is None:
-                terms = quad[offset + o] = {}
-            second = forms[b]
-            for u, ud, x in first:
-                for v, y in second:
-                    key = ud + v if u <= v else v * d + u
-                    terms[key] = terms.get(key, 0) + x * y
+    for s, form, offset, groups in leibniz_terms(forms, side, n):
+        first = [(u, u * d, s * x) for u, x in form]
+        for r, pairs in groups.items():
+            for second, m in pairs:
+                c = offset + r + m
+                terms = quad.get(c)
+                if terms is None:
+                    terms = quad[c] = {}
+                for u, ud, x in first:
+                    for v, y in second:
+                        key = ud + v if u <= v else v * d + u
+                        terms[key] = terms.get(key, 0) + x * y
     den = scale * scale
     polys, provenance = [], []
     monomial = {}  # u*d + v -> (u, v): one tuple per monomial, not per term

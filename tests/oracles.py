@@ -18,7 +18,10 @@ triple products over every index pair, with no reference to the term table
 operators to unit covectors.  ``coboundary0_dense``,
 ``coboundary1_dense``, ``coboundary2`` and ``module_axiom_residuals`` are
 the coboundaries and the module-axiom defects through the
-bracket-evaluation actions of ``act_by_brackets``.
+bracket-evaluation actions of ``act_by_brackets``; the six axioms are
+written out there one by one, where ``actions.axiom_verdicts`` reads them
+off the Leibniz identity of the semidirect product, so neither the
+action table nor the term table ``core.LEIBNIZ`` is shared.
 
 The rest are checks that only tests use, written on the library's own
 routes: ``apply_system`` applies the rows of a linear system to a tensor
@@ -252,8 +255,8 @@ def act(case, side: Side, alg, x: int, u):
 
 def axioms_hold(case, alg) -> bool:
     """Whether every axiom the library checks for the case holds: the sets
-    of ``ActionCase.complexes``.  The crossed sets are measured through
-    ``module_axiom_residuals`` only."""
+    of ``ActionCase.complexes``.  The crossed sets are measured with
+    ``actions.axiom_verdicts`` and ``module_axiom_residuals``."""
     return all(axiom_report(case, alg).values())
 
 

@@ -890,6 +890,27 @@ def test_dense_duals_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of the stdout of `actions`, text and `--format json`, on NF_4 and
+# NF_4^op in the dense basis of tests/families.py, recorded before the module
+# axioms became the Leibniz identity of the semidirect product.
+DENSE_ACTIONS_DIGESTS = {
+    ("NF_4", "text"): "ea63302efe67043251c0cefe120eee5d2dbafa81a770f5a73601ac360aca488f",
+    ("NF_4", "json"): "902e61851aa17a98a4ef95df6adfbc9a04366513e29eb3023fe0ecad68dc8b3c",
+    ("NF_4^op", "text"): "c62b55b63ef9307c924248a14025d60981da55ee4ba592bde0393ac6c900dd2b",
+    ("NF_4^op", "json"): "9236d29d909890094825b38811810426924cd82718287958d8e6d09fdc884be6",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(DENSE_ACTIONS_DIGESTS))
+def test_dense_actions_bytes_pinned(tmp_path, capsys, name, fmt):
+    path = tmp_path / "dense.leib"
+    path.write_text("dim: 4\n" + "".join(
+        f"f {i} {j} {k} = {v}\n" for (i, j, k), v in nf_dense(4, name.endswith("op")).items()))
+    code, out, _ = run(capsys, "actions", str(path), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DENSE_ACTIONS_DIGESTS[name, fmt]
+
+
 # SHA-256 of the stdout of `duals --scenario all --format json` on the dense
 # family of tests/families.py: NF_n and NF_n^op in a seeded dense integer
 # basis.  The digests were recorded before elimination reduced pivot rows on
