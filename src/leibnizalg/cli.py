@@ -257,6 +257,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.dest and not args.name:
+        raise ParseError("--dest needs an example name")
     if not args.name:
         for name in _lazy.names():
             sys.stdout.write(name + "\n")

@@ -9,8 +9,8 @@ reports.
 On top of the parser's modules, ``check`` and ``adjoint`` load this module
 alone.  The action, cohomology, r-matrix and solver layers and ``random``
 are bound on first use and called as ``_lazy.name``: ``actions`` adds
-``actions``, ``duals`` the solver (with ``actions``, ``cohomology`` and
-``poly``) but no r-matrix code, and ``report`` every layer.  The r-matrix
+``actions``, ``duals`` the solver (with ``actions`` and ``cohomology``)
+but no r-matrix code, and ``report`` every layer.  The r-matrix
 commands do not load this module.
 """
 
@@ -82,12 +82,12 @@ def duals_section(alg: LeibnizAlgebra, key: str | None = None):
     """Every compatible scenario's entry, or only scenario ``key``'s."""
     out = {}
     for name, entry in _lazy.scenario_sweep(alg, key=key).items():
-        quad = entry.quadratic
-        starred = [t + "*" for t in quad.parameters]
+        quad, names = entry.quadratic, entry.family.parameters
+        starred = [t + "*" for t in names]
         nonzero = [
             {
                 "component": list(prov),
-                "polynomial": poly.render(quad.parameters, starred),
+                "polynomial": poly.render(names, starred),
             }
             for prov, poly in zip(quad.provenance, quad.polynomials)
         ]
@@ -95,7 +95,7 @@ def duals_section(alg: LeibnizAlgebra, key: str | None = None):
             "form": entry.scenario.form,
             "dual_side": entry.scenario.dual_side.value,
             "kernel_dimension": len(entry.family),
-            "parameters": list(entry.family.parameters),
+            "parameters": list(names),
             "basis": [tensor_json(b) for b in entry.family.basis],
             "quadratic_identically_zero": quad.is_identically_zero(),
             "quadratic_nonzero_components": nonzero,

@@ -25,11 +25,11 @@ numerators, which ``rref`` reads as they are: scaling rows keeps the kernel.
 The quadratic stage scales the family's basis to integers, runs
 ``core.leibniz_terms`` with each entry's linear form in t1..td as its value,
 accumulates each coefficient of t_u*t_v under the integer key u*d + v, per
-component at its flat index, and hands every nonzero component to ``Poly``
-over the square of that scale, one monomial tuple per key.  A
-``QuadraticResidual`` lists those components only, like the residual dicts
-of ``core.leibniz_residual``: an empty list means the family satisfies the
-identity.
+component at its flat index, and keeps every nonzero component as a
+``Poly``, a quadratic form over the square of that scale, one (u, v) tuple
+per key.  A ``QuadraticResidual`` lists those components only, like the
+residual dicts of ``core.leibniz_residual``: an empty list means the family
+satisfies the identity.
 
 Column contract: the unknown dual entries are flattened in lexicographic
 (m, n, k) order, 1-based, and parameters are named t1..td in the order of
@@ -38,14 +38,13 @@ the free columns.
 
 from __future__ import annotations
 
-import math
+from math import gcd
 
 from .actions import ActionCase
 from .cohomology import coboundary_matrix
 from .core import LeibnizAlgebra, Side, StructureTensor, component, leibniz_terms
 from .errors import DimensionError, quote
-from .linalg import kernel_basis
-from .poly import Poly
+from .linalg import kernel_basis, over_lcm
 from .record import Frozen
 
 
@@ -141,6 +140,36 @@ def nullspace(system: LinearSystem) -> DualFamily:
     return DualFamily(system.dim, basis, params)
 
 
+class Poly:
+    """A quadratic form in the family parameters: ``terms``, not empty, maps
+    the 0-based parameter pair (u, v), u <= v, of each monomial to its
+    coefficient's nonzero integer numerator over the positive denominator
+    ``den``.  Nothing mutates a ``Poly`` once built."""
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict[tuple[int, int], int], den: int):
+        self.terms = terms
+        self.den = den
+
+    def render(self, names, starred) -> str:
+        """Deterministic human/JSON form, e.g. ``t1*t2 - 2/3*t2*t2``: by
+        monomial, each coefficient as ``p`` or ``p/q`` in lowest terms and 1
+        left out.  ``starred[i]`` is ``names[i] + "*"``, built once per
+        parameter list, so a monomial's name is one ``+``."""
+        den, terms = self.den, self.terms
+        parts = []
+        for u, v in sorted(terms):
+            x = terms[u, v]
+            g = 1 if den == 1 else gcd(x, den)
+            size = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
+            body = starred[u] + names[v]
+            text = body if size == "1" else f"{size}*{body}"
+            parts.append(f" - {text}" if x < 0 else f" + {text}")
+        head = parts[0]
+        return ("-" if head[1] == "-" else "") + head[3:] + "".join(parts[1:])
+
+
 class QuadraticResidual(Frozen):
     """Dual-handedness defect of a family, componentwise in the parameters.
 
@@ -149,10 +178,10 @@ class QuadraticResidual(Frozen):
     ``provenance[x] = (i, j, k, m)``, and a component not listed is zero.
     Evaluating the polynomials at an assignment agrees component for
     component with running ``leibniz_residual`` on the corresponding member
-    tensor.
+    tensor; the parameters are those of the family.
     """
 
-    __slots__ = ("parameters", "polynomials", "provenance")
+    __slots__ = ("polynomials", "provenance")
 
     def is_identically_zero(self) -> bool:
         return not self.polynomials
@@ -168,7 +197,7 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
     empty polynomial list.
     """
     if not family.basis:
-        return QuadraticResidual((), (), ())
+        return QuadraticResidual((), ())
     n, d = family.dim, len(family.basis)
     # integer coefficients over a common denominator, so the products below
     # need no Fraction arithmetic
@@ -177,10 +206,10 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
         for p, b in enumerate(family.basis)
         for (i, j, k), v in b.items()
     ]
-    scale = math.lcm(*(v.denominator for _, _, v in entries))
+    scale, values = over_lcm([v for _, _, v in entries])
     forms = {}  # entry (i, j, k), 0-based -> linear form [(parameter, coefficient)]
-    for e, p, v in entries:
-        forms.setdefault(e, []).append((p, v.numerator * (scale // v.denominator)))
+    for (e, p, _), x in zip(entries, values):
+        forms.setdefault(e, []).append((p, x))
     # flat component -> {u*d + v: coefficient of t_u*t_v}, u <= v
     quad = {}
     for s, form, offset, groups in leibniz_terms(forms, side, n):
@@ -206,7 +235,7 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
         if monos:
             polys.append(Poly(monos, den))
             provenance.append(component(c, n, 1))
-    return QuadraticResidual(family.parameters, tuple(polys), tuple(provenance))
+    return QuadraticResidual(tuple(polys), tuple(provenance))
 
 
 class SweepEntry(Frozen):

@@ -332,10 +332,10 @@ MODULES = ({p.stem for p in (SRC / "leibnizalg").glob("*.py") if p.stem != "__in
            | {"random"} | PARSERS)
 # the r-matrix commands load no report, and only the two that apply or invert
 # the coboundary load cohomology and actions
-COBOUNDARY = ({"rmatrix", "actions", "cohomology"}, {"solver", "poly", "report"} | PARSERS)
-CHECKS = ({"rmatrix"}, {"solver", "poly", "report", "actions", "cohomology"} | PARSERS)
+COBOUNDARY = ({"rmatrix", "actions", "cohomology"}, {"solver", "report"} | PARSERS)
+CHECKS = ({"rmatrix"}, {"solver", "report", "actions", "cohomology"} | PARSERS)
 # the layers that neither check nor adjoint loads
-LAYERS = {"actions", "cohomology", "solver", "poly", "rmatrix", "random"}
+LAYERS = {"actions", "cohomology", "solver", "rmatrix", "random"}
 
 # command line -> modules the command must load, modules it must not
 COMMAND_MODULES = {
@@ -348,8 +348,8 @@ COMMAND_MODULES = {
     "ybe {example1} --side l --r {r}": CHECKS,
     "gybe {example1} --side l --r {r}": CHECKS,
     "corpus": ({"cli", "corpus", "errors"}, MODULES - {"cli", "corpus", "errors"}),
-    "duals {example3}": ({"solver", "poly"}, {"rmatrix", "random"} | PARSERS),
-    "duals {example3} --scenario l-3-l": ({"solver", "poly"}, {"rmatrix", "random"} | PARSERS),
+    "duals {example3}": ({"solver"}, {"rmatrix", "random"} | PARSERS),
+    "duals {example3} --scenario l-3-l": ({"solver"}, {"rmatrix", "random"} | PARSERS),
     "report {example1} --seed 3": (MODULES - {"corpus"} - PARSERS, PARSERS),
     # help goes through argparse, and the scenario keys in the duals help
     # are written out, so it loads no solver
@@ -380,7 +380,10 @@ def test_import_skips_start_up_heavy_modules(corpus_files, tmp_path):
              "and m.startswith('leibnizalg')]; "
              "[getattr(leibnizalg, name) for name in leibnizalg.__all__]; print(before)")
     assert _child("-c", probe) == "[]\n"
-    # each command loads only the modules it uses
+    # each command loads only the modules it uses; every set (LAYERS,
+    # COBOUNDARY and CHECKS among them) names only modules that exist, so
+    # that no "must not load" check passes on a deleted module
+    assert all(need | skip <= MODULES for need, skip in COMMAND_MODULES.values())
     files = dict(corpus_files, r=tmp_path / "r.rmat")
     files["r"].write_text("dim: 2\nr 1 2 = 1\nr 2 1 = -1\n")
     for line, (need, skip) in COMMAND_MODULES.items():
@@ -760,6 +763,13 @@ class TestReportAndCorpus:
         code, out, _ = run(capsys, "corpus", "example3", "--dest", str(tmp_path))
         assert code == 0
         assert (tmp_path / "example3.leib").read_text().startswith("#")
+
+    def test_corpus_dest_without_name_is_one_line_exit_two(self, tmp_path, capsys):
+        dest = tmp_path / "out"
+        code, out, err = run(capsys, "corpus", "--dest", str(dest))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not dest.exists()
 
     def test_corpus_unknown_name(self, capsys):
         code, _, err = run(capsys, "corpus", "example9")

@@ -64,7 +64,12 @@ ALLOWED_DEFAULTS = {"main.argv"}
 # semidirect product: the term table ``actions.AXIOMS`` and its interpreter
 # ``axiom_holds`` went, ``actions.axiom_verdicts`` and ``core.integer_entries``
 # came, and ``core.leibniz_terms`` came to group its pairs by b's argument.
-MAX_PACKAGE_LINES = 2476
+# Lowered to 2455 when the quadratic residual became a tuple of quadratic
+# forms: ``poly.py`` went, with its constant, linear and general-degree
+# rendering, its ``__repr__`` and its degree sort; ``Poly`` moved into
+# ``solver``, and ``QuadraticResidual`` dropped its copy of the parameter
+# names.
+MAX_PACKAGE_LINES = 2455
 
 
 def _trees(package: Path):

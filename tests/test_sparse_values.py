@@ -87,6 +87,8 @@ def test_quadratic_residual(alg):
         quad = entry.quadratic
         assert len(quad.polynomials) == len(quad.provenance)
         assert all(p.terms and all(p.terms.values()) for p in quad.polynomials)
+        d = len(entry.family)
+        assert all(0 <= u <= v < d for p in quad.polynomials for u, v in p.terms)
         assert all(_in_range(c, alg.dim, 1) for c in quad.provenance)
         assert list(quad.provenance) == sorted(set(quad.provenance))
         assert quad.is_identically_zero() == (quad.polynomials == ())
