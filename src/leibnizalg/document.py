@@ -194,8 +194,12 @@ def _write(obj, newline: str, emit) -> None:
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(head + _quote(key) + ": ")
-            _write(obj[key], inner, emit)
+            value = obj[key]
+            if type(value) is str:
+                emit(head + _quote(key) + ": " + _quote(value))
+            else:
+                emit(head + _quote(key) + ": ")
+                _write(value, inner, emit)
             head = "," + inner
         emit(newline + "}")
     elif kind is list or kind is tuple:
@@ -205,8 +209,13 @@ def _write(obj, newline: str, emit) -> None:
         inner = newline + "  "
         head = "[" + inner
         for item in obj:
-            emit(head)
-            _write(item, inner, emit)
+            if type(item) is str:
+                emit(head + _quote(item))
+            elif type(item) is int:
+                emit(head + int.__repr__(item))
+            else:
+                emit(head)
+                _write(item, inner, emit)
             head = "," + inner
         emit(newline + "]")
     elif obj is None or kind is bool:

@@ -81,22 +81,21 @@ def actions_section(alg: LeibnizAlgebra):
 def duals_section(alg: LeibnizAlgebra, key: str | None = None):
     """Every compatible scenario's entry, or only scenario ``key``'s."""
     out = {}
+    bases = {}  # form -> its family's basis as JSON, shared by its scenarios
     for name, entry in _lazy.scenario_sweep(alg, key=key).items():
-        quad, names = entry.quadratic, entry.family.parameters
-        starred = [t + "*" for t in names]
+        quad, names, form = entry.quadratic, entry.family.parameters, entry.scenario.form
+        if form not in bases:
+            bases[form] = [tensor_json(b) for b in entry.family.basis]
         nonzero = [
-            {
-                "component": list(prov),
-                "polynomial": poly.render(names, starred),
-            }
-            for prov, poly in zip(quad.provenance, quad.polynomials)
+            {"component": prov, "polynomial": text}
+            for prov, text in zip(quad.provenance, quad.render(names))
         ]
         out[name] = {
-            "form": entry.scenario.form,
+            "form": form,
             "dual_side": entry.scenario.dual_side.value,
             "kernel_dimension": len(entry.family),
-            "parameters": list(names),
-            "basis": [tensor_json(b) for b in entry.family.basis],
+            "parameters": names,
+            "basis": bases[form],
             "quadratic_identically_zero": quad.is_identically_zero(),
             "quadratic_nonzero_components": nonzero,
         }

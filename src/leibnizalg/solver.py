@@ -26,10 +26,10 @@ The quadratic stage scales the family's basis to integers, runs
 ``core.leibniz_terms`` with each entry's linear form in t1..td as its value,
 accumulates each coefficient of t_u*t_v under the integer key u*d + v, per
 component at its flat index, and keeps every nonzero component as a
-``Poly``, a quadratic form over the square of that scale, one (u, v) tuple
-per key.  A ``QuadraticResidual`` lists those components only, like the
-residual dicts of ``core.leibniz_residual``: an empty list means the family
-satisfies the identity.
+``Poly``, a quadratic form over the square of that scale, under those keys
+in ascending order.  A ``QuadraticResidual`` lists those components only,
+like the residual dicts of ``core.leibniz_residual``: an empty list means
+the family satisfies the identity.
 
 Column contract: the unknown dual entries are flattened in lexicographic
 (m, n, k) order, 1-based, and parameters are named t1..td in the order of
@@ -141,33 +141,16 @@ def nullspace(system: LinearSystem) -> DualFamily:
 
 
 class Poly:
-    """A quadratic form in the family parameters: ``terms``, not empty, maps
-    the 0-based parameter pair (u, v), u <= v, of each monomial to its
+    """A quadratic form in d parameters: ``terms``, not empty, maps u*d + v
+    for each monomial t_u*t_v (0-based, u <= v), in ascending order, to its
     coefficient's nonzero integer numerator over the positive denominator
     ``den``.  Nothing mutates a ``Poly`` once built."""
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict[tuple[int, int], int], den: int):
+    def __init__(self, terms: dict[int, int], den: int):
         self.terms = terms
         self.den = den
-
-    def render(self, names, starred) -> str:
-        """Deterministic human/JSON form, e.g. ``t1*t2 - 2/3*t2*t2``: by
-        monomial, each coefficient as ``p`` or ``p/q`` in lowest terms and 1
-        left out.  ``starred[i]`` is ``names[i] + "*"``, built once per
-        parameter list, so a monomial's name is one ``+``."""
-        den, terms = self.den, self.terms
-        parts = []
-        for u, v in sorted(terms):
-            x = terms[u, v]
-            g = 1 if den == 1 else gcd(x, den)
-            size = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
-            body = starred[u] + names[v]
-            text = body if size == "1" else f"{size}*{body}"
-            parts.append(f" - {text}" if x < 0 else f" + {text}")
-        head = parts[0]
-        return ("-" if head[1] == "-" else "") + head[3:] + "".join(parts[1:])
 
 
 class QuadraticResidual(Frozen):
@@ -185,6 +168,33 @@ class QuadraticResidual(Frozen):
 
     def is_identically_zero(self) -> bool:
         return not self.polynomials
+
+    def render(self, names) -> list[str]:
+        """Deterministic human/JSON form of each polynomial, e.g. ``t1*t2 -
+        2/3*t2*t2``: monomials in stored order, each coefficient as ``p`` or
+        ``p/q`` in lowest terms and 1 left out; ``names`` are the family's
+        parameters.  The polynomials share one ``den``, so each numerator's
+        signed prefix and each monomial's name are built on first use."""
+        prefixes, monomials, out = {}, {}, []
+        for p in self.polynomials:
+            den, parts = p.den, []
+            for key, x in p.terms.items():
+                head = prefixes.get(x)
+                if head is None:
+                    if len(prefixes) > 4096:  # dense inputs: numerators seldom repeat
+                        prefixes.clear()
+                    g = gcd(x, den)
+                    size = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
+                    sign = " - " if x < 0 else " + "
+                    head = prefixes[x] = sign if size == "1" else f"{sign}{size}*"
+                name = monomials.get(key)
+                if name is None:
+                    u, v = divmod(key, len(names))
+                    name = monomials[key] = f"{names[u]}*{names[v]}"
+                parts.append(head + name)
+            text = "".join(parts)
+            out.append(text[3:] if text[1] == "+" else "-" + text[3:])
+        return out
 
 
 def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
@@ -226,14 +236,11 @@ def dual_leibniz_residual(family: DualFamily, side: Side) -> QuadraticResidual:
                         terms[key] = terms.get(key, 0) + x * y
     den = scale * scale
     polys, provenance = [], []
-    monomial = {}  # u*d + v -> (u, v): one tuple per monomial, not per term
-    for c in sorted(quad):
-        monos = {
-            monomial.get(key) or monomial.setdefault(key, divmod(key, d)): x
-            for key, x in quad[c].items() if x
-        }
-        if monos:
-            polys.append(Poly(monos, den))
+    shared = {}  # one int object per key, held by every polynomial that has it
+    for c, acc in sorted(quad.items()):
+        terms = {shared.setdefault(key, key): x for key in sorted(acc) if (x := acc[key])}
+        if terms:
+            polys.append(Poly(terms, den))
             provenance.append(component(c, n, 1))
     return QuadraticResidual(tuple(polys), tuple(provenance))
 

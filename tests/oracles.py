@@ -190,12 +190,13 @@ def dense_cochain(d: dict, n: int, arity: int) -> CochainMap:
     return CochainMap(n, arity, nest(()))
 
 
-def dense_quadratic(quadratic, n: int):
-    """A ``QuadraticResidual`` as one term dict {monomial: coefficient} per
-    component [i][j][k][m] (flattened), in the form of
-    ``quadratic_by_polarization``; a component it does not list is {}."""
+def dense_quadratic(quadratic, n: int, d: int):
+    """A ``QuadraticResidual`` of a family with ``d`` parameters as one term
+    dict {monomial: coefficient} per component [i][j][k][m] (flattened), in
+    the form of ``quadratic_by_polarization``; a component it does not list
+    is {}."""
     listed = {
-        prov: {mono: Fraction(x, p.den) for mono, x in p.terms.items()}
+        prov: {divmod(key, d): Fraction(x, p.den) for key, x in p.terms.items()}
         for prov, p in zip(quadratic.provenance, quadratic.polynomials)
     }
     return [
@@ -356,16 +357,15 @@ def annihilates(system, ftilde: StructureTensor) -> bool:
 
 
 def evaluate_quadratic(quadratic, assignment):
-    """Every polynomial of a ``QuadraticResidual`` at parameter values."""
+    """Every polynomial of a ``QuadraticResidual`` at parameter values, one
+    per parameter of its family."""
     vals = [frac(v) for v in assignment]
     out = []
     for poly in quadratic.polynomials:
         total = Fraction(0)
-        for mono, coeff in poly.terms.items():
-            prod = Fraction(coeff, poly.den)
-            for ix in mono:
-                prod *= vals[ix]
-            total += prod
+        for key, coeff in poly.terms.items():
+            u, v = divmod(key, len(vals))
+            total += Fraction(coeff, poly.den) * vals[u] * vals[v]
         out.append(total)
     return tuple(out)
 

@@ -68,8 +68,15 @@ ALLOWED_DEFAULTS = {"main.argv"}
 # forms: ``poly.py`` went, with its constant, linear and general-degree
 # rendering, its ``__repr__`` and its degree sort; ``Poly`` moved into
 # ``solver``, and ``QuadraticResidual`` dropped its copy of the parameter
-# names.
-MAX_PACKAGE_LINES = 2455
+# names.  Raised by 15 to 2470 when the polynomials came to be printed at one
+# table lookup per term: ``QuadraticResidual.render`` builds each signed
+# coefficient and each monomial name on first use, in two tables per
+# residual (the ``monomial`` tuple cache and the ``starred`` list went), the
+# coefficient table is emptied past 4096 entries and one int object serves
+# each monomial key, so dense inputs use no more memory than before; and
+# ``document._write`` writes string and integer items and string values
+# inline instead of through a recursive call.
+MAX_PACKAGE_LINES = 2470
 
 
 def _trees(package: Path):

@@ -18,6 +18,7 @@ from leibnizalg.solver import (
     SCENARIOS,
     DualFamily,
     Poly,
+    QuadraticResidual,
     assemble_cocycle_system,
     cocycle_system,
     dual_leibniz_residual,
@@ -25,7 +26,7 @@ from leibnizalg.solver import (
     unflatten_tensor,
 )
 
-from families import EX1_FAMILIES, EX3_FAMILIES, FAMILIES, KERNEL_DIMENSIONS
+from families import EX1_FAMILIES, EX3_FAMILIES, FAMILIES, KERNEL_DIMENSIONS, nf_dense
 from oracles import (
     annihilates,
     apply_system,
@@ -47,7 +48,7 @@ from oracles import (
     verify_bialgebra,
 )
 from property_suite import rand_tensor
-from test_cli import DENSE_BASIS, _in_basis
+from test_cli import DENSE_BASIS, HALVES_THIRDS_BASIS, _in_basis
 
 F = Fraction
 
@@ -59,6 +60,22 @@ def rand_tensor(rng, n):
             for _ in range(n)
         ),
     )
+
+
+def reference_render(quadratic, names):
+    """Each polynomial's text, built term by term from ``Fraction(x, den)``
+    and ``divmod(key, d)`` in ascending key order."""
+    out = []
+    for p in quadratic.polynomials:
+        text = ""
+        for key, x in sorted(p.terms.items()):
+            u, v = divmod(key, len(names))
+            c = Fraction(x, p.den)
+            body = ("" if abs(c) == 1 else f"{abs(c)}*") + f"{names[u]}*{names[v]}"
+            sign = "-" if c < 0 else "+"
+            text += f" {sign} {body}" if text else ("-" if c < 0 else "") + body
+        out.append(text)
+    return out
 
 
 def every_component(quadratic, values, n):
@@ -217,14 +234,45 @@ class TestNullspace:
 
 class TestQuadraticResidual:
     def test_render_reduces_each_coefficient(self):
-        names = ["t1", "t2", "t3"]
-        starred = ["t1*", "t2*", "t3*"]
-        # numerators over 12: -9/12 = -3/4 leads, 12/12 = 1 is left out,
-        # 24/12 = 2 reduces to an integer and 7/12 keeps its denominator
-        poly = Poly({(1, 1): 7, (0, 2): 24, (0, 0): -9, (1, 2): 12}, 12)
-        assert poly.render(names, starred) == "-3/4*t1*t1 + 2*t1*t3 + 7/12*t2*t2 + t2*t3"
-        assert Poly({(1, 2): -12}, 12).render(names, starred) == "-t2*t3"
-        assert Poly({(0, 1): -4, (2, 2): 1}, 1).render(names, starred) == "-4*t1*t2 + t3*t3"
+        names = ("t1", "t2", "t3")
+        # numerators over 12 under keys u*3 + v: -9/12 = -3/4 leads, 12/12 =
+        # 1 is left out, 24/12 = 2 reduces to an integer and 7/12 keeps its
+        # denominator
+        quad = QuadraticResidual(
+            (Poly({0: -9, 2: 24, 4: 7, 5: 12}, 12), Poly({5: -12}, 12)),
+            ((1, 1, 1, 1), (1, 1, 1, 2)),
+        )
+        assert quad.render(names) == ["-3/4*t1*t1 + 2*t1*t3 + 7/12*t2*t2 + t2*t3", "-t2*t3"]
+        # the same numerators over 1 in a second residual
+        quad = QuadraticResidual((Poly({1: -4, 5: 12, 8: 1}, 1),), ((1, 1, 1, 1),))
+        assert quad.render(names) == ["-4*t1*t2 + 12*t2*t3 + t3*t3"]
+        assert QuadraticResidual((), ()).render(names) == []
+
+    def test_render_matches_a_reference_renderer(self, corpus_algebras):
+        # the corpus, NF_4 in a basis with halves and thirds (den > 1), NF_3
+        # in a dense basis and the full family of ab_3 under both sides, in
+        # one process: some numerator comes over two denominators, so a
+        # coefficient table shared across residuals renders it wrongly
+        nf4 = StructureTensor.from_entries(
+            4, _in_basis({(1, i, i + 1): 1 for i in (1, 2, 3)}, HALVES_THIRDS_BASIS)
+        )
+        algebras = [*corpus_algebras.values(), *map(LeibnizAlgebra.analyze, (nf4, nf_dense(3)))]
+        cases = [
+            (entry.quadratic, entry.family.parameters)
+            for alg in algebras
+            for entry in scenario_sweep(alg).values()
+        ]
+        ab3 = LeibnizAlgebra.analyze(StructureTensor.from_entries(3, {}))
+        full = nullspace(assemble_cocycle_system(ab3, scenario("lr-1-r")))
+        assert len(full) == 27
+        cases += [(dual_leibniz_residual(full, side), full.parameters) for side in Side]
+        dens = {}
+        for quad, names in cases:
+            for p in quad.polynomials:
+                for x in p.terms.values():
+                    dens.setdefault(x, set()).add(p.den)
+            assert quad.render(names) == reference_render(quad, names)
+        assert any(len(over) > 1 for over in dens.values())
 
     def test_family1_identically_left(self):
         quad = dual_leibniz_residual(EX1_FAMILIES[0].family(2), Side.LEFT)
@@ -263,7 +311,7 @@ class TestQuadraticResidual:
             assert family.basis
             got = dual_leibniz_residual(family, side)
             want = quadratic_by_polarization(family, side)
-            assert dense_quadratic(got, family.dim) == want
+            assert dense_quadratic(got, family.dim, len(family)) == want
 
     def test_opposite_family_mirrors_components(self, corpus_algebras):
         # L_{f^op}(X, Y, Z) = R_f(X, Z, Y): component (i, j, k, m) of the

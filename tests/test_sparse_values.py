@@ -88,9 +88,12 @@ def test_quadratic_residual(alg):
         assert len(quad.polynomials) == len(quad.provenance)
         assert all(p.terms and all(p.terms.values()) for p in quad.polynomials)
         d = len(entry.family)
-        assert all(0 <= u <= v < d for p in quad.polynomials for u, v in p.terms)
+        for p in quad.polynomials:
+            keys = list(p.terms)
+            assert keys == sorted(set(keys))  # strictly ascending: rendering keeps this order
+            assert all(0 <= u <= v < d for u, v in (divmod(key, d) for key in keys))
         assert all(_in_range(c, alg.dim, 1) for c in quad.provenance)
         assert list(quad.provenance) == sorted(set(quad.provenance))
         assert quad.is_identically_zero() == (quad.polynomials == ())
         want = quadratic_by_polarization(entry.family, entry.scenario.dual_side)
-        assert dense_quadratic(quad, alg.dim) == want
+        assert dense_quadratic(quad, alg.dim, d) == want
